@@ -30,7 +30,7 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args()
 
-    cfg = load_run_config(args.config, seed=args.seed, serial=True)
+    cfg = load_run_config(args.config, seed=args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 

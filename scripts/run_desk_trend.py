@@ -26,7 +26,7 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args()
 
-    cfg = load_run_config(args.config, seed=args.seed, serial=True)
+    cfg = load_run_config(args.config, seed=args.seed)
     out_dir = Path(args.out) if args.out else None
     print(
         f"training {cfg.federation.agents} agents x {cfg.federation.rounds} rounds "

@@ -51,17 +51,15 @@ def cmd_train(args: argparse.Namespace) -> int:
         rounds=args.rounds,
         agents=args.agents,
         episodes=args.episodes,
-        serial=args.serial,
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     log.info(
-        "training: %d agents x %d rounds x %d episodes (seed %d, %s)",
+        "training: %d agents x %d rounds x %d episodes (seed %d)",
         cfg.federation.agents,
         cfg.federation.rounds,
         cfg.federation.episodes_per_round,
         cfg.master_seed,
-        "serial" if args.serial else "parallel",
     )
     _, reports = run_training(cfg.federation, out_dir=out_dir, config_hash=cfg.config_hash)
     (out_dir / "round_reports.csv").write_text(round_reports_csv(reports))
@@ -222,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--config", required=True)
     p_train.add_argument("--out", required=True)
     p_train.add_argument("--seed", type=int, default=None, help="override master_seed")
-    p_train.add_argument("--serial", action="store_true", help="force serial agent execution")
     p_train.add_argument("--rounds", type=int, default=None)
     p_train.add_argument("--agents", type=int, default=None)
     p_train.add_argument("--episodes", type=int, default=None, help="episodes per agent per round")

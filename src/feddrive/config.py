@@ -8,6 +8,7 @@ Unknown keys are rejected so typos fail loudly before any side effect.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -152,7 +153,7 @@ class RunConfig:
     eval_protocol: EvalProtocol
     master_seed: int
     network_path: Path
-    resolved: dict[str, str]  # canonical key -> value strings, hashed for the manifest
+    resolved: dict[str, str]  # typed field -> repr, defaults applied; hashed for the manifest
 
     @property
     def config_hash(self) -> str:
@@ -164,18 +165,22 @@ def config_hash(resolved: dict[str, str]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _field_reprs(prefix: str, obj) -> dict[str, str]:
+    # repr round-trips floats exactly and nests dataclasses, so equal reprs mean equal inputs
+    return {f"{prefix}.{f.name}": repr(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+
+
 def load_run_config(
     path: str | Path,
     seed: int | None = None,
     rounds: int | None = None,
     agents: int | None = None,
     episodes: int | None = None,
-    serial: bool = False,
 ) -> RunConfig:
     """Read, override, validate, and materialize a run configuration.
 
-    CLI overrides are applied before validation and are part of the config
-    hash, so a rerun with identical inputs produces an identical manifest.
+    CLI overrides are applied before validation.  The config hash covers the
+    typed values with defaults applied, the parsed road network included.
     """
     path = Path(path)
     if not path.is_file():
@@ -251,7 +256,6 @@ def load_run_config(
             scenarios=(scenario,),
             master_seed=master_seed,
             optimizer_state=optimizer_state,
-            parallel=not serial,
         )
         template = EvalTemplate(
             step_length_s=scenario.step_length_s,
@@ -275,8 +279,8 @@ def load_run_config(
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    resolved = {k: " | ".join(v) if isinstance(v, list) else str(v) for k, v in raw.items()}
-    resolved["serial"] = str(serial)
+    # federation.scenarios holds the scenario, road network included
+    resolved = {**_field_reprs("federation", federation), **_field_reprs("eval", eval_protocol)}
     return RunConfig(
         scenario=scenario,
         federation=federation,

@@ -4,8 +4,9 @@ Each round every agent trains a fixed number of episodes in its own
 environment, then ships only its flattened actor/critic weights and episode
 count to the aggregator.  No observations, actions, rewards, or replay
 contents cross that boundary.  Aggregation is the episode-weighted mean
-``sum(n_i * w_i) / sum(n_i)``, summed in ascending agent-id order so that
-concurrent and serial execution produce bit-identical results.
+``sum(n_i * w_i) / sum(n_i)``, summed in ascending agent-id order.  Agents
+train one after another in the calling thread, in the order given (ascending
+id from ``run_training``).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,11 +31,13 @@ OPTIMIZER_KEEP_LOCAL = "keep-local"
 
 
 class AgentTrainingError(RuntimeError):
-    """A member agent failed during its local training phase."""
+    """A member agent failed in local training; ``episode_idx`` counts from 0 within the round."""
 
-    def __init__(self, agent_id: int, cause: BaseException):
+    def __init__(self, agent_id: int, round_idx: int, episode_idx: int, cause: BaseException):
         self.agent_id = agent_id
-        super().__init__(f"agent {agent_id} failed during local training: {cause}")
+        self.round_idx = round_idx
+        self.episode_idx = episode_idx
+        super().__init__(f"agent {agent_id} failed in round {round_idx}, episode {episode_idx}: {cause}")
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,6 @@ class FederationConfig:
     scenarios: tuple[ScenarioConfig, ...] = ()  # one shared, or one per agent
     master_seed: int = 0
     optimizer_state: str = OPTIMIZER_RESET
-    parallel: bool = False
 
     def __post_init__(self):
         if self.agents < 1 or self.rounds < 1 or self.episodes_per_round < 1:
@@ -158,13 +159,17 @@ def broadcast(global_model: GlobalModel, agents: list[DdpgAgent], optimizer_stat
 def _train_agent_round(
     config: FederationConfig, agent: DdpgAgent, round_idx: int
 ) -> tuple[AgentUpdate, AgentRoundStats, list[EpisodeMetrics]]:
-    world = TrafficWorld(config.scenario_for(agent.agent_id))
     episodes: list[EpisodeMetrics] = []
-    for e in range(config.episodes_per_round):
-        episode_idx = round_idx * config.episodes_per_round + e
-        episode_seed = derive_seed(config.master_seed, agent.agent_id, episode_idx)
-        rng = np.random.Generator(np.random.PCG64(derive_seed(episode_seed, 1)))
-        episodes.append(train_episode(agent, world, derive_seed(episode_seed, 0), rng))
+    try:
+        world = TrafficWorld(config.scenario_for(agent.agent_id))
+        for e in range(config.episodes_per_round):
+            episode_idx = round_idx * config.episodes_per_round + e
+            episode_seed = derive_seed(config.master_seed, agent.agent_id, episode_idx)
+            rng = np.random.Generator(np.random.PCG64(derive_seed(episode_seed, 1)))
+            episodes.append(train_episode(agent, world, derive_seed(episode_seed, 0), rng))
+    except Exception as exc:
+        # len(episodes) is the episode in progress; a world that cannot be built fails episode 0
+        raise AgentTrainingError(agent.agent_id, round_idx, len(episodes), exc) from exc
     update = AgentUpdate(
         agent_id=agent.agent_id,
         actor_weights=flatten_params(agent.actor),
@@ -190,23 +195,7 @@ def run_round(
     config_hash: str = "",
 ) -> RoundReport:
     """One federated round: local training, aggregation, global update, broadcast."""
-    results: list[tuple[AgentUpdate, AgentRoundStats, list[EpisodeMetrics]]] = [None] * len(agents)
-
-    def run_one(i: int) -> None:
-        try:
-            results[i] = _train_agent_round(config, agents[i], round_idx)
-        except Exception as exc:
-            raise AgentTrainingError(agents[i].agent_id, exc) from exc
-
-    if config.parallel and len(agents) > 1:
-        with ThreadPoolExecutor(max_workers=len(agents)) as pool:
-            futures = [pool.submit(run_one, i) for i in range(len(agents))]
-            for f in futures:
-                f.result()
-    else:
-        for i in range(len(agents)):
-            run_one(i)
-
+    results = [_train_agent_round(config, agent, round_idx) for agent in agents]
     updates = [r[0] for r in results]
     stats = tuple(r[1] for r in results)
 

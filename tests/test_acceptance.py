@@ -290,7 +290,7 @@ def test_criterion_6_sim_determinism_and_safety(grid_net):
 
 
 def test_criterion_7_desk_scale_learning_trend():
-    cfg = load_run_config(CONFIGS / "desk_trend.cfg", serial=True)
+    cfg = load_run_config(CONFIGS / "desk_trend.cfg")
     fed = cfg.federation
     assert (fed.agents, fed.rounds, fed.episodes_per_round) == (3, 3, 60)
     assert fed.scenario_for(0).background_count == 2

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from feddrive.cli import main
+from feddrive.cli import build_parser, main
 from feddrive.config import ConfigError, load_run_config, parse_config_text
 from tests.conftest import NETS
 
@@ -126,6 +126,37 @@ def test_overrides_change_hash(tmp_path):
     assert load_run_config(path, rounds=3).federation.rounds == 3
 
 
+def test_execution_mode_is_not_an_option(tmp_path):
+    # agents always train serially, so nothing about execution enters the hash
+    cfg = load_run_config(write_config(tmp_path))
+    assert not any("serial" in key or "parallel" in key for key in cfg.resolved)
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["train", "--config", "c", "--out", "o", "--serial"])
+
+
+def test_hash_follows_network_content_not_path(tmp_path):
+    text = (NETS / "single_road.net").read_text()
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    (tmp_path / "a" / "road.net").write_text(text)
+    (tmp_path / "b" / "other.net").write_text("# same road, another name\n" + text)
+    first = load_run_config(write_config(tmp_path, network_file="a/road.net"))
+    moved = load_run_config(write_config(tmp_path, network_file="b/other.net"))
+    assert moved.config_hash == first.config_hash
+
+    (tmp_path / "a" / "road.net").write_text(text.replace("b 400 0", "b 390 0").replace("ab a b 400", "ab a b 390"))
+    edited = load_run_config(write_config(tmp_path, network_file="a/road.net"))
+    assert edited.scenario.network.edges["ab"].length_m == 390.0
+    assert edited.config_hash != first.config_hash
+
+
+def test_hash_covers_typed_values_with_defaults(tmp_path):
+    omitted = load_run_config(write_config(tmp_path, tau=None)).config_hash
+    assert load_run_config(write_config(tmp_path, tau="0.005")).config_hash == omitted
+    assert load_run_config(write_config(tmp_path, tau="5e-3")).config_hash == omitted
+    assert load_run_config(write_config(tmp_path, tau="0.01")).config_hash != omitted
+
+
 def test_spawn_lines_parsed(tmp_path):
     path = write_config(tmp_path, _extra=["spawn = 0 main 30 0 0", "spawn = 2 main 60 5"])
     cfg = load_run_config(path)
@@ -148,7 +179,7 @@ def test_eval_spawn_lines_feed_the_template(tmp_path):
 def test_cli_train_smoke(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
-    assert main(["train", "--config", str(cfg), "--out", str(out), "--serial"]) == 0
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
     assert (out / "round_0.ckpt").is_file()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["agents"] == 1
@@ -159,8 +190,8 @@ def test_cli_train_smoke(tmp_path):
 def test_cli_train_rerun_identical(tmp_path):
     cfg = write_config(tmp_path)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
-    assert main(["train", "--config", str(cfg), "--out", str(out1), "--serial"]) == 0
-    assert main(["train", "--config", str(cfg), "--out", str(out2), "--serial"]) == 0
+    assert main(["train", "--config", str(cfg), "--out", str(out1)]) == 0
+    assert main(["train", "--config", str(cfg), "--out", str(out2)]) == 0
     m1 = json.loads((out1 / "manifest.json").read_text())
     m2 = json.loads((out2 / "manifest.json").read_text())
     assert m1["config_hash"] == m2["config_hash"]
@@ -178,7 +209,7 @@ def test_cli_train_overrides(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
     code = main(
-        ["train", "--config", str(cfg), "--out", str(out), "--serial", "--rounds", "2", "--episodes", "1"]
+        ["train", "--config", str(cfg), "--out", str(out), "--rounds", "2", "--episodes", "1"]
     )
     assert code == 0
     assert (out / "round_1.ckpt").is_file()
@@ -187,7 +218,7 @@ def test_cli_train_overrides(tmp_path):
 def test_cli_eval(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
-    main(["train", "--config", str(cfg), "--out", str(out), "--serial"])
+    main(["train", "--config", str(cfg), "--out", str(out)])
     eval_out = tmp_path / "eval"
     code = main(
         [
@@ -242,7 +273,7 @@ def test_cli_inspect_default_architecture(tmp_path, capsys):
 def test_cli_inspect_round_checkpoint(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
-    main(["train", "--config", str(cfg), "--out", str(out), "--serial", "--rounds", "4"])
+    main(["train", "--config", str(cfg), "--out", str(out), "--rounds", "4"])
     assert main(["inspect", str(out / "round_3.ckpt")]) == 0
     printed = capsys.readouterr().out
     assert "round index: 3" in printed
@@ -252,7 +283,7 @@ def test_cli_inspect_round_checkpoint(tmp_path, capsys):
 def test_cli_inspect_truncated(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
-    main(["train", "--config", str(cfg), "--out", str(out), "--serial"])
+    main(["train", "--config", str(cfg), "--out", str(out)])
     ckpt = out / "round_0.ckpt"
     ckpt.write_bytes(ckpt.read_bytes()[:60])
     assert main(["inspect", str(ckpt)]) != 0
@@ -296,7 +327,7 @@ def test_load_actor_from_agent_checkpoint(tmp_path):
 def test_cli_sim_run_policy_driven(tmp_path):
     cfg = write_config(tmp_path, max_steps="40")
     out = tmp_path / "out"
-    main(["train", "--config", str(cfg), "--out", str(out), "--serial"])
+    main(["train", "--config", str(cfg), "--out", str(out)])
     sim_out = tmp_path / "sim"
     code = main(
         ["sim-run", "--config", str(cfg), "--out", str(sim_out), "--checkpoint", str(out / "round_0.ckpt")]

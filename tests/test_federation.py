@@ -1,11 +1,12 @@
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from feddrive import nn
+from feddrive import federation, nn
 from feddrive.ddpg import DdpgAgent, DdpgHyperparams, train_episode
 from feddrive.federation import (
     AgentTrainingError,
@@ -233,14 +234,44 @@ def test_run_training_deterministic_rerun(road_scenario, tmp_path):
     assert (out1 / "round_1.ckpt").read_bytes() == (out2 / "round_1.ckpt").read_bytes()
 
 
-def test_parallel_matches_serial_bitwise(road_scenario):
-    sc = road_scenario(max_steps=20, background_count=1)
-    serial_cfg = tiny_fed(sc, agents=3, rounds=2, parallel=False)
-    parallel_cfg = tiny_fed(sc, agents=3, rounds=2, parallel=True)
-    gm_s, _ = run_training(serial_cfg)
-    gm_p, _ = run_training(parallel_cfg)
-    assert np.array_equal(nn.flatten_params(gm_s.actor), nn.flatten_params(gm_p.actor))
-    assert np.array_equal(nn.flatten_params(gm_s.critic), nn.flatten_params(gm_p.critic))
+def test_agents_train_serially_in_ascending_id_order(road_scenario, monkeypatch):
+    calls = []
+
+    def recording_episode(agent, world, episode_seed, rng):
+        calls.append((threading.get_ident(), agent.agent_id, episode_seed))
+        return train_episode(agent, world, episode_seed, rng)
+
+    monkeypatch.setattr(federation, "train_episode", recording_episode)
+    cfg = tiny_fed(road_scenario(max_steps=10), agents=3, rounds=2, episodes_per_round=2)
+    run_training(cfg)
+
+    assert {thread for thread, _, _ in calls} == {threading.get_ident()}
+    # per round: agent 0's episodes, then agent 1's, then agent 2's, each block contiguous
+    expected = [
+        (a, derive_seed(derive_seed(cfg.master_seed, a, r * 2 + e), 0))
+        for r in range(2)
+        for a in range(3)
+        for e in range(2)
+    ]
+    assert [(a, seed) for _, a, seed in calls] == expected
+
+
+def test_agent_failure_names_round_and_episode(road_scenario, monkeypatch):
+    cfg = tiny_fed(road_scenario(max_steps=10), agents=2, rounds=2, episodes_per_round=3)
+    # agent 1's second episode of round 1 is its episode 1 * 3 + 1 overall
+    bad_seed = derive_seed(derive_seed(cfg.master_seed, 1, 1 * 3 + 1), 0)
+
+    def failing_episode(agent, world, episode_seed, rng):
+        if agent.agent_id == 1 and episode_seed == bad_seed:
+            raise FloatingPointError("boom")
+        return train_episode(agent, world, episode_seed, rng)
+
+    monkeypatch.setattr(federation, "train_episode", failing_episode)
+    with pytest.raises(AgentTrainingError, match="agent 1 failed in round 1, episode 1") as info:
+        run_training(cfg)
+    err = info.value
+    assert (err.agent_id, err.round_idx, err.episode_idx) == (1, 1, 1)
+    assert isinstance(err.__cause__, FloatingPointError)
 
 
 def test_checkpoints_and_episode_conservation(road_scenario, tmp_path):
