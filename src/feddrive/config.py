@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .ddpg import DdpgHyperparams
 from .evaluation import EvalProtocol, EvalTemplate
-from .federation import OPTIMIZER_KEEP_LOCAL, OPTIMIZER_RESET, FederationConfig
+from .federation import OPTIMIZER_RESET, FederationConfig
 from .sim.network import load_network_file
 from .sim.world import ScenarioConfig, SpawnSpec
 
@@ -152,7 +152,6 @@ class RunConfig:
     federation: FederationConfig
     eval_protocol: EvalProtocol
     master_seed: int
-    network_path: Path
     resolved: dict[str, str]  # typed field -> repr, defaults applied; hashed for the manifest
 
     @property
@@ -243,11 +242,6 @@ def load_run_config(
             ou_sigma=_typed(raw, "ou_sigma", 0.2),
             ou_dt=_typed(raw, "ou_dt", 1.0),
         )
-        optimizer_state = _typed(raw, "optimizer_state", OPTIMIZER_RESET)
-        if optimizer_state not in (OPTIMIZER_RESET, OPTIMIZER_KEEP_LOCAL):
-            raise ConfigError(
-                f"optimizer_state must be {OPTIMIZER_RESET!r} or {OPTIMIZER_KEEP_LOCAL!r}, got {optimizer_state!r}"
-            )
         federation = FederationConfig(
             agents=_typed(raw, "agents", 10),
             rounds=_typed(raw, "rounds", 5),
@@ -255,7 +249,7 @@ def load_run_config(
             hp=hp,
             scenarios=(scenario,),
             master_seed=master_seed,
-            optimizer_state=optimizer_state,
+            optimizer_state=_typed(raw, "optimizer_state", OPTIMIZER_RESET),  # FederationConfig validates it
         )
         template = EvalTemplate(
             step_length_s=scenario.step_length_s,
@@ -286,6 +280,5 @@ def load_run_config(
         federation=federation,
         eval_protocol=eval_protocol,
         master_seed=master_seed,
-        network_path=network_path,
         resolved=resolved,
     )

@@ -19,17 +19,13 @@ from .container import save_container, load_container
 from .metrics import EpisodeMetrics, RolloutTrace, metrics_from_trace
 from .nn import (
     AdamState,
-    LayerParams,
     MlpParams,
     adam_step,
     backward,
-    flatten_params,
     forward,
     init_adam,
     init_params,
-    mlp_from_parts,
     mlp_meta,
-    params_like,
     unflatten_params,
 )
 from .seeding import derive_seed
@@ -37,6 +33,8 @@ from .sim.world import CAUSE_COLLISION, CAUSE_DESTINATION, EgoObservation, Traff
 
 STATE_DIM = 6
 ACTION_DIM = 1
+# the four networks of an agent or a global model; checkpoints store each as f"{name}_params"
+NET_NAMES = ("actor", "critic", "target_actor", "target_critic")
 
 # Fixed divisors applied to raw observations before they enter the networks
 # (positions and goal distance in units of 100 m, speed of a 20 m/s limit,
@@ -221,8 +219,8 @@ class DdpgAgent:
             hp=hp,
             actor=actor,
             critic=critic,
-            target_actor=params_like(actor),
-            target_critic=params_like(critic),
+            target_actor=unflatten_params(actor, actor.flat),
+            target_critic=unflatten_params(critic, critic.flat),
             actor_adam=init_adam(actor),
             critic_adam=init_adam(critic),
             buffer=ReplayBuffer(hp.buffer_capacity),
@@ -264,13 +262,13 @@ def critic_update(agent: DdpgAgent, batch: Batch) -> float:
     if not math.isfinite(loss):
         raise ValueError("non-finite critic loss")
     grads, _ = backward(agent.critic, cache, 2.0 * err / n)
-    agent.critic, agent.critic_adam = adam_step(agent.critic, grads, agent.critic_adam, agent.hp.critic_lr)
+    adam_step(agent.critic, grads, agent.critic_adam, agent.hp.critic_lr)
     return loss
 
 
 def policy_gradient(
     actor: MlpParams, critic: MlpParams, states: np.ndarray, a_min: float, a_max: float
-) -> tuple[tuple[LayerParams, ...], float]:
+) -> tuple[MlpParams, float]:
     """Gradient of mean Q(s, mu(s)) w.r.t. actor parameters, and the objective value."""
     n = states.shape[0]
     u, actor_cache = forward(actor, states)
@@ -301,19 +299,21 @@ def apply_policy_gradient(agent: DdpgAgent, actor_cache, dq_da: np.ndarray) -> N
     _ascend_actor(agent, grads)
 
 
-def _ascend_actor(agent: DdpgAgent, grads: tuple[LayerParams, ...]) -> None:
-    ascent = tuple(LayerParams(weights=-g.weights, bias=-g.bias) for g in grads)
-    agent.actor, agent.actor_adam = adam_step(agent.actor, ascent, agent.actor_adam, agent.hp.actor_lr)
+def _ascend_actor(agent: DdpgAgent, grads: MlpParams) -> None:
+    """Adam descends, so the ascent step negates ``grads`` in place first."""
+    np.negative(grads.flat, out=grads.flat)
+    adam_step(agent.actor, grads, agent.actor_adam, agent.hp.actor_lr)
 
 
-def soft_update(target: MlpParams, source: MlpParams, tau: float) -> MlpParams:
-    """Elementwise convex combination tau*source + (1-tau)*target."""
+def soft_update(target: MlpParams, source: MlpParams, tau: float) -> None:
+    """Set ``target`` to the elementwise combination tau*source + (1-tau)*target, in place."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
-    t, s = flatten_params(target), flatten_params(source)
+    t, s = target.flat, source.flat
     if t.shape != s.shape:
         raise ValueError(f"shape mismatch: target {t.shape} vs source {s.shape}")
-    return unflatten_params(target, tau * s + (1.0 - tau) * t)
+    t *= 1.0 - tau
+    t += tau * s
 
 
 def train_episode(
@@ -322,36 +322,40 @@ def train_episode(
     episode_seed: int,
     rng: np.random.Generator,
 ) -> EpisodeMetrics:
-    """Run one exploratory episode with per-step updates once the buffer is warm."""
+    """Run one exploratory episode with per-step updates once the buffer is warm; errors carry ``step_idx``."""
     hp = agent.hp
-    obs = world.reset(episode_seed)
-    agent.noise = replace(agent.noise, x=hp.ou_mu)
     speeds: list[float] = []
     rewards: list[float] = []
-    while True:
-        action = select_action(agent, obs, explore=True, rng=rng)
-        out = world.step(action)
-        terminal = out.cause in (CAUSE_COLLISION, CAUSE_DESTINATION)
-        agent.buffer.store(
-            Transition(
-                state=normalize_obs(obs.as_vector()),
-                action=action,
-                reward=out.reward,
-                next_state=normalize_obs(out.observation.as_vector()),
-                done=terminal,
+    try:
+        obs = world.reset(episode_seed)
+        agent.noise = replace(agent.noise, x=hp.ou_mu)
+        while True:
+            action = select_action(agent, obs, explore=True, rng=rng)
+            out = world.step(action)
+            terminal = out.cause in (CAUSE_COLLISION, CAUSE_DESTINATION)
+            agent.buffer.store(
+                Transition(
+                    state=normalize_obs(obs.as_vector()),
+                    action=action,
+                    reward=out.reward,
+                    next_state=normalize_obs(out.observation.as_vector()),
+                    done=terminal,
+                )
             )
-        )
-        speeds.append(out.observation.speed)
-        rewards.append(out.reward)
-        if len(agent.buffer) >= hp.batch_size:
-            batch = agent.buffer.sample(hp.batch_size, rng)
-            critic_update(agent, batch)
-            actor_update(agent, batch)
-            agent.target_actor = soft_update(agent.target_actor, agent.actor, hp.tau)
-            agent.target_critic = soft_update(agent.target_critic, agent.critic, hp.tau)
-        obs = out.observation
-        if out.done:
-            break
+            if len(agent.buffer) >= hp.batch_size:
+                batch = agent.buffer.sample(hp.batch_size, rng)
+                critic_update(agent, batch)
+                actor_update(agent, batch)
+                soft_update(agent.target_actor, agent.actor, hp.tau)
+                soft_update(agent.target_critic, agent.critic, hp.tau)
+            speeds.append(out.observation.speed)
+            rewards.append(out.reward)
+            obs = out.observation
+            if out.done:
+                break
+    except Exception as exc:
+        exc.step_idx = len(rewards)  # the step in progress (from 0): rewards grow as steps complete
+        raise
     agent.episodes_trained += 1
     trace = RolloutTrace(
         speeds_mps=tuple(speeds),
@@ -370,16 +374,13 @@ def train_episode(
 
 def save_agent_checkpoint(path, agent: DdpgAgent) -> None:
     """Four networks, both optimizer states, the episode counter, and hyperparameters."""
-    arrays = {
-        "actor_params": flatten_params(agent.actor),
-        "critic_params": flatten_params(agent.critic),
-        "target_actor_params": flatten_params(agent.target_actor),
-        "target_critic_params": flatten_params(agent.target_critic),
-        "actor_adam_m": agent.actor_adam.m,
-        "actor_adam_v": agent.actor_adam.v,
-        "critic_adam_m": agent.critic_adam.m,
-        "critic_adam_v": agent.critic_adam.v,
-    }
+    arrays = {f"{name}_params": getattr(agent, name).flat for name in NET_NAMES}
+    arrays.update(
+        actor_adam_m=agent.actor_adam.m,
+        actor_adam_v=agent.actor_adam.v,
+        critic_adam_m=agent.critic_adam.m,
+        critic_adam_v=agent.critic_adam.v,
+    )
     meta = {
         "kind": "agent",
         "agent_id": agent.agent_id,
@@ -402,10 +403,8 @@ def load_agent_checkpoint(path) -> DdpgAgent:
     hp_raw["critic_hidden"] = tuple(hp_raw["critic_hidden"])
     hp = DdpgHyperparams(**hp_raw)
     agent = DdpgAgent.create(hp, seed=0, agent_id=int(meta["agent_id"]))
-    agent.actor = mlp_from_parts(meta["actor_net"], arrays["actor_params"])
-    agent.critic = mlp_from_parts(meta["critic_net"], arrays["critic_params"])
-    agent.target_actor = mlp_from_parts(meta["actor_net"], arrays["target_actor_params"])
-    agent.target_critic = mlp_from_parts(meta["critic_net"], arrays["target_critic_params"])
+    for name in NET_NAMES:  # create() built the nets the stored hyperparameters describe
+        getattr(agent, name).flat[:] = arrays[f"{name}_params"]
     agent.actor_adam = replace(agent.actor_adam, m=arrays["actor_adam_m"], v=arrays["actor_adam_v"], t=int(meta["actor_adam_t"]))
     agent.critic_adam = replace(agent.critic_adam, m=arrays["critic_adam_m"], v=arrays["critic_adam_v"], t=int(meta["critic_adam_t"]))
     agent.episodes_trained = int(meta["episodes_trained"])

@@ -20,9 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .container import save_container
-from .ddpg import DdpgAgent, DdpgHyperparams, soft_update, train_episode
+from .ddpg import NET_NAMES, DdpgAgent, DdpgHyperparams, soft_update, train_episode
 from .metrics import EpisodeMetrics
-from .nn import MlpParams, flatten_params, mlp_meta, params_like, unflatten_params
+from .nn import MlpParams, flatten_params, mlp_meta
 from .seeding import derive_seed
 from .sim.world import ScenarioConfig, TrafficWorld
 
@@ -31,13 +31,16 @@ OPTIMIZER_KEEP_LOCAL = "keep-local"
 
 
 class AgentTrainingError(RuntimeError):
-    """A member agent failed in local training; ``episode_idx`` counts from 0 within the round."""
+    """A member agent failed in local training; episodes count from 0 within the round, steps within the episode."""
 
-    def __init__(self, agent_id: int, round_idx: int, episode_idx: int, cause: BaseException):
+    def __init__(self, agent_id: int, round_idx: int, episode_idx: int, step_idx: int, cause: BaseException):
         self.agent_id = agent_id
         self.round_idx = round_idx
         self.episode_idx = episode_idx
-        super().__init__(f"agent {agent_id} failed in round {round_idx}, episode {episode_idx}: {cause}")
+        self.step_idx = step_idx
+        super().__init__(
+            f"agent {agent_id} failed in round {round_idx}, episode {episode_idx}, step {step_idx}: {cause}"
+        )
 
 
 @dataclass(frozen=True)
@@ -143,22 +146,22 @@ def aggregate(updates: list[AgentUpdate]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def broadcast(global_model: GlobalModel, agents: list[DdpgAgent], optimizer_state: str = OPTIMIZER_RESET) -> None:
-    """Overwrite every agent's online nets with the global weights.
+    """Overwrite every agent's online and target nets with the global online weights, in place.
 
-    Local targets re-sync to the new online weights; replay buffers are kept.
+    Replay buffers are kept.
     """
     for agent in agents:
-        agent.actor = unflatten_params(agent.actor, flatten_params(global_model.actor))
-        agent.critic = unflatten_params(agent.critic, flatten_params(global_model.critic))
-        agent.target_actor = params_like(agent.actor)
-        agent.target_critic = params_like(agent.critic)
+        for net in (agent.actor, agent.target_actor):
+            net.flat[:] = global_model.actor.flat
+        for net in (agent.critic, agent.target_critic):
+            net.flat[:] = global_model.critic.flat
         if optimizer_state == OPTIMIZER_RESET:
             agent.reset_optimizers()
 
 
 def _train_agent_round(
     config: FederationConfig, agent: DdpgAgent, round_idx: int
-) -> tuple[AgentUpdate, AgentRoundStats, list[EpisodeMetrics]]:
+) -> tuple[AgentUpdate, AgentRoundStats]:
     episodes: list[EpisodeMetrics] = []
     try:
         world = TrafficWorld(config.scenario_for(agent.agent_id))
@@ -168,8 +171,10 @@ def _train_agent_round(
             rng = np.random.Generator(np.random.PCG64(derive_seed(episode_seed, 1)))
             episodes.append(train_episode(agent, world, derive_seed(episode_seed, 0), rng))
     except Exception as exc:
-        # len(episodes) is the episode in progress; a world that cannot be built fails episode 0
-        raise AgentTrainingError(agent.agent_id, round_idx, len(episodes), exc) from exc
+        # len(episodes) is the episode in progress; a world that cannot be built fails episode 0, step 0
+        step_idx = getattr(exc, "step_idx", 0)
+        raise AgentTrainingError(agent.agent_id, round_idx, len(episodes), step_idx, exc) from exc
+    # copies: the payload must not change when the agent trains on
     update = AgentUpdate(
         agent_id=agent.agent_id,
         actor_weights=flatten_params(agent.actor),
@@ -183,7 +188,7 @@ def _train_agent_round(
         episodes=len(episodes),
         episode_rewards=tuple(m.total_reward for m in episodes),
     )
-    return update, stats, episodes
+    return update, stats
 
 
 def run_round(
@@ -195,16 +200,14 @@ def run_round(
     config_hash: str = "",
 ) -> RoundReport:
     """One federated round: local training, aggregation, global update, broadcast."""
-    results = [_train_agent_round(config, agent, round_idx) for agent in agents]
-    updates = [r[0] for r in results]
-    stats = tuple(r[1] for r in results)
+    updates, stats = zip(*(_train_agent_round(config, agent, round_idx) for agent in agents))
 
     t0 = time.perf_counter()
     actor_flat, critic_flat = aggregate(updates)
-    global_model.actor = unflatten_params(global_model.actor, actor_flat)
-    global_model.critic = unflatten_params(global_model.critic, critic_flat)
-    global_model.target_actor = soft_update(global_model.target_actor, global_model.actor, config.hp.tau)
-    global_model.target_critic = soft_update(global_model.target_critic, global_model.critic, config.hp.tau)
+    global_model.actor.flat[:] = actor_flat
+    global_model.critic.flat[:] = critic_flat
+    soft_update(global_model.target_actor, global_model.actor, config.hp.tau)
+    soft_update(global_model.target_critic, global_model.critic, config.hp.tau)
     global_model.round_idx = round_idx
     wall = time.perf_counter() - t0
 
@@ -222,13 +225,8 @@ def save_round_checkpoint(
     out_dir.mkdir(parents=True, exist_ok=True)
     ordered = sorted(updates, key=lambda u: u.agent_id)
     path = out_dir / f"round_{global_model.round_idx}.ckpt"
-    arrays = {
-        "actor_params": flatten_params(global_model.actor),
-        "critic_params": flatten_params(global_model.critic),
-        "target_actor_params": flatten_params(global_model.target_actor),
-        "target_critic_params": flatten_params(global_model.target_critic),
-        "agent_episodes": np.array([u.episodes for u in ordered], dtype=np.int64),
-    }
+    arrays = {f"{name}_params": getattr(global_model, name).flat for name in NET_NAMES}
+    arrays["agent_episodes"] = np.array([u.episodes for u in ordered], dtype=np.int64)
     meta = {
         "kind": "global_round",
         "round_idx": global_model.round_idx,
@@ -254,8 +252,8 @@ def init_global_model(hp: DdpgHyperparams, master_seed: int) -> GlobalModel:
     return GlobalModel(
         actor=template.actor,
         critic=template.critic,
-        target_actor=params_like(template.actor),
-        target_critic=params_like(template.critic),
+        target_actor=template.target_actor,
+        target_critic=template.target_critic,
         round_idx=0,
     )
 

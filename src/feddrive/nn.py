@@ -1,13 +1,16 @@
 """Dense feed-forward networks with hand-written reverse-mode gradients and Adam.
 
-Everything is float64 and purely functional: forward/backward/adam_step take
-parameter containers and return new ones, which keeps gradient checks and
-cross-run determinism exact.  Supported activations: relu, tanh, identity.
+Everything is float64.  A network's parameters are one contiguous vector,
+``MlpParams.flat``, and its ``layers`` are weight/bias views into it.
+``adam_step`` updates its ``params`` and ``state`` in place; no other function
+here writes to an argument.  Fixed elementwise formulas, applied in a fixed
+order, keep gradient checks and cross-run determinism exact.  Supported
+activations: relu, tanh, identity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,18 +27,46 @@ class LayerParams:
 
 @dataclass(frozen=True)
 class MlpParams:
+    """One network's parameters: ``flat`` holds them all, ``layers`` are views into it.
+
+    Building from ``layers`` (directly or by ``dataclasses.replace``) packs
+    them into a new vector; ``wrap`` puts views on an existing one.
+    """
+
     layers: tuple[LayerParams, ...]
     activations: tuple[str, ...]
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        parts = [a for layer in self.layers for a in (np.ravel(layer.weights), layer.bias)]
+        self._bind(np.concatenate(parts, dtype=np.float64), self.layer_sizes)
+
+    @classmethod
+    def wrap(cls, flat: np.ndarray, layer_sizes, activations) -> "MlpParams":
+        """A net whose layers are views into ``flat`` (no copy)."""
+        params = object.__new__(cls)
+        object.__setattr__(params, "activations", tuple(activations))
+        params._bind(flat, layer_sizes)
+        return params
+
+    def _bind(self, flat: np.ndarray, layer_sizes) -> None:
+        # layer order; within a layer, weights (row-major) then bias
+        layers, offset = [], 0
+        for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
+            w_end = offset + fan_out * fan_in
+            weights = flat[offset:w_end].reshape(fan_out, fan_in)
+            offset = w_end + fan_out
+            layers.append(LayerParams(weights=weights, bias=flat[w_end:offset]))
+        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "layers", tuple(layers))
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:
-        sizes = [self.layers[0].weights.shape[1]]
-        sizes.extend(layer.weights.shape[0] for layer in self.layers)
-        return tuple(sizes)
+        return (self.in_dim, *(layer.weights.shape[0] for layer in self.layers))
 
     @property
     def param_count(self) -> int:
-        return sum(l.weights.size + l.bias.size for l in self.layers)
+        return self.flat.size
 
     @property
     def in_dim(self) -> int:
@@ -48,11 +79,11 @@ class MlpParams:
 
 @dataclass(frozen=True)
 class ForwardCache:
-    inputs: tuple[np.ndarray, ...]  # input to each layer, batch-major
+    values: tuple[np.ndarray, ...]  # the net input, then each layer's output; batch-major
     preacts: tuple[np.ndarray, ...]  # pre-activation of each layer
 
 
-@dataclass(frozen=True)
+@dataclass
 class AdamState:
     m: np.ndarray
     v: np.ndarray
@@ -90,48 +121,40 @@ def _activate(z: np.ndarray, act: str) -> np.ndarray:
     return z
 
 
-def _activate_grad(z: np.ndarray, act: str) -> np.ndarray:
-    if act == "relu":
-        return (z > 0.0).astype(np.float64)
-    if act == "tanh":
-        return 1.0 - np.tanh(z) ** 2
-    return np.ones_like(z)
-
-
 def forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Run a batch (n, in_dim) through the net; cache is sufficient for backward."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.in_dim:
         raise ValueError(f"expected input of shape (n, {params.in_dim}), got {x.shape}")
-    inputs, preacts = [], []
-    h = x
+    values, preacts = [x], []
     for layer, act in zip(params.layers, params.activations):
-        inputs.append(h)
-        z = h @ layer.weights.T + layer.bias
+        z = values[-1] @ layer.weights.T + layer.bias
         preacts.append(z)
-        h = _activate(z, act)
-    return h, ForwardCache(inputs=tuple(inputs), preacts=tuple(preacts))
+        values.append(_activate(z, act))
+    return values[-1], ForwardCache(values=tuple(values), preacts=tuple(preacts))
 
 
-def backward(
-    params: MlpParams, cache: ForwardCache, output_gradient: np.ndarray
-) -> tuple[tuple[LayerParams, ...], np.ndarray]:
-    """Exact gradients of sum(output * output_gradient) w.r.t. params and input."""
+def backward(params: MlpParams, cache: ForwardCache, output_gradient: np.ndarray) -> tuple[MlpParams, np.ndarray]:
+    """Exact gradients of sum(output * output_gradient) w.r.t. params and input.
+
+    The parameter gradient is a new ``MlpParams`` laid out like ``params``.
+    """
     g = np.asarray(output_gradient, dtype=np.float64)
     if g.shape != cache.preacts[-1].shape:
         raise ValueError(f"output gradient shape {g.shape} != output shape {cache.preacts[-1].shape}")
-    grads: list[LayerParams] = []
-    for layer, act, h_in, z in zip(
-        reversed(params.layers),
-        reversed(params.activations),
-        reversed(cache.inputs),
-        reversed(cache.preacts),
-    ):
-        gz = g * _activate_grad(z, act)
-        grads.append(LayerParams(weights=gz.T @ h_in, bias=gz.sum(axis=0)))
-        g = gz @ layer.weights
-    grads.reverse()
-    return tuple(grads), g
+    grad = MlpParams.wrap(np.empty(params.param_count), params.layer_sizes, params.activations)
+    for i in reversed(range(len(params.layers))):
+        act = params.activations[i]
+        if act == "relu":
+            gz = g * (cache.preacts[i] > 0.0)
+        elif act == "tanh":
+            gz = g * (1.0 - cache.values[i + 1] ** 2)  # tanh' from the cached tanh
+        else:
+            gz = g
+        np.matmul(gz.T, cache.values[i], out=grad.layers[i].weights)
+        np.sum(gz, axis=0, out=grad.layers[i].bias)
+        g = gz @ params.layers[i].weights
+    return grad, g
 
 
 def init_adam(params: MlpParams, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
@@ -139,62 +162,49 @@ def init_adam(params: MlpParams, beta1: float = 0.9, beta2: float = 0.999, eps: 
     return AdamState(m=np.zeros(n), v=np.zeros(n), t=0, beta1=beta1, beta2=beta2, eps=eps)
 
 
-def adam_step(
-    params: MlpParams, grads: tuple[LayerParams, ...], state: AdamState, lr: float
-) -> tuple[MlpParams, AdamState]:
-    """One bias-corrected Adam update; raises on non-finite gradients."""
-    g = flatten_layers(grads)
-    if not np.all(np.isfinite(g)):
+ADAM_CHUNK = 32768  # elements per pass, so a chunk's operands stay in cache between passes
+
+
+def adam_step(params: MlpParams, grads: MlpParams, state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam update of ``params.flat`` and ``state``, in place.
+
+    Raises on non-finite gradients before anything is written.  The vectors
+    are walked in chunks; each element goes through the same operations, in
+    the same order, as in one pass over whole vectors.
+    """
+    if not np.all(np.isfinite(grads.flat)):
         raise ValueError("non-finite gradient in adam_step (training diverged)")
-    t = state.t + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    theta = flatten_params(params) - lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return unflatten_params(params, theta), replace(state, m=m, v=v, t=t)
-
-
-def flatten_layers(layers: tuple[LayerParams, ...]) -> np.ndarray:
-    parts = []
-    for layer in layers:
-        parts.append(layer.weights.ravel())
-        parts.append(layer.bias)
-    return np.concatenate(parts)
+    state.t += 1
+    b1, b2 = state.beta1, state.beta2
+    c1, c2 = 1.0 - b1**state.t, 1.0 - b2**state.t
+    scratch = np.empty((2, min(ADAM_CHUNK, params.param_count)))
+    for lo in range(0, params.param_count, ADAM_CHUNK):
+        g, m, v, theta = (a[lo : lo + ADAM_CHUNK] for a in (grads.flat, state.m, state.v, params.flat))
+        step, denom = scratch[:, : g.size]
+        m *= b1
+        m += np.multiply(g, 1.0 - b1, out=step)
+        v *= b2
+        v += np.multiply(np.multiply(g, 1.0 - b2, out=step), g, out=step)
+        np.multiply(np.divide(m, c1, out=step), lr, out=step)  # lr * m_hat
+        np.sqrt(np.divide(v, c2, out=denom), out=denom)  # sqrt(v_hat)
+        denom += state.eps
+        theta -= np.divide(step, denom, out=step)
 
 
 def flatten_params(params: MlpParams) -> np.ndarray:
-    """Layer-order flattening: weights (row-major) then bias, per layer."""
-    return flatten_layers(params.layers)
+    """A copy of ``params.flat``: weights (row-major) then bias, per layer."""
+    return params.flat.copy()
 
 
 def unflatten_params(template: MlpParams, vector: np.ndarray) -> MlpParams:
-    """Inverse of flatten_params; the template supplies shapes and activations."""
-    vector = np.asarray(vector, dtype=np.float64)
+    """A new net holding a copy of ``vector``; the template supplies shapes and activations."""
+    vector = np.array(vector, dtype=np.float64)
     if vector.shape != (template.param_count,):
         raise ValueError(f"expected vector of length {template.param_count}, got shape {vector.shape}")
-    layers = []
-    offset = 0
-    for layer in template.layers:
-        w_n = layer.weights.size
-        w = vector[offset : offset + w_n].reshape(layer.weights.shape)
-        offset += w_n
-        b = vector[offset : offset + layer.bias.size].copy()
-        offset += layer.bias.size
-        layers.append(LayerParams(weights=w.copy(), bias=b))
-    return MlpParams(layers=tuple(layers), activations=template.activations)
-
-
-def params_like(params: MlpParams) -> MlpParams:
-    """Deep copy with the same values (containers are immutable, arrays are not)."""
-    return unflatten_params(params, flatten_params(params))
+    return MlpParams.wrap(vector, template.layer_sizes, template.activations)
 
 
 # ------------------------------------------------------------------ checkpoints
-
-
-def mlp_arrays(params: MlpParams, prefix: str = "") -> dict[str, np.ndarray]:
-    return {f"{prefix}params": flatten_params(params)}
 
 
 def mlp_meta(params: MlpParams) -> dict:
@@ -204,12 +214,11 @@ def mlp_meta(params: MlpParams) -> dict:
 def mlp_from_parts(meta: dict, flat: np.ndarray) -> MlpParams:
     sizes = [int(s) for s in meta["layer_sizes"]]
     acts = [str(a) for a in meta["activations"]]
-    template = init_params(sizes, acts, seed=0)
-    return unflatten_params(template, flat)
+    return unflatten_params(init_params(sizes, acts, seed=0), flat)
 
 
 def save_mlp(path, params: MlpParams, adam: AdamState | None = None, extra_meta: dict | None = None) -> None:
-    arrays = mlp_arrays(params)
+    arrays = {"params": params.flat}
     meta = {"kind": "mlp", "net": mlp_meta(params)}
     if adam is not None:
         arrays["adam_m"] = adam.m

@@ -160,7 +160,7 @@ def test_criterion_3_gradient_correctness():
         g_out = rng.normal(size=(4, sizes[-1]))
         _, cache = nn.forward(params, x)
         grads, _ = nn.backward(params, cache, g_out)
-        analytic = nn.flatten_layers(grads)
+        analytic = nn.flatten_params(grads)
 
         h = 1e-5
         flat = nn.flatten_params(params)
@@ -375,7 +375,7 @@ def test_criterion_9_privacy_boundary(single_road_net):
     fed = FederationConfig(agents=1, rounds=1, episodes_per_round=1, hp=hp, scenarios=(scenario,), master_seed=1)
     agent = DdpgAgent.create(hp, seed=0, agent_id=0)
     broadcast(init_global_model(hp, 1), [agent])
-    update, _stats, _eps = _train_agent_round(fed, agent, 0)
+    update, _stats = _train_agent_round(fed, agent, 0)
     assert isinstance(update.actor_weights, np.ndarray) and update.actor_weights.ndim == 1
     assert isinstance(update.critic_weights, np.ndarray) and update.critic_weights.ndim == 1
     assert update.actor_weights.dtype == np.float64

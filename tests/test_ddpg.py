@@ -276,7 +276,7 @@ def test_policy_gradient_matches_finite_difference():
     a_min, a_max = -4.5, 2.6
 
     grads, _ = policy_gradient(actor, critic, states, a_min, a_max)
-    analytic = nn.flatten_layers(grads)
+    analytic = nn.flatten_params(grads)
 
     def objective(theta):
         p = nn.unflatten_params(actor, theta)
@@ -317,15 +317,30 @@ def test_actor_converges_on_quadratic_critic():
 def test_soft_update_extremes():
     src = nn.init_params([3, 2], ["tanh"], seed=1)
     tgt = nn.init_params([3, 2], ["tanh"], seed=2)
-    assert np.array_equal(nn.flatten_params(soft_update(tgt, src, 1.0)), nn.flatten_params(src))
-    assert np.array_equal(nn.flatten_params(soft_update(tgt, src, 0.0)), nn.flatten_params(tgt))
+    moved, kept = (nn.unflatten_params(tgt, tgt.flat) for _ in range(2))  # updated in place
+    soft_update(moved, src, 1.0)
+    soft_update(kept, src, 0.0)
+    assert np.array_equal(nn.flatten_params(moved), nn.flatten_params(src))
+    assert np.array_equal(nn.flatten_params(kept), nn.flatten_params(tgt))
 
 
 def test_soft_update_scalar():
     src = nn.MlpParams((nn.LayerParams(np.array([[10.0]]), np.zeros(1)),), ("identity",))
     tgt = nn.MlpParams((nn.LayerParams(np.array([[0.0]]), np.zeros(1)),), ("identity",))
-    out = soft_update(tgt, src, 0.1)
+    soft_update(tgt, src, 0.1)
+    out = tgt
     assert out.layers[0].weights[0, 0] == pytest.approx(1.0)
+
+
+def test_soft_update_keeps_target_buffer():
+    src = nn.init_params([3, 4, 2], ["relu", "tanh"], seed=1)
+    tgt = nn.init_params([3, 4, 2], ["relu", "tanh"], seed=2)
+    flat = tgt.flat
+    want = 0.25 * src.flat + 0.75 * tgt.flat
+    soft_update(tgt, src, 0.25)
+    assert tgt.flat is flat
+    assert np.array_equal(tgt.flat, want)
+    assert all(np.shares_memory(layer.weights, flat) for layer in tgt.layers)
 
 
 def test_soft_update_shape_mismatch():

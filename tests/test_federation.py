@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from feddrive import federation, nn
+from feddrive import ddpg, federation, nn
 from feddrive.ddpg import DdpgAgent, DdpgHyperparams, train_episode
 from feddrive.federation import (
     AgentTrainingError,
@@ -272,6 +272,38 @@ def test_agent_failure_names_round_and_episode(road_scenario, monkeypatch):
     err = info.value
     assert (err.agent_id, err.round_idx, err.episode_idx) == (1, 1, 1)
     assert isinstance(err.__cause__, FloatingPointError)
+
+
+def test_agent_failure_names_the_step(road_scenario, monkeypatch):
+    # batch 16: the first update runs at step 15 of episode 0, with two Adam
+    # calls (critic, actor) per step, so the 5th call falls in step 17
+    cfg = tiny_fed(road_scenario(max_steps=40), agents=1, rounds=1, episodes_per_round=1)
+    calls = 0
+
+    def failing_adam(*args):
+        nonlocal calls
+        calls += 1
+        if calls == 5:
+            raise FloatingPointError("boom")
+        return nn.adam_step(*args)
+
+    monkeypatch.setattr(ddpg, "adam_step", failing_adam)
+    with pytest.raises(AgentTrainingError, match="agent 0 failed in round 0, episode 0, step 17: boom") as info:
+        run_training(cfg)
+    err = info.value
+    assert (err.agent_id, err.round_idx, err.episode_idx, err.step_idx) == (0, 0, 0, 17)
+    assert isinstance(err.__cause__, FloatingPointError)
+
+
+def test_update_payload_does_not_follow_further_training(road_scenario):
+    cfg = tiny_fed(road_scenario(max_steps=40), agents=1, rounds=1, episodes_per_round=1)
+    agent = DdpgAgent.create(TINY, seed=0, agent_id=0)
+    update, _ = federation._train_agent_round(cfg, agent, 0)
+    actor, critic = update.actor_weights.copy(), update.critic_weights.copy()
+    train_episode(agent, TrafficWorld(cfg.scenario_for(0)), episode_seed=1, rng=np.random.default_rng(1))
+    assert not np.array_equal(agent.actor.flat, actor)  # the agent did train on
+    assert np.array_equal(update.actor_weights, actor)
+    assert np.array_equal(update.critic_weights, critic)
 
 
 def test_checkpoints_and_episode_conservation(road_scenario, tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,7 +129,7 @@ def test_gradient_check(sizes, acts):
     g_out = rng.normal(size=(5, sizes[-1]))
     _, cache = nn.forward(p, x)
     grads, _ = nn.backward(p, cache, g_out)
-    assert np.max(rel_err(nn.flatten_layers(grads), fd_gradient(p, x, g_out))) < 1e-4
+    assert np.max(rel_err(nn.flatten_params(grads), fd_gradient(p, x, g_out))) < 1e-4
 
 
 def test_backward_zero_output_gradient():
@@ -135,7 +137,7 @@ def test_backward_zero_output_gradient():
     x = np.random.default_rng(0).normal(size=(3, 6))
     _, cache = nn.forward(p, x)
     grads, g_in = nn.backward(p, cache, np.zeros((3, 1)))
-    assert np.array_equal(nn.flatten_layers(grads), np.zeros(p.param_count))
+    assert np.array_equal(nn.flatten_params(grads), np.zeros(p.param_count))
     assert np.array_equal(g_in, np.zeros((3, 6)))
 
 
@@ -148,7 +150,8 @@ def test_backward_identity_closed_form():
     x = np.array([[1.0, 2.0, 3.0]])
     g = np.array([[4.0, 5.0]])
     _, cache = nn.forward(p, x)
-    grads, g_in = nn.backward(p, cache, g)
+    grad, g_in = nn.backward(p, cache, g)
+    grads = grad.layers
     assert np.array_equal(grads[0].weights, g.T @ x)
     assert np.array_equal(grads[0].bias, g[0])
     assert np.array_equal(g_in, g @ p.layers[0].weights)
@@ -179,9 +182,10 @@ def test_backward_input_gradient_vs_fd():
 
 def test_adam_zero_gradient_noop():
     p = small_net()
-    state = nn.init_adam(p)
-    zero = nn.unflatten_params(p, np.zeros(p.param_count)).layers
-    p2, state2 = nn.adam_step(p, zero, state, lr=0.1)
+    p2 = nn.unflatten_params(p, p.flat)  # stepped in place; p keeps the start
+    state2 = nn.init_adam(p2)
+    zero = nn.unflatten_params(p, np.zeros(p.param_count))
+    nn.adam_step(p2, zero, state2, lr=0.1)
     assert np.array_equal(nn.flatten_params(p), nn.flatten_params(p2))
     assert state2.t == 1
 
@@ -191,10 +195,13 @@ def test_adam_sign_step_with_zero_betas():
         layers=(nn.LayerParams(weights=np.array([[1.0]]), bias=np.array([2.0])),),
         activations=("identity",),
     )
-    g = (nn.LayerParams(weights=np.array([[0.5]]), bias=np.array([-3.0])),)
+    g = nn.MlpParams(
+        layers=(nn.LayerParams(weights=np.array([[0.5]]), bias=np.array([-3.0])),),
+        activations=("identity",),
+    )
     state = nn.AdamState(m=np.zeros(2), v=np.zeros(2), t=0, beta1=0.0, beta2=0.0, eps=1e-8)
-    p2, _ = nn.adam_step(p, g, state, lr=0.1)
-    got = nn.flatten_params(p2)
+    nn.adam_step(p, g, state, lr=0.1)
+    got = nn.flatten_params(p)
     want = np.array([1.0, 2.0]) - 0.1 * np.array([0.5, -3.0]) / (np.array([0.5, 3.0]) + 1e-8)
     assert np.allclose(got, want, rtol=0, atol=1e-15)
 
@@ -212,19 +219,28 @@ def test_adam_two_steps_match_hand_recurrence():
         layers=(nn.LayerParams(weights=np.array([[1.5]]), bias=np.zeros(1)),),
         activations=("identity",),
     )
-    grads = (nn.LayerParams(weights=np.array([[g]]), bias=np.zeros(1)),)
+    grads = nn.MlpParams(
+        layers=(nn.LayerParams(weights=np.array([[g]]), bias=np.zeros(1)),),
+        activations=("identity",),
+    )
     state = nn.init_adam(p)
     for _ in range(2):
-        p, state = nn.adam_step(p, grads, state, lr=lr)
+        nn.adam_step(p, grads, state, lr=lr)
     assert p.layers[0].weights[0, 0] == pytest.approx(theta, abs=1e-15)
     assert state.t == 2
 
 
 def test_adam_rejects_non_finite_gradient():
     p = small_net()
-    bad = nn.unflatten_params(p, np.full(p.param_count, np.nan)).layers
+    state = nn.init_adam(p)
+    state.m[:], state.v[:], state.t = 0.25, 0.5, 3
+    before = nn.flatten_params(p)
+    bad = nn.unflatten_params(p, np.full(p.param_count, np.nan))
     with pytest.raises(ValueError, match="non-finite"):
-        nn.adam_step(p, bad, nn.init_adam(p), lr=0.1)
+        nn.adam_step(p, bad, state, lr=0.1)
+    # the check runs before anything is written
+    assert np.array_equal(p.flat, before)
+    assert np.all(state.m == 0.25) and np.all(state.v == 0.5) and state.t == 3
 
 
 # -------------------------------------------------------- flatten/unflatten
@@ -257,6 +273,50 @@ def test_flatten_order_stable():
         activations=("relu", "identity"),
     )
     assert np.array_equal(nn.flatten_params(p), np.arange(1.0, 10.0))
+
+
+# ------------------------------------------------------------- flat vector
+
+
+def assert_layers_view_flat(p):
+    assert p.flat.dtype == np.float64 and p.flat.flags.c_contiguous
+    for layer in p.layers:
+        assert np.shares_memory(layer.weights, p.flat)
+        assert np.shares_memory(layer.bias, p.flat)
+
+
+def test_every_construction_path_backs_layers_with_flat():
+    p = small_net()
+    head = p.layers[-1]
+    replaced = dataclasses.replace(
+        p, layers=p.layers[:-1] + (nn.LayerParams(weights=head.weights, bias=head.bias + 1.0),)
+    )
+    rebuilt = nn.MlpParams(layers=p.layers, activations=p.activations)
+    copied = nn.unflatten_params(p, p.flat)
+    _, cache = nn.forward(p, np.ones((2, 6)))
+    grad, _ = nn.backward(p, cache, np.ones((2, 1)))
+    for q in (p, replaced, rebuilt, copied, grad):
+        assert_layers_view_flat(q)
+        assert q.layer_sizes == p.layer_sizes
+    # packing, unflattening and flattening copy; nothing aliases p
+    for q in (replaced, rebuilt, copied, grad):
+        assert not np.shares_memory(q.flat, p.flat)
+    assert not np.shares_memory(nn.flatten_params(p), p.flat)
+    assert np.array_equal(replaced.layers[-1].bias, head.bias + 1.0)
+
+
+def test_adam_step_updates_buffers_in_place():
+    p = small_net(seed=1)
+    state = nn.init_adam(p)
+    flat, m, v = p.flat, state.m, state.v
+    _, cache = nn.forward(p, np.ones((3, 6)))
+    grad, _ = nn.backward(p, cache, np.ones((3, 1)))
+    before = nn.flatten_params(p)
+    nn.adam_step(p, grad, state, lr=0.1)
+    assert p.flat is flat and state.m is m and state.v is v
+    assert state.t == 1
+    assert not np.array_equal(p.flat, before)
+    assert_layers_view_flat(p)
 
 
 # -------------------------------------------------------------- checkpoints
