@@ -19,9 +19,9 @@ from pathlib import Path
 from . import __version__
 from .config import ConfigError, load_run_config
 from .container import ContainerError, load_container
-from .ddpg import policy_action
-from .evaluation import evaluate, export_csv, export_json, summaries_from_json
+from .evaluation import evaluate, export_csv, export_json, policy_act, summaries_from_json
 from .federation import round_reports_csv, run_training
+from .metrics import run_episode
 from .nn import MlpParams, mlp_from_parts
 from .sim.world import TrafficWorld
 
@@ -34,11 +34,9 @@ def _setup_logging() -> None:
 
 
 def load_actor(path: str | Path) -> MlpParams:
-    """Actor weights from any checkpoint kind (mlp, agent, or global round)."""
+    """Actor weights from an agent or a global-round checkpoint."""
     arrays, meta = load_container(path)
     kind = meta.get("kind")
-    if kind == "mlp":
-        return mlp_from_parts(meta["net"], arrays["params"])
     if kind in ("agent", "global_round"):
         return mlp_from_parts(meta["actor_net"], arrays["actor_params"])
     raise ContainerError(f"{path}: unknown checkpoint kind {kind!r}")
@@ -115,9 +113,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     arrays, meta = load_container(args.checkpoint)
     kind = meta.get("kind", "unknown")
     print(f"checkpoint kind: {kind}")
-    if kind == "mlp":
-        print(_describe_net("net", meta["net"]))
-    elif kind == "agent":
+    if kind == "agent":
         print(_describe_net("actor", meta["actor_net"]))
         print(_describe_net("critic", meta["critic_net"]))
         print(f"agent id: {meta['agent_id']}, episodes trained: {meta['episodes_trained']}")
@@ -162,23 +158,18 @@ def cmd_sim_run(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     trace_path = out_dir / "trace.csv"
 
-    world = TrafficWorld(cfg.scenario)
-    obs = world.reset(args.episode_seed)
     sc = cfg.scenario
+    act = policy_act(actor, sc.accel_min_mps2, sc.accel_max_mps2) if actor is not None else lambda _: args.accel
+    world = TrafficWorld(sc)
     with open(trace_path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(TRACE_COLUMNS)
-        step = 0
-        while True:
-            if actor is not None:
-                action = policy_action(actor, obs.as_vector(), sc.accel_min_mps2, sc.accel_max_mps2)
-            else:
-                action = args.accel
-            out = world.step(action)
+
+        def write_row(_obs, _action, out) -> None:
             o, fl = out.observation, out.flags
             writer.writerow(
                 [
-                    step,
+                    world.steps - 1,
                     repr(world.time_s),
                     repr(o.pos_x),
                     repr(o.pos_y),
@@ -193,11 +184,9 @@ def cmd_sim_run(args: argparse.Namespace) -> int:
                     out.cause,
                 ]
             )
-            obs = o
-            step += 1
-            if out.done:
-                break
-    log.info("episode ended after %d steps (%s); trace at %s", step, world.cause, trace_path)
+
+        trace = run_episode(world, act, args.episode_seed, on_step=write_row)
+    log.info("episode ended after %d steps (%s); trace at %s", trace.steps, trace.cause, trace_path)
     return 0
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .container import save_container, load_container
-from .metrics import EpisodeMetrics, RolloutTrace, metrics_from_trace
+from .metrics import EpisodeMetrics, metrics_from_trace, run_episode
 from .nn import (
     AdamState,
     MlpParams,
@@ -29,7 +29,7 @@ from .nn import (
     unflatten_params,
 )
 from .seeding import derive_seed
-from .sim.world import CAUSE_COLLISION, CAUSE_DESTINATION, EgoObservation, TrafficWorld
+from .sim.world import CAUSE_COLLISION, CAUSE_DESTINATION, EgoObservation, StepOutcome, TrafficWorld
 
 STATE_DIM = 6
 ACTION_DIM = 1
@@ -324,48 +324,29 @@ def train_episode(
 ) -> EpisodeMetrics:
     """Run one exploratory episode with per-step updates once the buffer is warm; errors carry ``step_idx``."""
     hp = agent.hp
-    speeds: list[float] = []
-    rewards: list[float] = []
-    try:
-        obs = world.reset(episode_seed)
-        agent.noise = replace(agent.noise, x=hp.ou_mu)
-        while True:
-            action = select_action(agent, obs, explore=True, rng=rng)
-            out = world.step(action)
-            terminal = out.cause in (CAUSE_COLLISION, CAUSE_DESTINATION)
-            agent.buffer.store(
-                Transition(
-                    state=normalize_obs(obs.as_vector()),
-                    action=action,
-                    reward=out.reward,
-                    next_state=normalize_obs(out.observation.as_vector()),
-                    done=terminal,
-                )
+    agent.noise = replace(agent.noise, x=hp.ou_mu)
+
+    def learn(obs: EgoObservation, action: float, out: StepOutcome) -> None:
+        agent.buffer.store(
+            Transition(
+                state=normalize_obs(obs.as_vector()),
+                action=action,
+                reward=out.reward,
+                next_state=normalize_obs(out.observation.as_vector()),
+                done=out.cause in (CAUSE_COLLISION, CAUSE_DESTINATION),
             )
-            if len(agent.buffer) >= hp.batch_size:
-                batch = agent.buffer.sample(hp.batch_size, rng)
-                critic_update(agent, batch)
-                actor_update(agent, batch)
-                soft_update(agent.target_actor, agent.actor, hp.tau)
-                soft_update(agent.target_critic, agent.critic, hp.tau)
-            speeds.append(out.observation.speed)
-            rewards.append(out.reward)
-            obs = out.observation
-            if out.done:
-                break
-    except Exception as exc:
-        exc.step_idx = len(rewards)  # the step in progress (from 0): rewards grow as steps complete
-        raise
-    agent.episodes_trained += 1
-    trace = RolloutTrace(
-        speeds_mps=tuple(speeds),
-        rewards=tuple(rewards),
-        step_length_s=world.scenario.step_length_s,
-        cause=world.cause,
-        distance_traveled_m=world.distance_traveled_m,
-        route_freeflow_s=world.route_freeflow_time_s,
-        traveled_freeflow_s=world.traveled_freeflow_time_s,
+        )
+        if len(agent.buffer) >= hp.batch_size:
+            batch = agent.buffer.sample(hp.batch_size, rng)
+            critic_update(agent, batch)
+            actor_update(agent, batch)
+            soft_update(agent.target_actor, agent.actor, hp.tau)
+            soft_update(agent.target_critic, agent.critic, hp.tau)
+
+    trace = run_episode(
+        world, lambda obs: select_action(agent, obs, explore=True, rng=rng), episode_seed, on_step=learn
     )
+    agent.episodes_trained += 1
     return metrics_from_trace(trace)
 
 

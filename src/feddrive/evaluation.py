@@ -19,11 +19,11 @@ from typing import Callable
 import numpy as np
 
 from .ddpg import policy_action
-from .metrics import RolloutTrace, average_speed, metrics_from_trace, travel_delay
+from .metrics import RolloutTrace, average_speed, metrics_from_trace, run_episode, travel_delay
 from .nn import MlpParams
 from .seeding import derive_seed
 from .sim.network import straight_corridor
-from .sim.world import ScenarioConfig, SpawnSpec, TrafficWorld
+from .sim.world import EgoObservation, ScenarioConfig, SpawnSpec, TrafficWorld
 
 Policy = MlpParams | Callable[[np.ndarray], float]
 
@@ -119,32 +119,17 @@ def realize_scenario(template: EvalTemplate, distance_m: float) -> ScenarioConfi
     )
 
 
+def policy_act(policy: Policy, a_min: float, a_max: float) -> Callable[[EgoObservation], float]:
+    """The policy as ``run_episode``'s ``act``: observation in, acceleration out."""
+    if isinstance(policy, MlpParams):
+        return lambda obs: policy_action(policy, obs.as_vector(), a_min, a_max)
+    return lambda obs: float(policy(obs.as_vector()))
+
+
 def rollout(world: TrafficWorld, policy: Policy, episode_seed: int,
             a_min: float, a_max: float) -> RolloutTrace:
     """Greedy episode: no exploration noise, bit-reproducible per seed."""
-    obs = world.reset(episode_seed)
-    speeds: list[float] = []
-    rewards: list[float] = []
-    while True:
-        if isinstance(policy, MlpParams):
-            action = policy_action(policy, obs.as_vector(), a_min, a_max)
-        else:
-            action = float(policy(obs.as_vector()))
-        out = world.step(action)
-        speeds.append(out.observation.speed)
-        rewards.append(out.reward)
-        obs = out.observation
-        if out.done:
-            break
-    return RolloutTrace(
-        speeds_mps=tuple(speeds),
-        rewards=tuple(rewards),
-        step_length_s=world.scenario.step_length_s,
-        cause=world.cause,
-        distance_traveled_m=world.distance_traveled_m,
-        route_freeflow_s=world.route_freeflow_time_s,
-        traveled_freeflow_s=world.traveled_freeflow_time_s,
-    )
+    return run_episode(world, policy_act(policy, a_min, a_max), episode_seed)
 
 
 def evaluate(policy: Policy, protocol: EvalProtocol, policy_id: str = "policy") -> EvalSummary:
@@ -266,6 +251,7 @@ __all__ = [
     "evaluate",
     "export_csv",
     "export_json",
+    "policy_act",
     "realize_scenario",
     "rollout",
     "summaries_from_json",

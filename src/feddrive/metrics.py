@@ -1,10 +1,18 @@
-"""Episode-level metrics: return, travel delay, average speed."""
+"""The episode loop and its metrics: return, travel delay, average speed."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
-from .sim.world import CAUSE_COLLISION, CAUSE_DESTINATION, CAUSE_MAX_STEPS
+from .sim.world import (
+    CAUSE_COLLISION,
+    CAUSE_DESTINATION,
+    CAUSE_MAX_STEPS,
+    EgoObservation,
+    StepOutcome,
+    TrafficWorld,
+)
 
 
 @dataclass(frozen=True)
@@ -30,6 +38,47 @@ class RolloutTrace:
     @property
     def completed(self) -> bool:
         return self.cause == CAUSE_DESTINATION
+
+
+def run_episode(
+    world: TrafficWorld,
+    act: Callable[[EgoObservation], float],
+    episode_seed: int,
+    on_step: Callable[[EgoObservation, float, StepOutcome], None] | None = None,
+) -> RolloutTrace:
+    """Reset ``world``, drive it with ``act`` until the episode ends, and trace it.
+
+    ``on_step(obs, action, out)`` runs after each step with the observation the
+    action was chosen from.  Training, evaluation and ``sim-run`` all run their
+    episodes here.  An exception let through carries ``step_idx``, the step in
+    progress (from 0; a failing reset reports step 0).
+    """
+    speeds: list[float] = []
+    rewards: list[float] = []
+    try:
+        obs = world.reset(episode_seed)
+        while True:
+            action = act(obs)
+            out = world.step(action)
+            if on_step is not None:
+                on_step(obs, action, out)
+            speeds.append(out.observation.speed)
+            rewards.append(out.reward)
+            obs = out.observation
+            if out.done:
+                break
+    except Exception as exc:
+        exc.step_idx = len(rewards)  # rewards grow as steps complete
+        raise
+    return RolloutTrace(
+        speeds_mps=tuple(speeds),
+        rewards=tuple(rewards),
+        step_length_s=world.scenario.step_length_s,
+        cause=world.cause,
+        distance_traveled_m=world.distance_traveled_m,
+        route_freeflow_s=world.route_freeflow_time_s,
+        traveled_freeflow_s=world.traveled_freeflow_time_s,
+    )
 
 
 @dataclass(frozen=True)

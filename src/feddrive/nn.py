@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .container import load_container, save_container
-
 ACTIVATIONS = ("relu", "tanh", "identity")
 
 
@@ -204,7 +202,7 @@ def unflatten_params(template: MlpParams, vector: np.ndarray) -> MlpParams:
     return MlpParams.wrap(vector, template.layer_sizes, template.activations)
 
 
-# ------------------------------------------------------------------ checkpoints
+# ------------------------------------------------------- checkpoint metadata
 
 
 def mlp_meta(params: MlpParams) -> dict:
@@ -215,28 +213,3 @@ def mlp_from_parts(meta: dict, flat: np.ndarray) -> MlpParams:
     sizes = [int(s) for s in meta["layer_sizes"]]
     acts = [str(a) for a in meta["activations"]]
     return unflatten_params(init_params(sizes, acts, seed=0), flat)
-
-
-def save_mlp(path, params: MlpParams, adam: AdamState | None = None, extra_meta: dict | None = None) -> None:
-    arrays = {"params": params.flat}
-    meta = {"kind": "mlp", "net": mlp_meta(params)}
-    if adam is not None:
-        arrays["adam_m"] = adam.m
-        arrays["adam_v"] = adam.v
-        meta["adam"] = {"t": adam.t, "beta1": adam.beta1, "beta2": adam.beta2, "eps": adam.eps}
-    if extra_meta:
-        meta.update(extra_meta)
-    save_container(path, arrays, meta)
-
-
-def load_mlp(path) -> tuple[MlpParams, AdamState | None, dict]:
-    arrays, meta = load_container(path)
-    params = mlp_from_parts(meta["net"], arrays["params"])
-    adam = None
-    if "adam" in meta:
-        a = meta["adam"]
-        adam = AdamState(
-            m=arrays["adam_m"], v=arrays["adam_v"], t=int(a["t"]),
-            beta1=float(a["beta1"]), beta2=float(a["beta2"]), eps=float(a["eps"]),
-        )
-    return params, adam, meta

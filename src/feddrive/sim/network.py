@@ -114,8 +114,8 @@ class RoadNetwork:
     def route_end_node(self, route_name: str) -> str:
         return self.edges[self.routes[route_name][-1]].to_node
 
-    def route_is_cyclic(self, route_name: str) -> bool:
-        edge_ids = self.routes[route_name]
+    def route_is_cyclic(self, edge_ids: tuple[str, ...]) -> bool:
+        """Whether the route's last edge ends where its first begins."""
         return self.edges[edge_ids[-1]].to_node == self.edges[edge_ids[0]].from_node
 
     def route_freeflow_time_s(self, route_name: str) -> float:

@@ -407,7 +407,7 @@ class TrafficWorld:
     def _advance_background(self, veh: VehicleState, displacement: float) -> bool:
         """Move a background vehicle; returns False when it leaves the network."""
         pos = veh.pos_m + displacement
-        cyclic = self.net.edges[veh.route[-1]].to_node == self.net.edges[veh.route[0]].from_node
+        cyclic = self.net.route_is_cyclic(veh.route)
         while pos > self.net.edges[veh.edge_id].length_m:
             pos -= self.net.edges[veh.edge_id].length_m
             if veh.route_idx + 1 < len(veh.route):
@@ -427,7 +427,7 @@ class TrafficWorld:
         """(edge_id, distance from veh to that edge's start) within lookahead."""
         out = []
         dist = self.net.edges[veh.edge_id].length_m - veh.pos_m
-        cyclic = self.net.edges[veh.route[-1]].to_node == self.net.edges[veh.route[0]].from_node
+        cyclic = self.net.route_is_cyclic(veh.route)
         idx = veh.route_idx
         while dist < self.scenario.bg_lookahead_m:
             if idx + 1 < len(veh.route):

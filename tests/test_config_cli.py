@@ -252,18 +252,20 @@ def test_cli_eval_missing_checkpoint(tmp_path):
 
 def test_cli_eval_architecture_mismatch(tmp_path):
     from feddrive import nn
+    from feddrive.container import save_container
 
     cfg = write_config(tmp_path)
     bad = tmp_path / "bad.ckpt"
-    nn.save_mlp(bad, nn.init_params([5, 4, 1], ["relu", "tanh"], seed=0))
+    actor = nn.init_params([5, 4, 1], ["relu", "tanh"], seed=0)
+    save_container(bad, {"actor_params": actor.flat}, {"kind": "agent", "actor_net": nn.mlp_meta(actor)})
     assert main(["eval", "--config", str(cfg), "--checkpoint", str(bad), "--out", str(tmp_path / "e")]) != 0
 
 
 def test_cli_inspect_default_architecture(tmp_path, capsys):
-    from feddrive import nn
+    from feddrive.ddpg import DdpgAgent, DdpgHyperparams, save_agent_checkpoint
 
-    path = tmp_path / "actor.ckpt"
-    nn.save_mlp(path, nn.init_params([6, 400, 300, 1], ["relu", "relu", "tanh"], seed=0))
+    path = tmp_path / "agent.ckpt"
+    save_agent_checkpoint(path, DdpgAgent.create(DdpgHyperparams(), seed=0))
     assert main(["inspect", str(path)]) == 0
     out = capsys.readouterr().out
     assert "[6, 400, 300, 1]" in out

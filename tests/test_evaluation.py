@@ -16,7 +16,7 @@ from feddrive.evaluation import (
     rollout,
     summaries_from_json,
 )
-from feddrive.metrics import RolloutTrace, average_speed, metrics_from_trace, travel_delay
+from feddrive.metrics import RolloutTrace, average_speed, metrics_from_trace, run_episode, travel_delay
 from feddrive.sim import SpawnSpec, TrafficWorld
 
 
@@ -125,6 +125,45 @@ def test_max_accel_policy_on_10m_task():
     world = TrafficWorld(realize_scenario(proto.template, 10.0))
     trace = rollout(world, lambda obs: 2.6, episode_seed=0, a_min=-4.5, a_max=2.6)
     assert trace.steps == hand_steps
+
+
+def test_run_episode_passes_each_step_to_on_step():
+    world = TrafficWorld(realize_scenario(EvalTemplate(max_steps=40), 52.0))
+    acted, seen = [], []
+
+    def act(obs):
+        acted.append(obs)
+        return 2.6 if len(acted) % 2 else 1.0
+
+    trace = run_episode(world, act, 0, on_step=lambda *args: seen.append(args))
+    assert len(seen) == len(acted) == trace.steps > 1
+    for k, (obs, action, out) in enumerate(seen):
+        assert obs is acted[k]  # the observation the action was chosen from
+        assert action == (2.6 if k % 2 == 0 else 1.0)
+        assert (out.observation.speed, out.reward) == (trace.speeds_mps[k], trace.rewards[k])
+        assert out.done == (k == trace.steps - 1)
+    assert [o.observation for _, _, o in seen[:-1]] == acted[1:]
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_failing_policy_names_the_step(k):
+    world = TrafficWorld(realize_scenario(EvalTemplate(max_steps=40), 207.0))
+    calls = 0
+
+    def policy(vec):
+        nonlocal calls
+        if calls == k:
+            raise FloatingPointError("boom")
+        calls += 1
+        return 1.0
+
+    with pytest.raises(FloatingPointError) as info:
+        run_episode(world, lambda obs: policy(obs.as_vector()), episode_seed=0)
+    assert info.value.step_idx == k
+    calls = 0
+    with pytest.raises(FloatingPointError) as info:
+        rollout(world, policy, episode_seed=0, a_min=-4.5, a_max=2.6)
+    assert info.value.step_idx == k
 
 
 def test_each_distance_aggregates_all_episodes():

@@ -83,8 +83,8 @@ def test_heading_and_point_at(grid_net):
 
 def test_route_helpers(grid_net):
     assert grid_net.route_length_m("loop") == 400.0
-    assert grid_net.route_is_cyclic("loop")
-    assert not grid_net.route_is_cyclic("to_light")
+    assert grid_net.route_is_cyclic(grid_net.routes["loop"])
+    assert not grid_net.route_is_cyclic(grid_net.routes["to_light"])
     assert grid_net.route_end_node("to_light") == "n10"
     assert grid_net.route_freeflow_time_s("loop") == pytest.approx(20.0)
 

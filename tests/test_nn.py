@@ -322,34 +322,25 @@ def test_adam_step_updates_buffers_in_place():
 # -------------------------------------------------------------- checkpoints
 
 
-def test_mlp_checkpoint_roundtrip(tmp_path):
-    p = small_net(seed=9)
-    adam = nn.AdamState(m=np.arange(p.param_count, dtype=float), v=np.ones(p.param_count), t=7)
-    path = tmp_path / "net.ckpt"
-    nn.save_mlp(path, p, adam)
-    q, adam2, meta = nn.load_mlp(path)
-    assert np.array_equal(nn.flatten_params(p), nn.flatten_params(q))
-    assert q.activations == p.activations
-    assert adam2.t == 7
-    assert np.array_equal(adam2.m, adam.m)
-    assert meta["kind"] == "mlp"
+def save_net(path, params):
+    save_container(path, {"params": params.flat}, {"net": nn.mlp_meta(params)})
 
 
 def test_checkpoint_bytes_deterministic(tmp_path):
     p = small_net(seed=2)
     a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-    nn.save_mlp(a, p)
-    nn.save_mlp(b, p)
+    save_net(a, p)
+    save_net(b, p)
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_truncated_checkpoint_rejected(tmp_path):
     path = tmp_path / "net.ckpt"
-    nn.save_mlp(path, small_net())
+    save_net(path, small_net())
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) - 40])
     with pytest.raises(ContainerError, match="truncated"):
-        nn.load_mlp(path)
+        load_container(path)
 
 
 def test_bad_magic_rejected(tmp_path):
