@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -147,6 +148,8 @@ TRACE_COLUMNS = (
 
 
 def cmd_sim_run(args: argparse.Namespace) -> int:
+    if not math.isfinite(args.accel):
+        raise ConfigError(f"--accel must be a finite acceleration, got {args.accel!r}")
     cfg = load_run_config(args.config, seed=args.seed)
     actor = None
     if args.checkpoint is not None:

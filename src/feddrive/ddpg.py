@@ -25,6 +25,7 @@ from .nn import (
     forward,
     init_adam,
     init_params,
+    input_gradient,
     mlp_meta,
     unflatten_params,
 )
@@ -182,7 +183,7 @@ def scale_action(u: float | np.ndarray, a_min: float, a_max: float):
 def policy_action(actor: MlpParams, obs_vec: np.ndarray, a_min: float, a_max: float) -> float:
     """Deterministic (noise-free) action for one raw observation vector."""
     out, _ = forward(actor, normalize_obs(obs_vec).reshape(1, -1))
-    a = float(scale_action(out[0, 0], a_min, a_max))
+    a = scale_action(float(out[0, 0]), a_min, a_max)  # the NumPy scalar's IEEE arithmetic, without its overhead
     if not math.isfinite(a):
         raise ValueError("actor produced a non-finite action")
     return a
@@ -275,8 +276,7 @@ def policy_gradient(
     actions = scale_action(u, a_min, a_max)
     q, critic_cache = forward(critic, np.hstack([states, actions]))
     objective = float(np.mean(q))
-    _, input_grad = backward(critic, critic_cache, np.full_like(q, 1.0 / n))
-    dq_da = input_grad[:, states.shape[1]:]
+    dq_da = input_gradient(critic, critic_cache, np.full_like(q, 1.0 / n))[:, states.shape[1]:]
     du = dq_da * 0.5 * (a_max - a_min)
     grads, _ = backward(actor, actor_cache, du)
     return grads, objective

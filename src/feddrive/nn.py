@@ -111,14 +111,6 @@ def init_params(layer_sizes: list[int], activations: list[str], seed: int) -> Ml
     return MlpParams(layers=tuple(layers), activations=tuple(activations))
 
 
-def _activate(z: np.ndarray, act: str) -> np.ndarray:
-    if act == "relu":
-        return np.maximum(z, 0.0)
-    if act == "tanh":
-        return np.tanh(z)
-    return z
-
-
 def forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Run a batch (n, in_dim) through the net; cache is sufficient for backward."""
     x = np.asarray(x, dtype=np.float64)
@@ -126,10 +118,17 @@ def forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]
         raise ValueError(f"expected input of shape (n, {params.in_dim}), got {x.shape}")
     values, preacts = [x], []
     for layer, act in zip(params.layers, params.activations):
-        z = values[-1] @ layer.weights.T + layer.bias
+        z = x @ layer.weights.T
+        z += layer.bias
         preacts.append(z)
-        values.append(_activate(z, act))
-    return values[-1], ForwardCache(values=tuple(values), preacts=tuple(preacts))
+        if act == "relu":
+            x = np.maximum(z, 0.0)
+        elif act == "tanh":
+            x = np.tanh(z)
+        else:
+            x = z
+        values.append(x)
+    return x, ForwardCache(values=tuple(values), preacts=tuple(preacts))
 
 
 def backward(params: MlpParams, cache: ForwardCache, output_gradient: np.ndarray) -> tuple[MlpParams, np.ndarray]:
@@ -137,10 +136,20 @@ def backward(params: MlpParams, cache: ForwardCache, output_gradient: np.ndarray
 
     The parameter gradient is a new ``MlpParams`` laid out like ``params``.
     """
+    grad = MlpParams.wrap(np.empty(params.param_count), params.layer_sizes, params.activations)
+    return grad, _backpropagate(params, cache, output_gradient, grad)
+
+
+def input_gradient(params: MlpParams, cache: ForwardCache, output_gradient: np.ndarray) -> np.ndarray:
+    """``backward``'s gradient w.r.t. the input, without the parameter gradients."""
+    return _backpropagate(params, cache, output_gradient, None)
+
+
+def _backpropagate(params: MlpParams, cache: ForwardCache, output_gradient: np.ndarray, grad: MlpParams | None) -> np.ndarray:
+    """Input gradient; also writes the parameter gradients into ``grad`` unless it is None."""
     g = np.asarray(output_gradient, dtype=np.float64)
     if g.shape != cache.preacts[-1].shape:
         raise ValueError(f"output gradient shape {g.shape} != output shape {cache.preacts[-1].shape}")
-    grad = MlpParams.wrap(np.empty(params.param_count), params.layer_sizes, params.activations)
     for i in reversed(range(len(params.layers))):
         act = params.activations[i]
         if act == "relu":
@@ -149,10 +158,11 @@ def backward(params: MlpParams, cache: ForwardCache, output_gradient: np.ndarray
             gz = g * (1.0 - cache.values[i + 1] ** 2)  # tanh' from the cached tanh
         else:
             gz = g
-        np.matmul(gz.T, cache.values[i], out=grad.layers[i].weights)
-        np.sum(gz, axis=0, out=grad.layers[i].bias)
+        if grad is not None:
+            np.matmul(gz.T, cache.values[i], out=grad.layers[i].weights)
+            np.sum(gz, axis=0, out=grad.layers[i].bias)
         g = gz @ params.layers[i].weights
-    return grad, g
+    return g
 
 
 def init_adam(params: MlpParams, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> AdamState:

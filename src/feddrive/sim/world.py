@@ -91,6 +91,8 @@ class ScenarioConfig:
             raise ValueError("accel_min_mps2 must be below accel_max_mps2")
         if self.background_count < 0:
             raise ValueError("background_count must be >= 0")
+        if not 0.0 <= self.bg_speed_factor_min <= self.bg_speed_factor_max < math.inf:
+            raise ValueError("need 0 <= bg_speed_factor_min <= bg_speed_factor_max, both finite")
 
 
 @dataclass
@@ -170,6 +172,17 @@ class TrafficWorld:
                 f"ego route {sc.ego_route!r} ends {gap:.1f} m from destination "
                 f"{sc.destination_node!r} (tolerance {sc.destination_tolerance_m} m)"
             )
+        # Geometry read every step, taken from the network at every reset so
+        # that edits between episodes count: each edge's heading, and its start
+        # point, x/y deltas and length, which _point combines as
+        # RoadNetwork.point_at does.
+        self._dest_xy = (dest.x, dest.y)
+        self._node_xy = [(node.x, node.y) for node in self.net.nodes.values()]
+        self._edge_heading = {eid: self.net.heading(eid) for eid in self.net.edges}
+        self._edge_line = {}
+        for eid, e in self.net.edges.items():
+            a, b = self.net.nodes[e.from_node], self.net.nodes[e.to_node]
+            self._edge_line[eid] = (a.x, a.y, b.x - a.x, b.y - a.y, e.length_m)
 
     # ------------------------------------------------------------------ reset
 
@@ -211,11 +224,13 @@ class TrafficWorld:
             for _attempt in range(100):
                 route_name = route_names[int(self._rng.integers(len(route_names)))]
                 route = self.net.routes[route_name]
+                # uniform(low, high) draws as Generator.uniform does: low + (high - low) * random()
                 route_len = self.net.route_length_m(route_name)
-                pos_on_route = float(self._rng.uniform(0.0, route_len))
+                pos_on_route = route_len * self._rng.random()
                 edge_id, pos, idx = self._route_point(route, pos_on_route)
-                factor = float(self._rng.uniform(sc.bg_speed_factor_min, sc.bg_speed_factor_max))
-                speed = float(self._rng.uniform(0.0, self.net.edges[edge_id].speed_limit_mps * factor))
+                low, high = sc.bg_speed_factor_min, sc.bg_speed_factor_max
+                factor = low + (high - low) * self._rng.random()
+                speed = self.net.edges[edge_id].speed_limit_mps * factor * self._rng.random()
                 veh = VehicleState(
                     vehicle_id=f"bg{self._next_bg_id}",
                     edge_id=edge_id,
@@ -259,17 +274,25 @@ class TrafficWorld:
     # ------------------------------------------------------------------- step
 
     def step(self, action_accel: float) -> StepOutcome:
+        """Advance one step with the ego's commanded acceleration, clamped to the physical range.
+
+        A NaN action raises ``ValueError`` before anything changes.
+        """
         if not self._active:
             raise EpisodeDoneError("reset() must be called before step()")
         if self._done:
             raise EpisodeDoneError("episode already terminated; call reset()")
+        accel = float(action_accel)
+        if math.isnan(accel):
+            raise ValueError(f"acceleration action {accel!r} is not a number")
         sc = self.scenario
         dt = sc.step_length_s
         t_start = self._steps * dt
 
-        self._insert_scheduled_spawns()
+        if self._pending_spawns:
+            self._insert_scheduled_spawns()
 
-        accel = float(np.clip(action_accel, sc.accel_min_mps2, sc.accel_max_mps2))
+        accel = min(max(accel, sc.accel_min_mps2), sc.accel_max_mps2)
         prev_speed = self.ego.speed_mps
         new_speed = max(0.0, prev_speed + accel * dt)
         self._advance_ego(new_speed * dt)
@@ -279,14 +302,13 @@ class TrafficWorld:
         self.background_step(t_start)
 
         collided = self.collision_check()
-        reached = (not collided) and self._dest_distance() <= sc.destination_tolerance_m
-        flags = EventFlags(
-            collided=collided,
-            reached_destination=reached,
-            braking=self.ego.accel_mps2 < sc.braking_accel_mps2,
-            waiting_at_light=self._ego_waiting_at_light(t_start),
-            speed_nonzero=self.ego.speed_mps != 0.0,
-        )
+        observation = self._observe()
+        reached = (not collided) and observation.dest_distance <= sc.destination_tolerance_m
+        braking = self.ego.accel_mps2 < sc.braking_accel_mps2
+        waiting = self._ego_waiting_at_light(t_start)
+        moving = self.ego.speed_mps != 0.0
+        # positional arguments in field order: binding keywords costs more, every step
+        flags = EventFlags(collided, reached, braking, waiting, moving)
         reward = compute_reward(flags)
 
         self._steps += 1
@@ -300,13 +322,7 @@ class TrafficWorld:
             self._cause = CAUSE_NONE
         self._done = self._cause != CAUSE_NONE
 
-        return StepOutcome(
-            observation=self._observe(),
-            reward=reward,
-            done=self._done,
-            cause=self._cause,
-            flags=flags,
-        )
+        return StepOutcome(observation, reward, self._done, self._cause, flags)
 
     def _advance_ego(self, displacement: float) -> None:
         """Move the ego along its route, clamping at the end of the last edge."""
@@ -407,12 +423,11 @@ class TrafficWorld:
     def _advance_background(self, veh: VehicleState, displacement: float) -> bool:
         """Move a background vehicle; returns False when it leaves the network."""
         pos = veh.pos_m + displacement
-        cyclic = self.net.route_is_cyclic(veh.route)
         while pos > self.net.edges[veh.edge_id].length_m:
             pos -= self.net.edges[veh.edge_id].length_m
             if veh.route_idx + 1 < len(veh.route):
                 veh.route_idx += 1
-            elif cyclic:
+            elif self.net.route_is_cyclic(veh.route):
                 veh.route_idx = 0
             else:
                 return False
@@ -427,12 +442,11 @@ class TrafficWorld:
         """(edge_id, distance from veh to that edge's start) within lookahead."""
         out = []
         dist = self.net.edges[veh.edge_id].length_m - veh.pos_m
-        cyclic = self.net.route_is_cyclic(veh.route)
         idx = veh.route_idx
         while dist < self.scenario.bg_lookahead_m:
             if idx + 1 < len(veh.route):
                 idx += 1
-            elif cyclic:
+            elif self.net.route_is_cyclic(veh.route):
                 idx = 0
             else:
                 break
@@ -482,29 +496,30 @@ class TrafficWorld:
             if other.edge_id == ego.edge_id and other.lane == ego.lane:
                 if ego.pos_m > other.tail_m and other.pos_m > ego.tail_m:
                     return True
-        ex, ey = self.net.point_at(ego.edge_id, ego.pos_m)
-        ego_heading = self.net.heading(ego.edge_id)
+        ex, ey = self._point(ego)
+        ego_heading = self._edge_heading[ego.edge_id]
         box = self.scenario.intersection_box_m
-        for node in self.net.nodes.values():
-            if math.hypot(ex - node.x, ey - node.y) > box:
+        for nx, ny in self._node_xy:
+            if math.hypot(ex - nx, ey - ny) > box:
                 continue
             for other in self.background:
                 if other.edge_id == ego.edge_id:
                     continue
-                cross = math.sin(self.net.heading(other.edge_id) - ego_heading)
+                cross = math.sin(self._edge_heading[other.edge_id] - ego_heading)
                 if abs(cross) < 1e-9:  # parallel or oncoming traffic is not crossing
                     continue
-                ox, oy = self.net.point_at(other.edge_id, other.pos_m)
-                if math.hypot(ox - node.x, oy - node.y) <= box:
+                ox, oy = self._point(other)
+                if math.hypot(ox - nx, oy - ny) <= box:
                     return True
         return False
 
-    # ------------------------------------------------------------ observation
+    def _point(self, veh: VehicleState) -> tuple[float, float]:
+        """``RoadNetwork.point_at`` of the vehicle, from the cached edge geometry."""
+        ax, ay, dx, dy, length = self._edge_line[veh.edge_id]
+        f = veh.pos_m / length
+        return ax + f * dx, ay + f * dy
 
-    def _dest_distance(self) -> float:
-        dest = self.net.nodes[self.scenario.destination_node]
-        pos = self.net.point_at(self.ego.edge_id, self.ego.pos_m)
-        return distance_to_destination(pos, (dest.x, dest.y))
+    # ------------------------------------------------------------ observation
 
     def _ego_waiting_at_light(self, t: float) -> bool:
         sc = self.scenario
@@ -514,15 +529,12 @@ class TrafficWorld:
         return stop_dist is not None and stop_dist <= sc.waiting_light_range_m
 
     def _observe(self) -> EgoObservation:
-        x, y = self.net.point_at(self.ego.edge_id, self.ego.pos_m)
-        return EgoObservation(
-            pos_x=x,
-            pos_y=y,
-            speed=self.ego.speed_mps,
-            heading=self.net.heading(self.ego.edge_id),
-            acceleration=self.ego.accel_mps2,
-            dest_distance=self._dest_distance(),
-        )
+        ego = self.ego
+        x, y = self._point(ego)
+        dest_x, dest_y = self._dest_xy
+        heading = self._edge_heading[ego.edge_id]
+        dest_distance = math.hypot(x - dest_x, y - dest_y)  # distance_to_destination
+        return EgoObservation(x, y, ego.speed_mps, heading, ego.accel_mps2, dest_distance)
 
     # -------------------------------------------------------------- accessors
 

@@ -312,6 +312,14 @@ def test_cli_sim_run_collision_trace(tmp_path):
     assert int(rows[-1]["collided"]) == 1
 
 
+@pytest.mark.parametrize("accel", ["nan", "inf", "-inf"])
+def test_cli_sim_run_rejects_non_finite_accel(tmp_path, accel):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "sim"
+    assert main(["sim-run", "--config", str(cfg), "--out", str(out), f"--accel={accel}"]) == 2
+    assert not out.exists()
+
+
 def test_load_actor_from_agent_checkpoint(tmp_path):
     import numpy as np
 

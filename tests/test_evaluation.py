@@ -166,6 +166,16 @@ def test_failing_policy_names_the_step(k):
     assert info.value.step_idx == k
 
 
+@pytest.mark.parametrize("k", [0, 3])
+def test_nan_action_names_the_step(k):
+    world = TrafficWorld(realize_scenario(EvalTemplate(max_steps=40), 207.0))
+    actions = iter([1.0] * k + [float("nan")])
+    with pytest.raises(ValueError, match="not a number") as info:
+        run_episode(world, lambda obs: next(actions), episode_seed=0)
+    assert info.value.step_idx == k
+    assert world.steps == k
+
+
 def test_each_distance_aggregates_all_episodes():
     proto = EvalProtocol(episodes=20, template=EvalTemplate(max_steps=30))
     summary = evaluate(lambda obs: 1.0, proto)

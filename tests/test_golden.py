@@ -6,17 +6,24 @@ arithmetic, its order, or the checkpoint layout changes a hash here.  The
 top-level ``manifest.json`` is left out because it records the output path.
 Evaluating that run's last global model and ``sim-run`` traces (constant
 acceleration to a collision and to the destination, and actor-driven) pin the
-episode loop that training, evaluation and ``sim-run`` share.
+episode loop that training, evaluation and ``sim-run`` share.  World traces
+with every background vehicle's state pin random background spawning,
+lights, turns, cyclic and oncoming routes and intersection-box collisions,
+which ``sim-run``'s ego-only ``trace.csv`` does not show.
 The hashes hold for the numpy/OpenBLAS build named in ``BENCH_*.json``; a
 different BLAS kernel may round the matrix products differently.
 """
 
 import hashlib
+import itertools
 
 import pytest
 
 from feddrive.cli import main
-from tests.conftest import CONFIGS
+from feddrive.config import load_run_config
+from feddrive.metrics import run_episode
+from feddrive.sim import TrafficWorld
+from tests.conftest import CONFIGS, NETS
 
 GOLDEN_SHA256 = {
     "round_0.ckpt": "6c331c4edfe1685f0aac65cc7c39a2c55057f36113ee9dd568b46d71303185da",
@@ -74,3 +81,71 @@ def test_sim_run_trace_is_golden(smoke_run, tmp_path, config, drive, digest):
         drive = ["--checkpoint", str(smoke_run / drive[1])]
     assert main(["sim-run", "--config", str(CONFIGS / config), "--out", str(tmp_path), *drive]) == 0
     assert sha256(tmp_path / "trace.csv") == digest
+
+
+# accelerate, coast, brake, repeat: speeds vary, so vehicles close and open gaps
+SCHEDULE = (2.6, 2.6, 1.0, 0.0, -1.5, 0.5)
+
+
+@pytest.mark.parametrize(
+    "config, actions, episode_seeds, digest",
+    [
+        # random background on the lit grid: turns, cyclic, oncoming and
+        # despawning routes, queues at the red light; each episode ends in an
+        # intersection-box collision at the lit corner after 19 steps
+        (
+            "network_file = {nets}/grid2x2.net\nego_route = to_light\ndestination_node = n10\n"
+            "max_steps = 120\nbackground_count = 5\nmaster_seed = 11\n",
+            SCHEDULE,
+            (0, 1, 2),
+            "0c870c743e7cfc0202f44a69e4ed87bd2f60fd7240f7ba5b06ed26e2cb5d3fda",
+        ),
+        # a vehicle spawned at step 1 on the crossing road meets the ego in
+        # the intersection box: collision after 7 steps
+        (
+            "network_file = {nets}/cross.net\nego_route = we\ndestination_node = e\n"
+            "max_steps = 40\nspawn = 1 sn 0 2 0.5\nmaster_seed = 3\n",
+            (1.8,),
+            (0,),
+            "2303d9cf1b8fcbf392503df4a66dc3ce2e2cecd71ee625469a363ede9521326b",
+        ),
+        # the desk scenario's two slow random vehicles: two arrivals and one
+        # collision near the road's end, 56 steps each
+        (
+            "network_file = {nets}/long_road.net\nego_route = main\ndestination_node = b\n"
+            "max_steps = 80\nbackground_count = 2\nbg_speed_factor_min = 0.4\n"
+            "bg_speed_factor_max = 0.7\nmaster_seed = 7\n",
+            SCHEDULE,
+            (0, 1, 2),
+            "ea9bf615ec1088a9315016f0576ae6dfc36569a47cf0010ec2937d3725a5c7e7",
+        ),
+    ],
+    ids=["grid-traffic", "cross-collision", "long-road-traffic"],
+)
+def test_world_trace_is_golden(tmp_path, config, actions, episode_seeds, digest):
+    cfg = tmp_path / "world.cfg"
+    cfg.write_text(config.format(nets=NETS))
+    world = TrafficWorld(load_run_config(cfg).scenario)
+    lines = []
+
+    def state() -> str:
+        e = world.ego
+        vehicles = (f"{v.vehicle_id} {v.edge_id} {v.pos_m!r} {v.speed_mps!r}" for v in world.background)
+        return " | ".join([f"ego {e.edge_id} {e.pos_m!r} {e.speed_mps!r} {e.accel_mps2!r}", *vehicles])
+
+    def record(_obs, action, out) -> None:
+        o = out.observation
+        obs = (o.pos_x, o.pos_y, o.speed, o.heading, o.acceleration, o.dest_distance)
+        lines.append(f"{world.steps} {action!r} {obs!r} {out.reward!r} {out.cause} {out.flags!r} | {state()}")
+
+    for seed in episode_seeds:
+        schedule = itertools.cycle(actions)
+
+        def act(_obs) -> float:
+            if world.steps == 0:
+                lines.append(f"reset {seed} | {state()}")  # the spawned vehicles
+            return next(schedule)
+
+        trace = run_episode(world, act, seed, on_step=record)
+        lines.append(f"end {seed} {trace.steps} {trace.cause} {world.distance_traveled_m!r}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest

@@ -177,6 +177,18 @@ def test_backward_input_gradient_vs_fd():
     assert np.max(rel_err(g_in, fd)) < 1e-4
 
 
+@pytest.mark.parametrize("sizes, acts", [((7, 16, 12, 1), ("relu", "relu", "identity")), ((4, 5, 2), ("tanh", "identity"))])
+def test_input_gradient_is_backwards_input_gradient(sizes, acts):
+    p = small_net(seed=5, sizes=sizes, acts=acts)
+    rng = np.random.default_rng(2)
+    _, cache = nn.forward(p, rng.normal(size=(9, sizes[0])))
+    g_out = rng.normal(size=(9, sizes[-1]))
+    _, g_in = nn.backward(p, cache, g_out)
+    assert np.array_equal(nn.input_gradient(p, cache, g_out), g_in)  # same bits
+    with pytest.raises(ValueError, match="output gradient shape"):
+        nn.input_gradient(p, cache, g_out[:, :0])
+
+
 # --------------------------------------------------------------------- adam
 
 

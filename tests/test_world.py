@@ -6,6 +6,7 @@ from feddrive.sim import (
     CAUSE_DESTINATION,
     CAUSE_MAX_STEPS,
     EpisodeDoneError,
+    Node,
     ScenarioConfig,
     SpawnSpec,
     TrafficWorld,
@@ -75,6 +76,11 @@ def test_scenario_validation(single_road_net):
         ScenarioConfig(**base, destination_tolerance_m=0.0)
     with pytest.raises(ValueError, match="accel"):
         ScenarioConfig(**base, accel_min_mps2=3.0, accel_max_mps2=2.6)
+    # the spawn draws need a finite, non-negative, ordered factor range
+    for low, high in [(0.9, 0.8), (-0.1, 0.5), (0.5, float("inf")), (float("nan"), 1.0)]:
+        with pytest.raises(ValueError, match="bg_speed_factor"):
+            ScenarioConfig(**base, bg_speed_factor_min=low, bg_speed_factor_max=high)
+    ScenarioConfig(**base, bg_speed_factor_min=0.0, bg_speed_factor_max=0.0)  # parked traffic is fine
     with pytest.raises(ValueError, match="ego route"):
         TrafficWorld(ScenarioConfig(network=single_road_net, ego_route="nope", destination_node="b"))
 
@@ -96,6 +102,18 @@ def test_reset_deterministic(road_scenario):
             v2.speed_mps,
             v2.speed_factor,
         )
+
+
+def test_network_edited_between_episodes_is_honoured():
+    world = make_world(LIT_ROAD)
+    net = world.net
+    net.nodes["a"] = Node("a", 0.0, 10.0)  # the first edge now slopes down to b
+    obs = world.reset(0)
+    for _ in range(2):
+        assert (obs.pos_x, obs.pos_y) == net.point_at(world.ego.edge_id, world.ego.pos_m)
+        assert obs.heading == net.heading("ab") != 0.0
+        assert obs.dest_distance == distance_to_destination((obs.pos_x, obs.pos_y), (200.0, 0.0))
+        obs = world.step(2.6).observation
 
 
 def test_reset_initial_observation():
@@ -136,6 +154,19 @@ def test_action_clamped_defensively(road_scenario):
     world.reset(0)
     out = world.step(99.0)  # clamps to accel_max 2.6
     assert out.observation.speed == pytest.approx(2.6)
+
+
+@pytest.mark.parametrize("action", [float("nan"), np.nan, np.float64("nan")])
+def test_nan_action_rejected_before_anything_changes(road_scenario, action):
+    world = TrafficWorld(road_scenario())
+    world.reset(0)
+    world.step(2.0)
+    world.step(2.0)  # 4 m/s: a NaN clamped to a bound would brake or speed up
+    before = (world.steps, world.ego.pos_m, world.ego.speed_mps, world.ego.accel_mps2, world.distance_traveled_m)
+    with pytest.raises(ValueError, match="acceleration action nan"):
+        world.step(action)
+    assert (world.steps, world.ego.pos_m, world.ego.speed_mps, world.ego.accel_mps2, world.distance_traveled_m) == before
+    assert world.step(0.0).observation.speed == 4.0  # the episode goes on
 
 
 def test_no_teleport(road_scenario):
