@@ -35,12 +35,12 @@ def _setup_logging() -> None:
 
 
 def load_actor(path: str | Path) -> MlpParams:
-    """Actor weights from an agent or a global-round checkpoint."""
+    """Actor weights from a global-round checkpoint."""
     arrays, meta = load_container(path)
     kind = meta.get("kind")
-    if kind in ("agent", "global_round"):
-        return mlp_from_parts(meta["actor_net"], arrays["actor_params"])
-    raise ContainerError(f"{path}: unknown checkpoint kind {kind!r}")
+    if kind != "global_round":
+        raise ContainerError(f"{path}: unknown checkpoint kind {kind!r}")
+    return mlp_from_parts(meta["actor_net"], arrays["actor_params"])
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -114,19 +114,14 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     arrays, meta = load_container(args.checkpoint)
     kind = meta.get("kind", "unknown")
     print(f"checkpoint kind: {kind}")
-    if kind == "agent":
-        print(_describe_net("actor", meta["actor_net"]))
-        print(_describe_net("critic", meta["critic_net"]))
-        print(f"agent id: {meta['agent_id']}, episodes trained: {meta['episodes_trained']}")
-    elif kind == "global_round":
-        print(_describe_net("actor", meta["actor_net"]))
-        print(_describe_net("critic", meta["critic_net"]))
-        print(f"round index: {meta['round_idx']}")
-        episodes = arrays["agent_episodes"]
-        print(f"per-agent episodes: {episodes.tolist()} (total {int(episodes.sum())})")
-        print(f"config hash: {meta.get('config_hash') or '(none)'}")
-    else:
+    if kind != "global_round":
         raise ContainerError(f"unknown checkpoint kind {kind!r}")
+    print(_describe_net("actor", meta["actor_net"]))
+    print(_describe_net("critic", meta["critic_net"]))
+    print(f"round index: {meta['round_idx']}")
+    episodes = arrays["agent_episodes"]
+    print(f"per-agent episodes: {episodes.tolist()} (total {int(episodes.sum())})")
+    print(f"config hash: {meta.get('config_hash') or '(none)'}")
     return 0
 
 

@@ -3,19 +3,23 @@
 Config files are flat ``key = value`` lines with ``#`` comments.  Keys carry
 units in their names.  ``spawn`` and ``eval_spawn`` may repeat, one scripted
 background vehicle per line: ``spawn = <step> <route> <pos_m> <speed_mps>``.
-Unknown keys are rejected so typos fail loudly before any side effect.
+Unknown keys are rejected so typos fail loudly before any side effect.  Each
+other key binds to a field of ``ScenarioConfig``, ``DdpgHyperparams``,
+``FederationConfig``, ``EvalTemplate`` or ``EvalProtocol``, which declares its
+type and default; every number must be finite.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from .ddpg import DdpgHyperparams
 from .evaluation import EvalProtocol, EvalTemplate
-from .federation import OPTIMIZER_RESET, FederationConfig
+from .federation import FederationConfig
 from .sim.network import load_network_file
 from .sim.world import ScenarioConfig, SpawnSpec
 
@@ -24,52 +28,37 @@ class ConfigError(ValueError):
     """Invalid or unknown configuration content."""
 
 
-_SCALAR_KEYS = {
-    # scenario
-    "network_file": str,
-    "ego_route": str,
-    "destination_node": str,
-    "destination_tolerance_m": float,
-    "step_length_s": float,
-    "max_steps": int,
-    "background_count": int,
-    "master_seed": int,
-    "accel_min_mps2": float,
-    "accel_max_mps2": float,
-    "vehicle_length_m": float,
-    "min_gap_m": float,
-    "intersection_box_m": float,
-    "bg_accel_mps2": float,
-    "bg_speed_factor_min": float,
-    "bg_speed_factor_max": float,
-    # federation
-    "agents": int,
-    "rounds": int,
-    "episodes_per_round": int,
-    "optimizer_state": str,
-    # ddpg
-    "gamma": float,
-    "tau": float,
-    "actor_lr": float,
-    "critic_lr": float,
-    "batch_size": int,
-    "replay_capacity": int,
-    "ou_mu": float,
-    "ou_theta": float,
-    "ou_sigma": float,
-    "ou_dt": float,
-    # eval
-    "eval_episodes": int,
-    "eval_max_steps": int,
-    "eval_background_count": int,
-    "eval_overrun_m": float,
-    "eval_speed_limit_mps": float,
-    "eval_tolerance_m": float,
-}
+def _same_names(*keys: str) -> dict[str, str]:
+    return {key: key for key in keys}
 
-_LIST_KEYS = {"actor_hidden", "critic_hidden", "eval_distances_m"}
-_REPEAT_KEYS = {"spawn", "eval_spawn"}
+
+# Config key -> dataclass field, one table per section.  Each field's type and
+# default live in its dataclass; a key that is left out takes that default.
+_SCENARIO_KEYS = _same_names(
+    "destination_tolerance_m", "step_length_s", "max_steps", "background_count", "master_seed",
+    "accel_min_mps2", "accel_max_mps2", "vehicle_length_m", "min_gap_m", "intersection_box_m",
+    "bg_accel_mps2", "bg_speed_factor_min", "bg_speed_factor_max",
+)
+_HP_KEYS = {
+    **_same_names(
+        "gamma", "tau", "actor_lr", "critic_lr", "batch_size", "actor_hidden", "critic_hidden",
+        "ou_mu", "ou_theta", "ou_sigma", "ou_dt",
+    ),
+    "replay_capacity": "buffer_capacity",
+}
+_FEDERATION_KEYS = _same_names("agents", "rounds", "episodes_per_round", "optimizer_state")
+_TEMPLATE_KEYS = {
+    "eval_max_steps": "max_steps",
+    "eval_tolerance_m": "destination_tolerance_m",
+    "eval_speed_limit_mps": "speed_limit_mps",
+    "eval_overrun_m": "overrun_m",
+    "eval_background_count": "background_count",
+}
+_PROTOCOL_KEYS = {"eval_episodes": "episodes", "eval_distances_m": "distances_m"}
+
 _REQUIRED_KEYS = {"network_file", "ego_route", "destination_node"}
+_REPEAT_KEYS = {"spawn", "eval_spawn"}
+_SINGLE_KEYS = _REQUIRED_KEYS.union(_SCENARIO_KEYS, _HP_KEYS, _FEDERATION_KEYS, _TEMPLATE_KEYS, _PROTOCOL_KEYS)
 
 
 def parse_config_text(text: str) -> dict[str, object]:
@@ -86,7 +75,7 @@ def parse_config_text(text: str) -> dict[str, object]:
             raise ConfigError(f"line {lineno}: empty key or value")
         if key in _REPEAT_KEYS:
             out.setdefault(key, []).append(value)
-        elif key in _SCALAR_KEYS or key in _LIST_KEYS:
+        elif key in _SINGLE_KEYS:
             if key in out:
                 raise ConfigError(f"line {lineno}: duplicate key {key!r}")
             out[key] = value
@@ -95,32 +84,33 @@ def parse_config_text(text: str) -> dict[str, object]:
     return out
 
 
-def _typed(raw: dict, key: str, default):
-    if key not in raw:
-        return default
-    caster = _SCALAR_KEYS[key]
+def _cast(key: str, text: str, kind: type):
+    """``kind(text)``, or a ConfigError naming the key; a float must be finite."""
     try:
-        return caster(raw[key])
+        value = kind(text)
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: {exc}") from None
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"key {key!r}: {text!r} is not a finite number")
+    return value
 
 
-def _int_list(raw: dict, key: str, default: tuple[int, ...]) -> tuple[int, ...]:
-    if key not in raw:
-        return default
-    try:
-        return tuple(int(tok) for tok in str(raw[key]).split())
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: {exc}") from None
+def _build(cls, raw: dict, keys: dict[str, str], **derived):
+    """``cls`` from ``derived`` plus the keys present in ``raw``, which take precedence.
 
-
-def _float_list(raw: dict, key: str, default: tuple[float, ...]) -> tuple[float, ...]:
-    if key not in raw:
-        return default
-    try:
-        return tuple(float(tok) for tok in str(raw[key]).split())
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: {exc}") from None
+    A value is cast to the type of its field's default, element by element for
+    a tuple; fields named by neither keep their defaults.
+    """
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    for key, name in keys.items():
+        if key not in raw:
+            continue
+        default = defaults[name]
+        if isinstance(default, tuple):
+            derived[name] = tuple(_cast(key, tok, type(default[0])) for tok in raw[key].split())
+        else:
+            derived[name] = _cast(key, raw[key], type(default))
+    return cls(**derived)
 
 
 def _spawns(raw: dict, key: str) -> tuple[SpawnSpec, ...]:
@@ -131,18 +121,16 @@ def _spawns(raw: dict, key: str) -> tuple[SpawnSpec, ...]:
             raise ConfigError(
                 f"key {key!r}: need '<step> <route> <pos_m> <speed_mps> [<speed_factor>]', got {entry!r}"
             )
-        try:
-            specs.append(
-                SpawnSpec(
-                    step=int(parts[0]),
-                    route=parts[1],
-                    pos_m=float(parts[2]),
-                    speed_mps=float(parts[3]),
-                    speed_factor=float(parts[4]) if len(parts) == 5 else 1.0,
-                )
-            )
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r}: {exc}") from None
+        step, route, pos_m, speed_mps, *factor = parts
+        fields = {
+            "step": _cast(key, step, int),
+            "route": route,
+            "pos_m": _cast(key, pos_m, float),
+            "speed_mps": _cast(key, speed_mps, float),
+        }
+        if factor:
+            fields["speed_factor"] = _cast(key, factor[0], float)
+        specs.append(SpawnSpec(**fields))
     return tuple(specs)
 
 
@@ -205,71 +193,40 @@ def load_run_config(
         raise ConfigError(f"network file not found: {network_path}")
     network = load_network_file(network_path)
 
-    master_seed = _typed(raw, "master_seed", 0)
     try:
-        scenario = ScenarioConfig(
+        scenario = _build(
+            ScenarioConfig,
+            raw,
+            _SCENARIO_KEYS,
             network=network,
-            ego_route=str(raw["ego_route"]),
-            destination_node=str(raw["destination_node"]),
-            destination_tolerance_m=_typed(raw, "destination_tolerance_m", 5.0),
-            background_count=_typed(raw, "background_count", 0),
+            ego_route=raw["ego_route"],
+            destination_node=raw["destination_node"],
             background_spawns=_spawns(raw, "spawn"),
-            step_length_s=_typed(raw, "step_length_s", 1.0),
-            max_steps=_typed(raw, "max_steps", 900),
-            master_seed=master_seed,
-            accel_min_mps2=_typed(raw, "accel_min_mps2", -4.5),
-            accel_max_mps2=_typed(raw, "accel_max_mps2", 2.6),
-            vehicle_length_m=_typed(raw, "vehicle_length_m", 5.0),
-            min_gap_m=_typed(raw, "min_gap_m", 2.5),
-            intersection_box_m=_typed(raw, "intersection_box_m", 5.0),
-            bg_accel_mps2=_typed(raw, "bg_accel_mps2", 2.6),
-            bg_speed_factor_min=_typed(raw, "bg_speed_factor_min", 0.8),
-            bg_speed_factor_max=_typed(raw, "bg_speed_factor_max", 1.0),
         )
-        hp = DdpgHyperparams(
-            gamma=_typed(raw, "gamma", 0.99),
-            tau=_typed(raw, "tau", 0.005),
-            actor_lr=_typed(raw, "actor_lr", 5e-4),
-            critic_lr=_typed(raw, "critic_lr", 5e-4),
-            batch_size=_typed(raw, "batch_size", 64),
-            buffer_capacity=_typed(raw, "replay_capacity", 50_000),
+        hp = _build(
+            DdpgHyperparams,
+            raw,
+            _HP_KEYS,
             accel_min_mps2=scenario.accel_min_mps2,
             accel_max_mps2=scenario.accel_max_mps2,
-            actor_hidden=_int_list(raw, "actor_hidden", (400, 300)),
-            critic_hidden=_int_list(raw, "critic_hidden", (400, 300)),
-            ou_mu=_typed(raw, "ou_mu", 0.0),
-            ou_theta=_typed(raw, "ou_theta", 0.15),
-            ou_sigma=_typed(raw, "ou_sigma", 0.2),
-            ou_dt=_typed(raw, "ou_dt", 1.0),
         )
-        federation = FederationConfig(
-            agents=_typed(raw, "agents", 10),
-            rounds=_typed(raw, "rounds", 5),
-            episodes_per_round=_typed(raw, "episodes_per_round", 100),
-            hp=hp,
-            scenarios=(scenario,),
-            master_seed=master_seed,
-            optimizer_state=_typed(raw, "optimizer_state", OPTIMIZER_RESET),  # FederationConfig validates it
+        federation = _build(
+            FederationConfig, raw, _FEDERATION_KEYS, hp=hp, scenarios=(scenario,), master_seed=scenario.master_seed
         )
-        template = EvalTemplate(
+        template = _build(
+            EvalTemplate,
+            raw,
+            _TEMPLATE_KEYS,
             step_length_s=scenario.step_length_s,
-            max_steps=_typed(raw, "eval_max_steps", 900),
-            destination_tolerance_m=_typed(raw, "eval_tolerance_m", scenario.destination_tolerance_m),
-            speed_limit_mps=_typed(raw, "eval_speed_limit_mps", 20.0),
-            overrun_m=_typed(raw, "eval_overrun_m", 50.0),
-            background_count=_typed(raw, "eval_background_count", 0),
+            destination_tolerance_m=scenario.destination_tolerance_m,  # unless eval_tolerance_m is given
             background_spawns=_spawns(raw, "eval_spawn"),
             accel_min_mps2=scenario.accel_min_mps2,
             accel_max_mps2=scenario.accel_max_mps2,
             bg_speed_factor_min=scenario.bg_speed_factor_min,
             bg_speed_factor_max=scenario.bg_speed_factor_max,
-            master_seed=master_seed,
+            master_seed=scenario.master_seed,
         )
-        eval_protocol = EvalProtocol(
-            episodes=_typed(raw, "eval_episodes", 20),
-            distances_m=_float_list(raw, "eval_distances_m", (10.0, 20.0, 52.0, 107.0, 207.0)),
-            template=template,
-        )
+        eval_protocol = _build(EvalProtocol, raw, _PROTOCOL_KEYS, template=template)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -279,6 +236,6 @@ def load_run_config(
         scenario=scenario,
         federation=federation,
         eval_protocol=eval_protocol,
-        master_seed=master_seed,
+        master_seed=scenario.master_seed,
         resolved=resolved,
     )

@@ -9,13 +9,11 @@ environment terminals.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .container import save_container, load_container
 from .metrics import EpisodeMetrics, metrics_from_trace, run_episode
 from .nn import (
     AdamState,
@@ -26,7 +24,6 @@ from .nn import (
     init_adam,
     init_params,
     input_gradient,
-    mlp_meta,
     unflatten_params,
 )
 from .seeding import derive_seed
@@ -34,7 +31,7 @@ from .sim.world import CAUSE_COLLISION, CAUSE_DESTINATION, EgoObservation, StepO
 
 STATE_DIM = 6
 ACTION_DIM = 1
-# the four networks of an agent or a global model; checkpoints store each as f"{name}_params"
+# the four networks of an agent or a global model; round checkpoints store each as f"{name}_params"
 NET_NAMES = ("actor", "critic", "target_actor", "target_critic")
 
 # Fixed divisors applied to raw observations before they enter the networks
@@ -348,45 +345,3 @@ def train_episode(
     )
     agent.episodes_trained += 1
     return metrics_from_trace(trace)
-
-
-# ---------------------------------------------------------------- checkpoints
-
-
-def save_agent_checkpoint(path, agent: DdpgAgent) -> None:
-    """Four networks, both optimizer states, the episode counter, and hyperparameters."""
-    arrays = {f"{name}_params": getattr(agent, name).flat for name in NET_NAMES}
-    arrays.update(
-        actor_adam_m=agent.actor_adam.m,
-        actor_adam_v=agent.actor_adam.v,
-        critic_adam_m=agent.critic_adam.m,
-        critic_adam_v=agent.critic_adam.v,
-    )
-    meta = {
-        "kind": "agent",
-        "agent_id": agent.agent_id,
-        "episodes_trained": agent.episodes_trained,
-        "actor_net": mlp_meta(agent.actor),
-        "critic_net": mlp_meta(agent.critic),
-        "actor_adam_t": agent.actor_adam.t,
-        "critic_adam_t": agent.critic_adam.t,
-        "hyperparams": dataclasses.asdict(agent.hp),
-    }
-    save_container(path, arrays, meta)
-
-
-def load_agent_checkpoint(path) -> DdpgAgent:
-    arrays, meta = load_container(path)
-    if meta.get("kind") != "agent":
-        raise ValueError(f"{path}: not an agent checkpoint (kind={meta.get('kind')!r})")
-    hp_raw = dict(meta["hyperparams"])
-    hp_raw["actor_hidden"] = tuple(hp_raw["actor_hidden"])
-    hp_raw["critic_hidden"] = tuple(hp_raw["critic_hidden"])
-    hp = DdpgHyperparams(**hp_raw)
-    agent = DdpgAgent.create(hp, seed=0, agent_id=int(meta["agent_id"]))
-    for name in NET_NAMES:  # create() built the nets the stored hyperparameters describe
-        getattr(agent, name).flat[:] = arrays[f"{name}_params"]
-    agent.actor_adam = replace(agent.actor_adam, m=arrays["actor_adam_m"], v=arrays["actor_adam_v"], t=int(meta["actor_adam_t"]))
-    agent.critic_adam = replace(agent.critic_adam, m=arrays["critic_adam_m"], v=arrays["critic_adam_v"], t=int(meta["critic_adam_t"]))
-    agent.episodes_trained = int(meta["episodes_trained"])
-    return agent

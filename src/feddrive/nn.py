@@ -91,8 +91,7 @@ class AdamState:
     eps: float = 1e-8
 
 
-def init_params(layer_sizes: list[int], activations: list[str], seed: int) -> MlpParams:
-    """Uniform fan-in init: W ~ U[-1/sqrt(fan_in), 1/sqrt(fan_in)], biases zero."""
+def _check_architecture(layer_sizes, activations) -> None:
     if len(layer_sizes) < 2:
         raise ValueError(f"need at least 2 layer sizes, got {layer_sizes}")
     if len(activations) != len(layer_sizes) - 1:
@@ -102,6 +101,13 @@ def init_params(layer_sizes: list[int], activations: list[str], seed: int) -> Ml
     for act in activations:
         if act not in ACTIVATIONS:
             raise ValueError(f"unknown activation {act!r}; expected one of {ACTIVATIONS}")
+    if any(size < 1 for size in layer_sizes):
+        raise ValueError(f"layer sizes must be >= 1, got {layer_sizes}")
+
+
+def init_params(layer_sizes: list[int], activations: list[str], seed: int) -> MlpParams:
+    """Uniform fan-in init: W ~ U[-1/sqrt(fan_in), 1/sqrt(fan_in)], biases zero."""
+    _check_architecture(layer_sizes, activations)
     rng = np.random.Generator(np.random.PCG64(seed))
     layers = []
     for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
@@ -206,10 +212,15 @@ def flatten_params(params: MlpParams) -> np.ndarray:
 
 def unflatten_params(template: MlpParams, vector: np.ndarray) -> MlpParams:
     """A new net holding a copy of ``vector``; the template supplies shapes and activations."""
+    return _wrap_copy(vector, template.layer_sizes, template.activations)
+
+
+def _wrap_copy(vector: np.ndarray, layer_sizes, activations) -> MlpParams:
+    count = sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]))
     vector = np.array(vector, dtype=np.float64)
-    if vector.shape != (template.param_count,):
-        raise ValueError(f"expected vector of length {template.param_count}, got shape {vector.shape}")
-    return MlpParams.wrap(vector, template.layer_sizes, template.activations)
+    if vector.shape != (count,):
+        raise ValueError(f"expected vector of length {count}, got shape {vector.shape}")
+    return MlpParams.wrap(vector, layer_sizes, activations)
 
 
 # ------------------------------------------------------- checkpoint metadata
@@ -220,6 +231,8 @@ def mlp_meta(params: MlpParams) -> dict:
 
 
 def mlp_from_parts(meta: dict, flat: np.ndarray) -> MlpParams:
+    """A net holding a copy of ``flat``, checked against the stored architecture."""
     sizes = [int(s) for s in meta["layer_sizes"]]
     acts = [str(a) for a in meta["activations"]]
-    return unflatten_params(init_params(sizes, acts, seed=0), flat)
+    _check_architecture(sizes, acts)
+    return _wrap_copy(flat, sizes, acts)

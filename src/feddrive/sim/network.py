@@ -7,7 +7,7 @@ File format, one directive per line, ``#`` starts a comment:
     light <node> <green_s> <red_s> <offset_s>
     route <name> <edge> [<edge> ...]
 
-Coordinates are meters.  Edges are directed.  A light sits on a node and
+Every number must be finite.  Coordinates are meters.  Edges are directed.  A light sits on a node and
 governs the end of every edge that enters that node.
 """
 
@@ -67,11 +67,18 @@ class RoadNetwork:
     routes: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     def validate(self) -> None:
+        for n in self.nodes.values():
+            if not (math.isfinite(n.x) and math.isfinite(n.y)):
+                raise NetworkParseError(f"node {n.node_id!r} has non-finite coordinates ({n.x}, {n.y})")
         for e in self.edges.values():
             if e.from_node not in self.nodes:
                 raise NetworkParseError(f"edge {e.edge_id!r} references undefined node {e.from_node!r}")
             if e.to_node not in self.nodes:
                 raise NetworkParseError(f"edge {e.edge_id!r} references undefined node {e.to_node!r}")
+            if not (math.isfinite(e.length_m) and math.isfinite(e.speed_limit_mps)):
+                raise NetworkParseError(
+                    f"edge {e.edge_id!r} has non-finite length {e.length_m} or speed limit {e.speed_limit_mps}"
+                )
             if e.length_m <= 0:
                 raise NetworkParseError(f"edge {e.edge_id!r} has non-positive length {e.length_m}")
             if e.speed_limit_mps <= 0:
@@ -81,6 +88,8 @@ class RoadNetwork:
         for lt in self.lights.values():
             if lt.node_id not in self.nodes:
                 raise NetworkParseError(f"light references undefined node {lt.node_id!r}")
+            if not all(math.isfinite(v) for v in (lt.green_s, lt.red_s, lt.offset_s)):
+                raise NetworkParseError(f"light at {lt.node_id!r} has non-finite timings")
             if lt.green_s <= 0 or lt.red_s <= 0:
                 raise NetworkParseError(f"light at {lt.node_id!r} has non-positive cycle durations")
         for name, edge_ids in self.routes.items():

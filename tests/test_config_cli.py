@@ -4,7 +4,9 @@ import json
 import pytest
 
 from feddrive.cli import build_parser, main
+from feddrive import config
 from feddrive.config import ConfigError, load_run_config, parse_config_text
+from feddrive.sim import Edge, SpawnSpec
 from tests.conftest import NETS
 
 
@@ -173,6 +175,106 @@ def test_eval_spawn_lines_feed_the_template(tmp_path):
     assert (spawn.route, spawn.pos_m, spawn.speed_factor) == ("through", 25.0, 0.0)
 
 
+# A second route and a second destination, so ego_route and destination_node
+# have somewhere else to point.
+TWO_ROUTE_NET = """
+node a 0 0
+node b 400 0
+node c 400 2
+edge ab a b 400 20 1
+route main ab
+route alt ab
+"""
+
+# Every accepted key -> (a value unlike write_config's and the default, where it lands, its typed value)
+KEY_CASES = {
+    "network_file": (str(NETS / "long_road.net"), lambda c: c.scenario.network.edges["ab"], Edge("ab", "a", "b", 1500.0, 20.0, 1)),
+    "ego_route": ("alt", lambda c: c.scenario.ego_route, "alt"),
+    "destination_node": ("c", lambda c: c.scenario.destination_node, "c"),
+    "destination_tolerance_m": ("4.5", lambda c: c.scenario.destination_tolerance_m, 4.5),
+    "step_length_s": ("0.5", lambda c: c.scenario.step_length_s, 0.5),
+    "max_steps": ("77", lambda c: c.scenario.max_steps, 77),
+    "background_count": ("1", lambda c: c.scenario.background_count, 1),
+    "master_seed": ("42", lambda c: c.scenario.master_seed, 42),
+    "accel_min_mps2": ("-3.5", lambda c: c.scenario.accel_min_mps2, -3.5),
+    "accel_max_mps2": ("2.25", lambda c: c.scenario.accel_max_mps2, 2.25),
+    "vehicle_length_m": ("4.25", lambda c: c.scenario.vehicle_length_m, 4.25),
+    "min_gap_m": ("1.75", lambda c: c.scenario.min_gap_m, 1.75),
+    "intersection_box_m": ("6.5", lambda c: c.scenario.intersection_box_m, 6.5),
+    "bg_accel_mps2": ("1.25", lambda c: c.scenario.bg_accel_mps2, 1.25),
+    "bg_speed_factor_min": ("0.5", lambda c: c.scenario.bg_speed_factor_min, 0.5),
+    "bg_speed_factor_max": ("0.9", lambda c: c.scenario.bg_speed_factor_max, 0.9),
+    "spawn": ("0 main 30 1.5 0.5", lambda c: c.scenario.background_spawns, (SpawnSpec(0, "main", 30.0, 1.5, speed_factor=0.5),)),
+    "agents": ("3", lambda c: c.federation.agents, 3),
+    "rounds": ("2", lambda c: c.federation.rounds, 2),
+    "episodes_per_round": ("4", lambda c: c.federation.episodes_per_round, 4),
+    "optimizer_state": ("keep-local", lambda c: c.federation.optimizer_state, "keep-local"),
+    "gamma": ("0.95", lambda c: c.federation.hp.gamma, 0.95),
+    "tau": ("0.0125", lambda c: c.federation.hp.tau, 0.0125),
+    "actor_lr": ("1e-3", lambda c: c.federation.hp.actor_lr, 1e-3),
+    "critic_lr": ("2e-3", lambda c: c.federation.hp.critic_lr, 2e-3),
+    "batch_size": ("16", lambda c: c.federation.hp.batch_size, 16),
+    "replay_capacity": ("999", lambda c: c.federation.hp.buffer_capacity, 999),
+    "actor_hidden": ("12 7", lambda c: c.federation.hp.actor_hidden, (12, 7)),
+    "critic_hidden": ("9 5 3", lambda c: c.federation.hp.critic_hidden, (9, 5, 3)),
+    "ou_mu": ("0.125", lambda c: c.federation.hp.ou_mu, 0.125),
+    "ou_theta": ("0.25", lambda c: c.federation.hp.ou_theta, 0.25),
+    "ou_sigma": ("0.375", lambda c: c.federation.hp.ou_sigma, 0.375),
+    "ou_dt": ("0.5", lambda c: c.federation.hp.ou_dt, 0.5),
+    "eval_episodes": ("3", lambda c: c.eval_protocol.episodes, 3),
+    "eval_distances_m": ("15 33.5", lambda c: c.eval_protocol.distances_m, (15.0, 33.5)),
+    "eval_max_steps": ("66", lambda c: c.eval_protocol.template.max_steps, 66),
+    "eval_background_count": ("1", lambda c: c.eval_protocol.template.background_count, 1),
+    "eval_overrun_m": ("35.5", lambda c: c.eval_protocol.template.overrun_m, 35.5),
+    "eval_speed_limit_mps": ("13.5", lambda c: c.eval_protocol.template.speed_limit_mps, 13.5),
+    "eval_tolerance_m": ("3.25", lambda c: c.eval_protocol.template.destination_tolerance_m, 3.25),
+    "eval_spawn": ("1 through 25 0 0", lambda c: c.eval_protocol.template.background_spawns, (SpawnSpec(1, "through", 25.0, 0.0, speed_factor=0.0),)),
+}
+
+FLOAT_KEYS = sorted(key for key, (_, _, typed) in KEY_CASES.items() if isinstance(typed, float))
+
+
+def test_key_cases_cover_every_accepted_key():
+    assert len(KEY_CASES) == 41
+    assert set(KEY_CASES) == config._SINGLE_KEYS | config._REPEAT_KEYS
+    raw = parse_config_text("\n".join(f"{key} = {text}" for key, (text, _, _) in KEY_CASES.items()))
+    assert set(raw) == set(KEY_CASES)
+
+
+@pytest.mark.parametrize("key", sorted(KEY_CASES))
+def test_each_key_lands_in_its_field(tmp_path, key):
+    (tmp_path / "two_route.net").write_text(TWO_ROUTE_NET)
+    text, field, typed = KEY_CASES[key]
+    base = load_run_config(write_config(tmp_path, "base.cfg", network_file="two_route.net"))
+    cfg = load_run_config(write_config(tmp_path, **{"network_file": "two_route.net", key: text}))
+    assert repr(field(base)) != repr(typed)  # the case really sets something
+    assert repr(field(cfg)) == repr(typed)  # repr tells 77 from 77.0
+    assert cfg.config_hash != base.config_hash
+
+
+def test_eval_template_and_hyperparameters_follow_the_scenario(tmp_path):
+    values = {"destination_tolerance_m": "4.5", "step_length_s": "0.5", "master_seed": "42"}
+    values.update(accel_min_mps2="-3.5", accel_max_mps2="2.25", bg_speed_factor_min="0.5", bg_speed_factor_max="0.75")
+    cfg = load_run_config(write_config(tmp_path, **values))
+    sc, t, hp = cfg.scenario, cfg.eval_protocol.template, cfg.federation.hp
+    assert t.destination_tolerance_m == sc.destination_tolerance_m == 4.5  # no eval_tolerance_m given
+    assert (t.step_length_s, t.master_seed, cfg.federation.master_seed, cfg.master_seed) == (0.5, 42, 42, 42)
+    assert (t.accel_min_mps2, t.accel_max_mps2, hp.accel_min_mps2, hp.accel_max_mps2) == (-3.5, 2.25, -3.5, 2.25)
+    assert (t.bg_speed_factor_min, t.bg_speed_factor_max) == (0.5, 0.75)
+
+
+# where the number sits in keys that hold more than one
+NUMBER_SLOTS = {"eval_distances_m": "10 {}", "spawn": "0 main {} 0", "eval_spawn": "0 through 25 {}"}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", [*FLOAT_KEYS, *NUMBER_SLOTS])
+def test_non_finite_values_rejected_naming_the_key(tmp_path, key, value):
+    text = NUMBER_SLOTS.get(key, "{}").format(value)
+    with pytest.raises(ConfigError, match=f"'{key}'.*not a finite number"):
+        load_run_config(write_config(tmp_path, **{key: text}))
+
+
 # ----------------------------------------------------------------------- cli
 
 
@@ -203,6 +305,14 @@ def test_cli_train_missing_network_fails(tmp_path):
     out = tmp_path / "out"
     assert main(["train", "--config", str(cfg), "--out", str(out)]) != 0
     assert not out.exists()  # validation failed before any side effect
+
+
+@pytest.mark.parametrize("key,value", [("destination_tolerance_m", "inf"), ("actor_lr", "nan")])
+def test_cli_train_non_finite_setting_fails_before_writing(tmp_path, key, value):
+    cfg = write_config(tmp_path, **{key: value})
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_cli_train_overrides(tmp_path):
@@ -257,15 +367,15 @@ def test_cli_eval_architecture_mismatch(tmp_path):
     cfg = write_config(tmp_path)
     bad = tmp_path / "bad.ckpt"
     actor = nn.init_params([5, 4, 1], ["relu", "tanh"], seed=0)
-    save_container(bad, {"actor_params": actor.flat}, {"kind": "agent", "actor_net": nn.mlp_meta(actor)})
+    save_container(bad, {"actor_params": actor.flat}, {"kind": "global_round", "actor_net": nn.mlp_meta(actor)})
     assert main(["eval", "--config", str(cfg), "--checkpoint", str(bad), "--out", str(tmp_path / "e")]) != 0
 
 
 def test_cli_inspect_default_architecture(tmp_path, capsys):
-    from feddrive.ddpg import DdpgAgent, DdpgHyperparams, save_agent_checkpoint
+    from feddrive.ddpg import DdpgHyperparams
+    from feddrive.federation import init_global_model, save_round_checkpoint
 
-    path = tmp_path / "agent.ckpt"
-    save_agent_checkpoint(path, DdpgAgent.create(DdpgHyperparams(), seed=0))
+    path = save_round_checkpoint(tmp_path, init_global_model(DdpgHyperparams(), master_seed=0), [], config_hash="")
     assert main(["inspect", str(path)]) == 0
     out = capsys.readouterr().out
     assert "[6, 400, 300, 1]" in out
@@ -320,18 +430,12 @@ def test_cli_sim_run_rejects_non_finite_accel(tmp_path, accel):
     assert not out.exists()
 
 
-def test_load_actor_from_agent_checkpoint(tmp_path):
-    import numpy as np
-
-    from feddrive import nn
-    from feddrive.cli import load_actor
-    from feddrive.ddpg import DdpgAgent, DdpgHyperparams, save_agent_checkpoint
-
-    agent = DdpgAgent.create(DdpgHyperparams(actor_hidden=(8, 8), critic_hidden=(8, 8)), seed=4)
-    path = tmp_path / "agent.ckpt"
-    save_agent_checkpoint(path, agent)
-    actor = load_actor(path)
-    assert np.array_equal(nn.flatten_params(actor), nn.flatten_params(agent.actor))
+def test_cli_sim_run_rejects_non_finite_network(tmp_path):
+    (tmp_path / "nan.net").write_text("node a 0 0\nnode b 400 0\nedge ab a b nan 20 1\nroute main ab\n")
+    cfg = write_config(tmp_path, network_file="nan.net")
+    out = tmp_path / "sim"
+    assert main(["sim-run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_cli_sim_run_policy_driven(tmp_path):

@@ -15,11 +15,9 @@ from feddrive.ddpg import (
     apply_policy_gradient,
     critic_targets,
     critic_update,
-    load_agent_checkpoint,
     ou_sample,
     ou_stationary_variance,
     policy_gradient,
-    save_agent_checkpoint,
     scale_action,
     select_action,
     soft_update,
@@ -421,26 +419,6 @@ def test_train_episode_deterministic(road_scenario):
     m2, w2 = run()
     assert m1 == m2
     assert np.array_equal(w1, w2)
-
-
-# -------------------------------------------------------------- checkpoints
-
-
-def test_agent_checkpoint_roundtrip(tmp_path, road_scenario):
-    hp = DdpgHyperparams(actor_hidden=(8, 8), critic_hidden=(8, 8), batch_size=8)
-    agent = DdpgAgent.create(hp, seed=6)
-    train_episode(agent, TrafficWorld(road_scenario(max_steps=40)), episode_seed=1, rng=np.random.default_rng(1))
-    path = tmp_path / "agent.ckpt"
-    save_agent_checkpoint(path, agent)
-    loaded = load_agent_checkpoint(path)
-    assert loaded.episodes_trained == agent.episodes_trained
-    assert loaded.hp == agent.hp
-    for attr in ("actor", "critic", "target_actor", "target_critic"):
-        assert np.array_equal(
-            nn.flatten_params(getattr(loaded, attr)), nn.flatten_params(getattr(agent, attr))
-        )
-    assert loaded.actor_adam.t == agent.actor_adam.t
-    assert np.array_equal(loaded.critic_adam.m, agent.critic_adam.m)
 
 
 def test_targets_initialized_to_online():

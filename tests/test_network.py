@@ -47,6 +47,15 @@ def test_comments_and_blank_lines():
         ("node a 0 zero", "bad numeric"),
         ("node a 0 0\nnode b 1 0\nedge ab a b 5 20 1\nlight a 0 10 0", "cycle durations"),
         ("node a 0 0\nnode b 1 0\nedge ab a b 5 20 1\nroute r missing_edge", "undefined edge"),
+        ("node a nan 0", "non-finite coordinates"),
+        ("node a 0 -inf", "non-finite coordinates"),
+        ("node a 0 0\nnode b 1 0\nedge ab a b nan 20 1", "non-finite length"),
+        ("node a 0 0\nnode b 1 0\nedge ab a b inf 20 1", "non-finite length"),
+        ("node a 0 0\nnode b 1 0\nedge ab a b 5 inf 1", "speed limit inf"),
+        ("node a 0 0\nnode b 1 0\nedge ab a b 5 nan 1", "speed limit nan"),
+        ("node a 0 0\nnode b 1 0\nedge ab a b 5 20 1\nlight b inf 10 0", "non-finite timings"),
+        ("node a 0 0\nnode b 1 0\nedge ab a b 5 20 1\nlight b 10 nan 0", "non-finite timings"),
+        ("node a 0 0\nnode b 1 0\nedge ab a b 5 20 1\nlight b 10 10 nan", "non-finite timings"),
     ],
 )
 def test_parse_errors(bad, match):
