@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .metrics import EpisodeMetrics, metrics_from_trace, run_episode
+from .metrics import RolloutTrace, run_episode
 from .nn import (
     AdamState,
     MlpParams,
@@ -124,10 +124,14 @@ class OuNoiseState:
     dt: float = 1.0
 
     def __post_init__(self):
-        if self.theta <= 0:
-            raise ValueError("theta must be > 0")
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        if not 0.0 < self.theta < math.inf:
+            raise ValueError("OU theta must be positive and finite")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError("OU sigma must be >= 0 and finite")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError("OU dt must be positive and finite")
+        if not math.isfinite(self.mu):
+            raise ValueError("OU mu must be finite")
 
 
 def ou_sample(state: OuNoiseState, rng: np.random.Generator) -> tuple[float, OuNoiseState]:
@@ -164,12 +168,13 @@ class DdpgHyperparams:
             raise ValueError("gamma must lie in [0, 1]")
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError("tau must lie in [0, 1]")
-        if self.actor_lr <= 0 or self.critic_lr <= 0:
-            raise ValueError("learning rates must be > 0")
+        if not (0.0 < self.actor_lr < math.inf and 0.0 < self.critic_lr < math.inf):
+            raise ValueError("learning rates must be positive and finite")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.accel_min_mps2 >= self.accel_max_mps2:
-            raise ValueError("accel bounds must satisfy min < max")
+        if not -math.inf < self.accel_min_mps2 < self.accel_max_mps2 < math.inf:
+            raise ValueError("accel bounds must be finite and satisfy min < max")
+        OuNoiseState(mu=self.ou_mu, theta=self.ou_theta, sigma=self.ou_sigma, dt=self.ou_dt)  # checks the ou_* values
 
 
 def scale_action(u: float | np.ndarray, a_min: float, a_max: float):
@@ -237,7 +242,7 @@ def select_action(agent: DdpgAgent, obs: EgoObservation, explore: bool, rng: np.
     if explore:
         noise, agent.noise = ou_sample(agent.noise, rng)
         a += noise * 0.5 * (hp.accel_max_mps2 - hp.accel_min_mps2)
-        a = float(np.clip(a, hp.accel_min_mps2, hp.accel_max_mps2))
+        a = min(max(a, hp.accel_min_mps2), hp.accel_max_mps2)
     return a
 
 
@@ -318,7 +323,7 @@ def train_episode(
     world: TrafficWorld,
     episode_seed: int,
     rng: np.random.Generator,
-) -> EpisodeMetrics:
+) -> RolloutTrace:
     """Run one exploratory episode with per-step updates once the buffer is warm; errors carry ``step_idx``."""
     hp = agent.hp
     agent.noise = replace(agent.noise, x=hp.ou_mu)
@@ -344,4 +349,4 @@ def train_episode(
         world, lambda obs: select_action(agent, obs, explore=True, rng=rng), episode_seed, on_step=learn
     )
     agent.episodes_trained += 1
-    return metrics_from_trace(trace)
+    return trace

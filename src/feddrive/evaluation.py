@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -19,11 +20,11 @@ from typing import Callable
 import numpy as np
 
 from .ddpg import policy_action
-from .metrics import RolloutTrace, average_speed, metrics_from_trace, run_episode, travel_delay
+from .metrics import RolloutTrace, average_speed, run_episode, travel_delay
 from .nn import MlpParams
 from .seeding import derive_seed
 from .sim.network import straight_corridor
-from .sim.world import EgoObservation, ScenarioConfig, SpawnSpec, TrafficWorld
+from .sim.world import EgoObservation, ScenarioConfig, SpawnSpec, TrafficWorld, check_episode_settings
 
 Policy = MlpParams | Callable[[np.ndarray], float]
 
@@ -50,6 +51,14 @@ class EvalTemplate:
     bg_speed_factor_max: float = 1.0
     master_seed: int = 0
 
+    def __post_init__(self):
+        # checked here, not when evaluate builds a scenario, so a bad setting fails before any output
+        check_episode_settings(self)
+        for name in ("speed_limit_mps", "overrun_m", "road_length_m"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+
 
 @dataclass(frozen=True)
 class EvalProtocol:
@@ -61,8 +70,8 @@ class EvalProtocol:
     def __post_init__(self):
         if self.episodes < 1:
             raise ValueError("episodes must be >= 1")
-        if not self.distances_m or any(d <= 0 for d in self.distances_m):
-            raise ValueError("distances must be positive")
+        if not self.distances_m or not all(0.0 < d < math.inf for d in self.distances_m):
+            raise ValueError("distances must be positive and finite")
         if self.seeds is not None and len(self.seeds) != self.episodes:
             raise ValueError("need exactly one seed per episode")
 
@@ -148,20 +157,19 @@ def evaluate(policy: Policy, protocol: EvalProtocol, policy_id: str = "policy") 
             rollout(world, policy, derive_seed(seeds[e], d_idx), t.accel_min_mps2, t.accel_max_mps2)
             for e in range(protocol.episodes)
         ]
-        metrics = [metrics_from_trace(tr) for tr in traces]
-        successes = [m for m in metrics if m.reached]
+        successes = [tr for tr in traces if tr.reached]
         rows.append(
             DistanceResult(
                 distance_m=distance,
-                episodes=len(metrics),
-                collisions=sum(m.collided for m in metrics),
-                timeouts=sum(m.timed_out for m in metrics),
+                episodes=len(traces),
+                collisions=sum(tr.collided for tr in traces),
+                timeouts=sum(tr.timed_out for tr in traces),
                 successes=len(successes),
                 mean_travel_delay_s=(
-                    float(np.mean([m.travel_delay_s for m in successes])) if successes else None
+                    float(np.mean([travel_delay(tr) for tr in successes])) if successes else None
                 ),
-                mean_avg_speed_mps=float(np.mean([m.average_speed_mps for m in metrics])),
-                success_rate=len(successes) / len(metrics),
+                mean_avg_speed_mps=float(np.mean([average_speed(tr) for tr in traces])),
+                success_rate=len(successes) / len(traces),
             )
         )
     return EvalSummary(policy_id=policy_id, rows=tuple(rows))

@@ -21,7 +21,6 @@ import numpy as np
 
 from .container import save_container
 from .ddpg import NET_NAMES, DdpgAgent, DdpgHyperparams, soft_update, train_episode
-from .metrics import EpisodeMetrics
 from .nn import MlpParams, flatten_params, mlp_meta
 from .seeding import derive_seed
 from .sim.world import ScenarioConfig, TrafficWorld
@@ -162,18 +161,22 @@ def broadcast(global_model: GlobalModel, agents: list[DdpgAgent], optimizer_stat
 def _train_agent_round(
     config: FederationConfig, agent: DdpgAgent, round_idx: int
 ) -> tuple[AgentUpdate, AgentRoundStats]:
-    episodes: list[EpisodeMetrics] = []
+    # a round keeps each episode's return and the collision count, not the traces
+    rewards: list[float] = []
+    collisions = 0
     try:
         world = TrafficWorld(config.scenario_for(agent.agent_id))
         for e in range(config.episodes_per_round):
             episode_idx = round_idx * config.episodes_per_round + e
             episode_seed = derive_seed(config.master_seed, agent.agent_id, episode_idx)
             rng = np.random.Generator(np.random.PCG64(derive_seed(episode_seed, 1)))
-            episodes.append(train_episode(agent, world, derive_seed(episode_seed, 0), rng))
+            trace = train_episode(agent, world, derive_seed(episode_seed, 0), rng)
+            rewards.append(trace.total_reward)
+            collisions += trace.collided
     except Exception as exc:
-        # len(episodes) is the episode in progress; a world that cannot be built fails episode 0, step 0
+        # len(rewards) is the episode in progress; a world that cannot be built fails episode 0, step 0
         step_idx = getattr(exc, "step_idx", 0)
-        raise AgentTrainingError(agent.agent_id, round_idx, len(episodes), step_idx, exc) from exc
+        raise AgentTrainingError(agent.agent_id, round_idx, len(rewards), step_idx, exc) from exc
     # copies: the payload must not change when the agent trains on
     update = AgentUpdate(
         agent_id=agent.agent_id,
@@ -183,10 +186,10 @@ def _train_agent_round(
     )
     stats = AgentRoundStats(
         agent_id=agent.agent_id,
-        mean_reward=float(np.mean([m.total_reward for m in episodes])),
-        collisions=sum(m.collided for m in episodes),
-        episodes=len(episodes),
-        episode_rewards=tuple(m.total_reward for m in episodes),
+        mean_reward=float(np.mean(rewards)),
+        collisions=collisions,
+        episodes=len(rewards),
+        episode_rewards=tuple(rewards),
     )
     return update, stats
 

@@ -17,14 +17,12 @@ from .sim.world import (
 
 @dataclass(frozen=True)
 class RolloutTrace:
-    """Per-episode record sufficient to compute all reported metrics."""
+    """The one per-episode record; from ``run_episode`` it has at least one step and exactly one outcome."""
 
     speeds_mps: tuple[float, ...]  # ego speed after each step
     rewards: tuple[float, ...]
     step_length_s: float
     cause: str
-    distance_traveled_m: float
-    route_freeflow_s: float  # whole ego route at the speed limits
     traveled_freeflow_s: float  # distance actually covered, at the speed limits
 
     @property
@@ -36,8 +34,20 @@ class RolloutTrace:
         return self.steps * self.step_length_s
 
     @property
-    def completed(self) -> bool:
+    def total_reward(self) -> float:
+        return sum(self.rewards)
+
+    @property
+    def collided(self) -> bool:
+        return self.cause == CAUSE_COLLISION
+
+    @property
+    def reached(self) -> bool:
         return self.cause == CAUSE_DESTINATION
+
+    @property
+    def timed_out(self) -> bool:
+        return self.cause == CAUSE_MAX_STEPS
 
 
 def run_episode(
@@ -75,27 +85,8 @@ def run_episode(
         rewards=tuple(rewards),
         step_length_s=world.scenario.step_length_s,
         cause=world.cause,
-        distance_traveled_m=world.distance_traveled_m,
-        route_freeflow_s=world.route_freeflow_time_s,
         traveled_freeflow_s=world.traveled_freeflow_time_s,
     )
-
-
-@dataclass(frozen=True)
-class EpisodeMetrics:
-    total_reward: float
-    steps: int
-    collided: bool
-    reached: bool
-    timed_out: bool
-    travel_delay_s: float
-    average_speed_mps: float
-
-    def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("an episode has at least one step")
-        if [self.collided, self.reached, self.timed_out].count(True) != 1:
-            raise ValueError("exactly one of collided/reached/timed_out must hold")
 
 
 def average_speed(trace: RolloutTrace) -> float:
@@ -112,18 +103,6 @@ def travel_delay(trace: RolloutTrace) -> float:
     actually covered, so finishing inside the destination tolerance (slightly
     short of the nominal route length) cannot produce a negative delay.
     Collided and timed-out episodes are charged only for the portion traveled;
-    callers should check ``trace.completed`` before pooling delays.
+    callers should check ``trace.reached`` before pooling delays.
     """
     return max(0.0, trace.elapsed_s - trace.traveled_freeflow_s)
-
-
-def metrics_from_trace(trace: RolloutTrace) -> EpisodeMetrics:
-    return EpisodeMetrics(
-        total_reward=sum(trace.rewards),
-        steps=trace.steps,
-        collided=trace.cause == CAUSE_COLLISION,
-        reached=trace.cause == CAUSE_DESTINATION,
-        timed_out=trace.cause == CAUSE_MAX_STEPS,
-        travel_delay_s=travel_delay(trace),
-        average_speed_mps=average_speed(trace),
-    )

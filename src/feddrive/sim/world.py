@@ -81,18 +81,23 @@ class ScenarioConfig:
     bg_lookahead_m: float = 100.0
 
     def __post_init__(self):
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
-        if self.step_length_s <= 0:
-            raise ValueError(f"step_length_s must be > 0, got {self.step_length_s}")
-        if self.destination_tolerance_m <= 0:
-            raise ValueError(f"destination_tolerance_m must be > 0, got {self.destination_tolerance_m}")
-        if self.accel_min_mps2 >= self.accel_max_mps2:
-            raise ValueError("accel_min_mps2 must be below accel_max_mps2")
-        if self.background_count < 0:
-            raise ValueError("background_count must be >= 0")
-        if not 0.0 <= self.bg_speed_factor_min <= self.bg_speed_factor_max < math.inf:
-            raise ValueError("need 0 <= bg_speed_factor_min <= bg_speed_factor_max, both finite")
+        check_episode_settings(self)
+
+
+def check_episode_settings(s) -> None:
+    """Check the settings a scenario shares with the evaluation template; NaN fails every check."""
+    if s.max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {s.max_steps}")
+    if not 0.0 < s.step_length_s < math.inf:
+        raise ValueError(f"step_length_s must be positive and finite, got {s.step_length_s}")
+    if not 0.0 < s.destination_tolerance_m < math.inf:
+        raise ValueError(f"destination_tolerance_m must be positive and finite, got {s.destination_tolerance_m}")
+    if not -math.inf < s.accel_min_mps2 < s.accel_max_mps2 < math.inf:
+        raise ValueError("accel_min_mps2 must be below accel_max_mps2, both finite")
+    if s.background_count < 0:
+        raise ValueError("background_count must be >= 0")
+    if not 0.0 <= s.bg_speed_factor_min <= s.bg_speed_factor_max < math.inf:
+        raise ValueError("need 0 <= bg_speed_factor_min <= bg_speed_factor_max, both finite")
 
 
 @dataclass
@@ -562,7 +567,3 @@ class TrafficWorld:
     def traveled_freeflow_time_s(self) -> float:
         """Free-flow time over the distance the ego has actually covered."""
         return self._traveled_freeflow_s
-
-    @property
-    def route_freeflow_time_s(self) -> float:
-        return self.net.route_freeflow_time_s(self.scenario.ego_route)

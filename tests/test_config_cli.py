@@ -355,6 +355,17 @@ def test_cli_eval(tmp_path):
     assert (eval_out / "eval_summary.csv").read_bytes() == first
 
 
+def test_cli_eval_bad_setting_fails_before_writing(tmp_path):
+    cfg = write_config(tmp_path)
+    ckpt = tmp_path / "train" / "round_0.ckpt"
+    assert main(["train", "--config", str(cfg), "--out", str(ckpt.parent)]) == 0
+    for key, value in [("eval_overrun_m", "-5"), ("eval_max_steps", "0")]:
+        bad = write_config(tmp_path, name=f"{key}.cfg", **{key: value})
+        out = tmp_path / key
+        assert main(["eval", "--config", str(bad), "--checkpoint", str(ckpt), "--out", str(out)]) == 2
+        assert not out.exists()
+
+
 def test_cli_eval_missing_checkpoint(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["eval", "--config", str(cfg), "--checkpoint", str(tmp_path / "no.ckpt"), "--out", str(tmp_path / "e")]) != 0

@@ -23,6 +23,7 @@ from feddrive.ddpg import (
     soft_update,
     train_episode,
 )
+from feddrive.metrics import average_speed
 from feddrive.sim import EgoObservation, SpawnSpec, TrafficWorld
 
 TINY = DdpgHyperparams(actor_hidden=(8, 8), critic_hidden=(8, 8), batch_size=8, buffer_capacity=256)
@@ -151,6 +152,30 @@ def test_ou_parameter_validation():
         OuNoiseState(theta=0.0)
     with pytest.raises(ValueError):
         OuNoiseState(sigma=-0.1)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("theta", float("nan")), ("theta", float("inf")), ("sigma", float("nan")), ("sigma", float("inf")),
+     ("dt", float("nan")), ("dt", -1.0), ("mu", float("nan"))],
+)
+def test_ou_rejects_bad_parameters(field, value):
+    with pytest.raises(ValueError, match=field):
+        OuNoiseState(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        (field, value)
+        for field in ("actor_lr", "critic_lr", "accel_min_mps2", "accel_max_mps2", "ou_mu", "ou_theta", "ou_sigma", "ou_dt")
+        for value in (float("nan"), float("inf"))
+    ]
+    + [("ou_dt", -1.0)],  # sqrt(dt) would fail only at the first exploratory step, after a run's output exists
+)
+def test_hyperparams_reject_bad_values(field, value):
+    with pytest.raises(ValueError):
+        DdpgHyperparams(**{field: value})
 
 
 # ------------------------------------------------------------ action select
@@ -403,7 +428,7 @@ def test_train_episode_timeout_on_empty_map(road_scenario):
     metrics = train_episode(agent, TrafficWorld(sc), episode_seed=0, rng=np.random.default_rng(0))
     assert metrics.steps == 900
     assert metrics.timed_out and not metrics.collided and not metrics.reached
-    assert metrics.average_speed_mps == 0.0
+    assert average_speed(metrics) == 0.0
 
 
 def test_train_episode_deterministic(road_scenario):

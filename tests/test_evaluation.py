@@ -16,20 +16,18 @@ from feddrive.evaluation import (
     rollout,
     summaries_from_json,
 )
-from feddrive.metrics import RolloutTrace, average_speed, metrics_from_trace, run_episode, travel_delay
+from feddrive.ddpg import DdpgAgent, DdpgHyperparams, train_episode
+from feddrive.metrics import RolloutTrace, average_speed, run_episode, travel_delay
 from feddrive.sim import SpawnSpec, TrafficWorld
 
 
-def trace_of(speeds, cause="destination", dt=1.0, traveled=None, route_freeflow=5.0, traveled_freeflow=None):
-    traveled = sum(speeds) * dt if traveled is None else traveled
+def trace_of(speeds, cause="destination", dt=1.0):
     return RolloutTrace(
         speeds_mps=tuple(speeds),
         rewards=tuple(0.0 for _ in speeds),
         step_length_s=dt,
         cause=cause,
-        distance_traveled_m=traveled,
-        route_freeflow_s=route_freeflow,
-        traveled_freeflow_s=traveled / 20.0 if traveled_freeflow is None else traveled_freeflow,
+        traveled_freeflow_s=sum(speeds) * dt / 20.0,  # the 20 m/s limit the whole way
     )
 
 
@@ -61,7 +59,7 @@ def test_travel_delay_example():
 def test_travel_delay_halved_speed():
     # half the limit the whole way: 2T - T = T
     t = trace_of([10.0] * 10)
-    assert travel_delay(t) == t.route_freeflow_s == 5.0
+    assert travel_delay(t) == t.traveled_freeflow_s == 5.0
 
 
 def test_travel_delay_never_negative():
@@ -70,9 +68,55 @@ def test_travel_delay_never_negative():
 
 
 def test_metrics_outcome_partition():
-    assert metrics_from_trace(trace_of([1.0], cause="collision")).collided
-    assert metrics_from_trace(trace_of([1.0], cause="destination")).reached
-    assert metrics_from_trace(trace_of([1.0], cause="max-steps")).timed_out
+    assert trace_of([1.0], cause="collision").collided
+    assert trace_of([1.0], cause="destination").reached
+    assert trace_of([1.0], cause="max-steps").timed_out
+
+
+@pytest.mark.parametrize(
+    "outcome,throttle,spawns,max_steps",
+    [
+        ("collided", 2.6, (SpawnSpec(step=0, route="main", pos_m=20.0, speed_mps=0.0, speed_factor=0.0),), 50),
+        ("reached", 2.6, (), 50),
+        ("timed_out", -4.5, (), 20),
+    ],
+)
+def test_trace_holds_the_episode_invariants(road_scenario, outcome, throttle, spawns, max_steps):
+    # what every RolloutTrace from run_episode guarantees, for training and evaluation alike
+    world = TrafficWorld(road_scenario(background_spawns=spawns, max_steps=max_steps))
+    hp = DdpgHyperparams(actor_hidden=(8, 8), critic_hidden=(8, 8), batch_size=8, ou_sigma=0.0)
+    agent = DdpgAgent.create(hp, seed=3)
+    agent.actor.flat[:] = 0.0
+    agent.actor.layers[-1].bias[:] = 10.0 if throttle > 0 else -10.0  # tanh saturates at a bound
+    traces = [
+        train_episode(agent, world, episode_seed=0, rng=np.random.default_rng(0)),
+        rollout(world, lambda obs: throttle, episode_seed=0, a_min=-4.5, a_max=2.6),
+    ]
+    for trace in traces:
+        assert trace.steps >= 1
+        assert [trace.collided, trace.reached, trace.timed_out].count(True) == 1
+        assert getattr(trace, outcome)
+        assert trace.total_reward == sum(trace.rewards)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("max_steps", 0),
+        ("background_count", -1),
+        ("step_length_s", float("nan")),
+        ("destination_tolerance_m", 0.0),
+        ("speed_limit_mps", float("inf")),
+        ("overrun_m", -5.0),
+        ("road_length_m", float("nan")),
+        ("accel_min_mps2", float("nan")),
+        ("accel_min_mps2", 2.6),
+        ("accel_max_mps2", float("inf")),
+    ],
+)
+def test_eval_template_rejects_bad_settings(field, value):
+    with pytest.raises(ValueError, match=field):
+        EvalTemplate(**{field: value})
 
 
 # ------------------------------------------------------------------ scenario
@@ -215,6 +259,9 @@ def test_protocol_validation():
         EvalProtocol(episodes=0)
     with pytest.raises(ValueError):
         EvalProtocol(distances_m=(10.0, -1.0))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            EvalProtocol(distances_m=(10.0, bad))
     with pytest.raises(ValueError):
         EvalProtocol(episodes=3, seeds=(1, 2))
 

@@ -76,6 +76,9 @@ def test_scenario_validation(single_road_net):
         ScenarioConfig(**base, destination_tolerance_m=0.0)
     with pytest.raises(ValueError, match="accel"):
         ScenarioConfig(**base, accel_min_mps2=3.0, accel_max_mps2=2.6)
+    for name in ("step_length_s", "destination_tolerance_m", "accel_min_mps2"):
+        with pytest.raises(ValueError, match=name):  # NaN fails the checks too
+            ScenarioConfig(**base, **{name: float("nan")})
     # the spawn draws need a finite, non-negative, ordered factor range
     for low, high in [(0.9, 0.8), (-0.1, 0.5), (0.5, float("inf")), (float("nan"), 1.0)]:
         with pytest.raises(ValueError, match="bg_speed_factor"):
