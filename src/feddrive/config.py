@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -99,7 +100,8 @@ def _build(cls, raw: dict, keys: dict[str, str], **derived):
     """``cls`` from ``derived`` plus the keys present in ``raw``, which take precedence.
 
     A value is cast to the type of its field's default, element by element for
-    a tuple; fields named by neither keep their defaults.
+    a tuple; fields named by neither keep their defaults.  A rejected value's
+    error names its config key, not the field the key binds to.
     """
     defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     for key, name in keys.items():
@@ -110,7 +112,14 @@ def _build(cls, raw: dict, keys: dict[str, str], **derived):
             derived[name] = tuple(_cast(key, tok, type(default[0])) for tok in raw[key].split())
         else:
             derived[name] = _cast(key, raw[key], type(default))
-    return cls(**derived)
+    try:
+        return cls(**derived)
+    except ValueError as exc:
+        msg = str(exc)
+        for key, name in keys.items():
+            if key in raw and key != name:
+                msg = re.sub(rf"\b{name}\b", key, msg)
+        raise ConfigError(msg) from exc
 
 
 def _spawns(raw: dict, key: str) -> tuple[SpawnSpec, ...]:

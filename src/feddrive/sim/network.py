@@ -127,13 +127,6 @@ class RoadNetwork:
         """Whether the route's last edge ends where its first begins."""
         return self.edges[edge_ids[-1]].to_node == self.edges[edge_ids[0]].from_node
 
-    def route_freeflow_time_s(self, route_name: str) -> float:
-        """Time to traverse the route driving at each edge's speed limit."""
-        return sum(
-            self.edges[eid].length_m / self.edges[eid].speed_limit_mps
-            for eid in self.routes[route_name]
-        )
-
 
 def _floats(parts: list[str], n: int, line: int, what: str) -> list[float]:
     try:

@@ -82,6 +82,17 @@ class ScenarioConfig:
 
     def __post_init__(self):
         check_episode_settings(self)
+        # written so that NaN fails each check
+        for name in ("vehicle_length_m", "bg_accel_mps2"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        for name in (
+            "min_gap_m", "intersection_box_m", "bg_lookahead_m", "waiting_speed_mps", "waiting_light_range_m",
+        ):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
+        if not math.isfinite(self.braking_accel_mps2):
+            raise ValueError(f"braking_accel_mps2 must be finite, got {self.braking_accel_mps2}")
 
 
 def check_episode_settings(s) -> None:
@@ -385,14 +396,12 @@ class TrafficWorld:
 
     # ------------------------------------------------------- background logic
 
-    def background_step(self, t: float | None = None) -> list[VehicleState]:
+    def background_step(self, t: float) -> list[VehicleState]:
         """Advance every background vehicle one step; returns the updated states.
 
         Decisions use a pre-move snapshot of all vehicles, so the result does
         not depend on update order.
         """
-        if t is None:
-            t = self._steps * self.scenario.step_length_s
         sc = self.scenario
         dt = sc.step_length_s
         # value snapshot: later updates must not change earlier vehicles' gaps

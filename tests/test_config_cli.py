@@ -315,6 +315,17 @@ def test_cli_train_non_finite_setting_fails_before_writing(tmp_path, key, value)
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [("vehicle_length_m", "-5"), ("min_gap_m", "-100"), ("bg_accel_mps2", "-1"), ("intersection_box_m", "-3")],
+)
+def test_cli_train_bad_physics_setting_fails_before_writing(tmp_path, key, value):
+    cfg = write_config(tmp_path, **{key: value})
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_cli_train_overrides(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
@@ -364,6 +375,15 @@ def test_cli_eval_bad_setting_fails_before_writing(tmp_path):
         out = tmp_path / key
         assert main(["eval", "--config", str(bad), "--checkpoint", str(ckpt), "--out", str(out)]) == 2
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("eval_max_steps", "0"), ("eval_tolerance_m", "0"), ("eval_speed_limit_mps", "-1"), ("eval_overrun_m", "-5")],
+)
+def test_eval_setting_error_names_the_config_key(tmp_path, key, value):
+    with pytest.raises(ConfigError, match=rf"\b{key}\b"):
+        load_run_config(write_config(tmp_path, **{key: value}))
 
 
 def test_cli_eval_missing_checkpoint(tmp_path):

@@ -10,7 +10,6 @@ from feddrive.ddpg import (
     DdpgHyperparams,
     OuNoiseState,
     ReplayBuffer,
-    Transition,
     actor_update,
     apply_policy_gradient,
     critic_targets,
@@ -30,13 +29,8 @@ TINY = DdpgHyperparams(actor_hidden=(8, 8), critic_hidden=(8, 8), batch_size=8, 
 
 
 def make_transition(k=0.0, done=False):
-    return Transition(
-        state=np.full(6, k),
-        action=0.1 * k,
-        reward=k,
-        next_state=np.full(6, k + 1),
-        done=done,
-    )
+    """``ReplayBuffer.store`` arguments: state, action, reward, next state, done."""
+    return np.full(6, k), 0.1 * k, k, np.full(6, k + 1), done
 
 
 def random_batch(rng, n=8):
@@ -55,9 +49,10 @@ def random_batch(rng, n=8):
 def test_buffer_fifo_eviction():
     buf = ReplayBuffer(capacity=2)
     for k in (1.0, 2.0, 3.0):
-        buf.store(make_transition(k))
+        buf.store(*make_transition(k))
     assert len(buf) == 2
-    stored = {buf._rewards[i, 0] for i in range(2)}
+    rng = np.random.default_rng(0)
+    stored = {r for _ in range(32) for r in buf.sample(2, rng).rewards[:, 0]}
     assert stored == {2.0, 3.0}
 
 
@@ -69,14 +64,14 @@ def test_buffer_capacity_50k():
     buf = ReplayBuffer()  # default 50 000
     t = make_transition()
     for _ in range(50_001):
-        buf.store(t)
+        buf.store(*t)
     assert len(buf) == 50_000
 
 
 def test_buffer_underfilled_sample_rejected():
     buf = ReplayBuffer(capacity=128)
     for k in range(63):
-        buf.store(make_transition(float(k)))
+        buf.store(*make_transition(float(k)))
     with pytest.raises(ValueError, match="63"):
         buf.sample(64, np.random.default_rng(0))
 
@@ -84,7 +79,7 @@ def test_buffer_underfilled_sample_rejected():
 def test_buffer_sample_deterministic():
     buf = ReplayBuffer(capacity=64)
     for k in range(20):
-        buf.store(make_transition(float(k)))
+        buf.store(*make_transition(float(k)))
     a = buf.sample(8, np.random.default_rng(42))
     b = buf.sample(8, np.random.default_rng(42))
     assert np.array_equal(a.states, b.states)
@@ -93,22 +88,33 @@ def test_buffer_sample_deterministic():
 
 def test_buffer_single_item_sample():
     buf = ReplayBuffer(capacity=4)
-    buf.store(make_transition(5.0))
+    buf.store(*make_transition(5.0))
     batch = buf.sample(1, np.random.default_rng(0))
     assert batch.rewards[0, 0] == 5.0
+
+
+def test_buffer_row_round_trip():
+    buf = ReplayBuffer(capacity=4)
+    buf.store(np.arange(6.0), -0.25, 1.5, np.arange(6.0) + 10.0, True)
+    batch = buf.sample(1, np.random.default_rng(0))
+    assert np.array_equal(batch.states, [np.arange(6.0)])
+    assert np.array_equal(batch.actions, [[-0.25]])
+    assert np.array_equal(batch.rewards, [[1.5]])
+    assert np.array_equal(batch.next_states, [np.arange(6.0) + 10.0])
+    assert np.array_equal(batch.dones, [[1.0]])
 
 
 def test_buffer_rejects_non_finite():
     buf = ReplayBuffer(capacity=4)
     with pytest.raises(ValueError, match="non-finite"):
-        buf.store(Transition(np.full(6, np.nan), 0.0, 0.0, np.zeros(6), False))
+        buf.store(np.full(6, np.nan), 0.0, 0.0, np.zeros(6), False)
 
 
 def test_buffer_sampling_uniformity():
     # 1e5 draws over 10 items: every frequency within 1% of 10%
     buf = ReplayBuffer(capacity=16)
     for k in range(10):
-        buf.store(make_transition(float(k)))
+        buf.store(*make_transition(float(k)))
     rng = np.random.default_rng(7)
     counts = np.zeros(10)
     for _ in range(10_000):

@@ -95,7 +95,6 @@ def test_route_helpers(grid_net):
     assert grid_net.route_is_cyclic(grid_net.routes["loop"])
     assert not grid_net.route_is_cyclic(grid_net.routes["to_light"])
     assert grid_net.route_end_node("to_light") == "n10"
-    assert grid_net.route_freeflow_time_s("loop") == pytest.approx(20.0)
 
 
 def test_light_cycle(grid_net):
