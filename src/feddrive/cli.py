@@ -34,12 +34,21 @@ def _setup_logging() -> None:
     logging.basicConfig(level=getattr(logging, level, logging.INFO), format="%(levelname)s %(message)s")
 
 
+def _read_round_checkpoint(path: str | Path) -> tuple[dict, dict]:
+    """Arrays and meta of a global-round checkpoint, holding everything ``load_actor`` and ``inspect`` read."""
+    arrays, meta = load_container(path)
+    if meta.get("kind") != "global_round":
+        raise ContainerError(f"{path}: unknown checkpoint kind {meta.get('kind')!r}")
+    missing = [k for k in ("actor_net", "critic_net", "round_idx") if k not in meta]
+    missing += [k for k in ("actor_params", "agent_episodes") if k not in arrays]
+    if missing:
+        raise ContainerError(f"{path}: round checkpoint lacks {', '.join(missing)}")
+    return arrays, meta
+
+
 def load_actor(path: str | Path) -> MlpParams:
     """Actor weights from a global-round checkpoint."""
-    arrays, meta = load_container(path)
-    kind = meta.get("kind")
-    if kind != "global_round":
-        raise ContainerError(f"{path}: unknown checkpoint kind {kind!r}")
+    arrays, meta = _read_round_checkpoint(path)
     return mlp_from_parts(meta["actor_net"], arrays["actor_params"])
 
 
@@ -111,11 +120,8 @@ def _describe_net(label: str, net_meta: dict) -> str:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    arrays, meta = load_container(args.checkpoint)
-    kind = meta.get("kind", "unknown")
-    print(f"checkpoint kind: {kind}")
-    if kind != "global_round":
-        raise ContainerError(f"unknown checkpoint kind {kind!r}")
+    arrays, meta = _read_round_checkpoint(args.checkpoint)
+    print(f"checkpoint kind: {meta['kind']}")
     print(_describe_net("actor", meta["actor_net"]))
     print(_describe_net("critic", meta["critic_net"]))
     print(f"round index: {meta['round_idx']}")

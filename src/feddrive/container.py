@@ -84,12 +84,18 @@ def load_container(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         raise ContainerError(
             f"{path}: unsupported format version {header.get('format_version')!r}"
         )
+    entries, meta = header.get("arrays"), header.get("meta")
+    if not isinstance(entries, list) or not isinstance(meta, dict):
+        raise ContainerError(f"{path}: header needs an 'arrays' list and a 'meta' object")
     arrays: dict[str, np.ndarray] = {}
-    for entry in header["arrays"]:
-        start = header_end + entry["offset"]
-        end = start + entry["nbytes"]
+    for entry in entries:
+        try:
+            name, dtype, shape = str(entry["name"]), np.dtype(entry["dtype"]), [int(n) for n in entry["shape"]]
+            start = header_end + int(entry["offset"])
+            end = start + int(entry["nbytes"])
+        except (KeyError, TypeError, ValueError):
+            raise ContainerError(f"{path}: malformed array entry {entry!r}") from None
         if len(blob) < end:
-            raise ContainerError(f"{path}: truncated payload for array {entry['name']!r}")
-        arr = np.frombuffer(blob[start:end], dtype=np.dtype(entry["dtype"]))
-        arrays[entry["name"]] = arr.reshape(entry["shape"]).copy()
-    return arrays, header["meta"]
+            raise ContainerError(f"{path}: truncated payload for array {name!r}")
+        arrays[name] = np.frombuffer(blob[start:end], dtype=dtype).reshape(shape).copy()
+    return arrays, meta

@@ -167,8 +167,10 @@ class DdpgHyperparams:
             raise ValueError("tau must lie in [0, 1]")
         if not (0.0 < self.actor_lr < math.inf and 0.0 < self.critic_lr < math.inf):
             raise ValueError("learning rates must be positive and finite")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        if not 1 <= self.batch_size <= self.buffer_capacity:  # else no update can ever run
+            raise ValueError(
+                f"need 1 <= batch_size <= buffer_capacity, got {self.batch_size} and {self.buffer_capacity}"
+            )
         if not -math.inf < self.accel_min_mps2 < self.accel_max_mps2 < math.inf:
             raise ValueError("accel bounds must be finite and satisfy min < max")
         OuNoiseState(mu=self.ou_mu, theta=self.ou_theta, sigma=self.ou_sigma, dt=self.ou_dt)  # checks the ou_* values

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
@@ -207,7 +207,7 @@ def export_csv(summaries: list[EvalSummary], path: str | Path) -> None:
 
 
 def export_json(summaries: list[EvalSummary], path: str | Path) -> None:
-    """JSON mirror of the CSV with identical fields."""
+    """JSON mirror of the CSV: its fields plus each row's ``timeouts`` and ``successes``."""
     payload = [
         {
             "policy_id": s.policy_id,
@@ -227,12 +227,26 @@ def export_json(summaries: list[EvalSummary], path: str | Path) -> None:
 
 
 def summaries_from_json(path: str | Path) -> list[EvalSummary]:
-    """Rebuild summaries from the JSON mirror (used by the export command)."""
+    """Rebuild summaries from the JSON mirror (used by the export command).
+
+    A file that is not a list of ``export_json`` rows raises ``ConfigError``
+    naming the file and, for a row, its index and the field at fault.
+    """
+    from .config import ConfigError  # config imports this module
+
     payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, list):
+        raise ConfigError(f"{path}: expected a list of rows, got a JSON {type(payload).__name__}")
+    names = ("policy_id", *(f.name for f in fields(DistanceResult)))
     by_policy: dict[str, list[DistanceResult]] = {}
-    for item in payload:
-        by_policy.setdefault(item["policy_id"], []).append(
-            DistanceResult(
+    for i, item in enumerate(payload):
+        if not isinstance(item, dict):
+            raise ConfigError(f"{path}: row {i} is not an object")
+        missing = [name for name in names if name not in item]
+        if missing:
+            raise ConfigError(f"{path}: row {i} lacks {', '.join(missing)}")
+        try:
+            row = DistanceResult(
                 distance_m=float(item["distance_m"]),
                 episodes=int(item["episodes"]),
                 collisions=int(item["collisions"]),
@@ -244,7 +258,9 @@ def summaries_from_json(path: str | Path) -> list[EvalSummary]:
                 mean_avg_speed_mps=float(item["mean_avg_speed_mps"]),
                 success_rate=float(item["success_rate"]),
             )
-        )
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: row {i}: {exc}") from None
+        by_policy.setdefault(str(item["policy_id"]), []).append(row)
     return [EvalSummary(policy_id=pid, rows=tuple(rows)) for pid, rows in by_policy.items()]
 
 

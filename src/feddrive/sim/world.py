@@ -122,7 +122,6 @@ class VehicleState:
     length_m: float
     route: tuple[str, ...]
     route_idx: int
-    role: str  # "ego" | "background"
     speed_factor: float = 1.0
 
     @property
@@ -206,12 +205,12 @@ class TrafficWorld:
         sc = self.scenario
         self._validate_scenario()
         self._rng = np.random.Generator(np.random.PCG64(derive_seed(sc.master_seed, episode_seed)))
-        self._steps = 0
-        self._done = False
-        self._cause = CAUSE_NONE
+        self.steps = 0
+        self.done = False
+        self.cause = CAUSE_NONE
         self._active = True
-        self._distance_traveled = 0.0
-        self._traveled_freeflow_s = 0.0
+        self.distance_traveled_m = 0.0
+        self.traveled_freeflow_time_s = 0.0  # free-flow time over the distance the ego has actually covered
         self._next_bg_id = 0
         self._pending_spawns = list(sc.background_spawns)
 
@@ -226,7 +225,6 @@ class TrafficWorld:
             length_m=sc.vehicle_length_m,
             route=route,
             route_idx=0,
-            role="ego",
         )
         self.background: list[VehicleState] = []
         self._spawn_random_background(sc.background_count)
@@ -236,40 +234,46 @@ class TrafficWorld:
         sc = self.scenario
         route_names = sorted(self.net.routes)
         for _ in range(count):
-            placed = False
             for _attempt in range(100):
                 route_name = route_names[int(self._rng.integers(len(route_names)))]
                 route = self.net.routes[route_name]
                 # uniform(low, high) draws as Generator.uniform does: low + (high - low) * random()
-                route_len = self.net.route_length_m(route_name)
-                pos_on_route = route_len * self._rng.random()
+                pos_on_route = self.net.route_length_m(route_name) * self._rng.random()
                 edge_id, pos, idx = self._route_point(route, pos_on_route)
                 low, high = sc.bg_speed_factor_min, sc.bg_speed_factor_max
                 factor = low + (high - low) * self._rng.random()
                 speed = self.net.edges[edge_id].speed_limit_mps * factor * self._rng.random()
-                veh = VehicleState(
-                    vehicle_id=f"bg{self._next_bg_id}",
-                    edge_id=edge_id,
-                    pos_m=pos,
-                    lane=0,
-                    speed_mps=speed,
-                    accel_mps2=0.0,
-                    length_m=sc.vehicle_length_m,
-                    route=route,
-                    route_idx=idx,
-                    speed_factor=factor,
-                    role="background",
-                )
-                if self._placement_clear(veh):
-                    self.background.append(veh)
-                    self._next_bg_id += 1
-                    placed = True
+                if self._place_background(route, edge_id, pos, idx, speed, 0, factor):
                     break
-            if not placed:
+            else:
                 raise ValueError(
                     f"could not place {count} background vehicles without overlap; "
                     "reduce background_count or enlarge the network"
                 )
+
+    def _place_background(
+        self, route: tuple[str, ...], edge_id: str, pos: float, idx: int, speed: float, lane: int, factor: float
+    ) -> bool:
+        """Add a background vehicle unless it comes within ``min_gap_m`` of another on its lane; True if added."""
+        veh = VehicleState(
+            vehicle_id=f"bg{self._next_bg_id}",
+            edge_id=edge_id,
+            pos_m=pos,
+            lane=lane,
+            speed_mps=speed,
+            accel_mps2=0.0,
+            length_m=self.scenario.vehicle_length_m,
+            route=route,
+            route_idx=idx,
+            speed_factor=factor,
+        )
+        gap = self.scenario.min_gap_m
+        for other in (self.ego, *self.background):
+            if other.edge_id == edge_id and other.lane == lane and pos + gap > other.tail_m and other.pos_m + gap > veh.tail_m:
+                return False
+        self.background.append(veh)
+        self._next_bg_id += 1
+        return True
 
     def _route_point(self, route: tuple[str, ...], pos_on_route: float) -> tuple[str, float, int]:
         remaining = pos_on_route
@@ -280,13 +284,6 @@ class TrafficWorld:
             remaining -= length
         raise AssertionError("unreachable")
 
-    def _placement_clear(self, veh: VehicleState) -> bool:
-        for other in [self.ego, *self.background]:
-            if other.edge_id == veh.edge_id and other.lane == veh.lane:
-                if veh.pos_m + self.scenario.min_gap_m > other.tail_m and other.pos_m + self.scenario.min_gap_m > veh.tail_m:
-                    return False
-        return True
-
     # ------------------------------------------------------------------- step
 
     def step(self, action_accel: float) -> StepOutcome:
@@ -296,14 +293,14 @@ class TrafficWorld:
         """
         if not self._active:
             raise EpisodeDoneError("reset() must be called before step()")
-        if self._done:
+        if self.done:
             raise EpisodeDoneError("episode already terminated; call reset()")
         accel = float(action_accel)
         if math.isnan(accel):
             raise ValueError(f"acceleration action {accel!r} is not a number")
         sc = self.scenario
         dt = sc.step_length_s
-        t_start = self._steps * dt
+        t_start = self.steps * dt
 
         if self._pending_spawns:
             self._insert_scheduled_spawns()
@@ -327,31 +324,31 @@ class TrafficWorld:
         flags = EventFlags(collided, reached, braking, waiting, moving)
         reward = compute_reward(flags)
 
-        self._steps += 1
+        self.steps += 1
         if collided:
-            self._cause = CAUSE_COLLISION
+            self.cause = CAUSE_COLLISION
         elif reached:
-            self._cause = CAUSE_DESTINATION
-        elif self._steps >= sc.max_steps:
-            self._cause = CAUSE_MAX_STEPS
+            self.cause = CAUSE_DESTINATION
+        elif self.steps >= sc.max_steps:
+            self.cause = CAUSE_MAX_STEPS
         else:
-            self._cause = CAUSE_NONE
-        self._done = self._cause != CAUSE_NONE
+            self.cause = CAUSE_NONE
+        self.done = self.cause != CAUSE_NONE
 
-        return StepOutcome(observation, reward, self._done, self._cause, flags)
+        return StepOutcome(observation, reward, self.done, self.cause, flags)
 
     def _advance_ego(self, displacement: float) -> None:
         """Move the ego along its route, clamping at the end of the last edge."""
-        self._distance_traveled += displacement
+        self.distance_traveled_m += displacement
         ego = self.ego
         pos = ego.pos_m + displacement
         moved_from = ego.pos_m
         while pos > self.net.edges[ego.edge_id].length_m:
             edge_len = self.net.edges[ego.edge_id].length_m
-            self._traveled_freeflow_s += (edge_len - moved_from) / self.net.edges[ego.edge_id].speed_limit_mps
+            self.traveled_freeflow_time_s += (edge_len - moved_from) / self.net.edges[ego.edge_id].speed_limit_mps
             if ego.route_idx + 1 >= len(ego.route):
                 overshoot = pos - edge_len
-                self._distance_traveled -= overshoot
+                self.distance_traveled_m -= overshoot
                 pos = edge_len
                 break
             pos -= edge_len
@@ -359,45 +356,25 @@ class TrafficWorld:
             ego.route_idx += 1
             ego.edge_id = ego.route[ego.route_idx]
         else:
-            self._traveled_freeflow_s += (pos - moved_from) / self.net.edges[ego.edge_id].speed_limit_mps
+            self.traveled_freeflow_time_s += (pos - moved_from) / self.net.edges[ego.edge_id].speed_limit_mps
         ego.pos_m = pos
 
     def _insert_scheduled_spawns(self) -> None:
-        due = [s for s in self._pending_spawns if s.step <= self._steps]
-        if not due:
-            return
         kept = []
         for spawn in self._pending_spawns:
-            if spawn.step > self._steps:
+            if spawn.step > self.steps:
                 kept.append(spawn)
                 continue
             route = self.net.routes[spawn.route]
             edge_id, pos, idx = self._route_point(route, spawn.pos_m)
-            veh = VehicleState(
-                vehicle_id=f"bg{self._next_bg_id}",
-                edge_id=edge_id,
-                pos_m=pos,
-                lane=spawn.lane,
-                speed_mps=spawn.speed_mps,
-                accel_mps2=0.0,
-                length_m=self.scenario.vehicle_length_m,
-                route=route,
-                route_idx=idx,
-                role="background",
-                speed_factor=spawn.speed_factor,
-            )
-            if self._placement_clear(veh):
-                self.background.append(veh)
-                self._next_bg_id += 1
-            else:
-                # deferred to the next step rather than dropped
-                kept.append(replace(spawn, step=spawn.step + 1))
+            if not self._place_background(route, edge_id, pos, idx, spawn.speed_mps, spawn.lane, spawn.speed_factor):
+                kept.append(replace(spawn, step=spawn.step + 1))  # deferred to the next step rather than dropped
         self._pending_spawns = kept
 
     # ------------------------------------------------------- background logic
 
-    def background_step(self, t: float) -> list[VehicleState]:
-        """Advance every background vehicle one step; returns the updated states.
+    def background_step(self, t: float) -> None:
+        """Advance every background vehicle one step; vehicles leaving the network are dropped.
 
         Decisions use a pre-move snapshot of all vehicles, so the result does
         not depend on update order.
@@ -432,19 +409,16 @@ class TrafficWorld:
             if self._advance_background(veh, new_speed * dt):
                 survivors.append(veh)
         self.background = survivors
-        return survivors
 
     def _advance_background(self, veh: VehicleState, displacement: float) -> bool:
         """Move a background vehicle; returns False when it leaves the network."""
         pos = veh.pos_m + displacement
         while pos > self.net.edges[veh.edge_id].length_m:
             pos -= self.net.edges[veh.edge_id].length_m
-            if veh.route_idx + 1 < len(veh.route):
-                veh.route_idx += 1
-            elif self.net.route_is_cyclic(veh.route):
-                veh.route_idx = 0
-            else:
+            idx = self._next_route_idx(veh.route, veh.route_idx)
+            if idx is None:
                 return False
+            veh.route_idx = idx
             veh.edge_id = veh.route[veh.route_idx]
             limit = self.net.edges[veh.edge_id].speed_limit_mps
             if veh.speed_mps > limit:
@@ -452,17 +426,20 @@ class TrafficWorld:
         veh.pos_m = pos
         return True
 
+    def _next_route_idx(self, route: tuple[str, ...], idx: int) -> int | None:
+        """The index after ``idx`` on ``route``: 0 past the end of a cyclic route, None past the end of another."""
+        if idx + 1 < len(route):
+            return idx + 1
+        return 0 if self.net.route_is_cyclic(route) else None
+
     def _route_edges_ahead(self, veh: VehicleState) -> list[tuple[str, float]]:
         """(edge_id, distance from veh to that edge's start) within lookahead."""
         out = []
         dist = self.net.edges[veh.edge_id].length_m - veh.pos_m
         idx = veh.route_idx
         while dist < self.scenario.bg_lookahead_m:
-            if idx + 1 < len(veh.route):
-                idx += 1
-            elif self.net.route_is_cyclic(veh.route):
-                idx = 0
-            else:
+            idx = self._next_route_idx(veh.route, idx)
+            if idx is None:
                 break
             eid = veh.route[idx]
             out.append((eid, dist))
@@ -550,29 +527,6 @@ class TrafficWorld:
         dest_distance = math.hypot(x - dest_x, y - dest_y)  # distance_to_destination
         return EgoObservation(x, y, ego.speed_mps, heading, ego.accel_mps2, dest_distance)
 
-    # -------------------------------------------------------------- accessors
-
-    @property
-    def done(self) -> bool:
-        return self._done
-
-    @property
-    def cause(self) -> str:
-        return self._cause
-
-    @property
-    def steps(self) -> int:
-        return self._steps
-
     @property
     def time_s(self) -> float:
-        return self._steps * self.scenario.step_length_s
-
-    @property
-    def distance_traveled_m(self) -> float:
-        return self._distance_traveled
-
-    @property
-    def traveled_freeflow_time_s(self) -> float:
-        """Free-flow time over the distance the ego has actually covered."""
-        return self._traveled_freeflow_s
+        return self.steps * self.scenario.step_length_s

@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from feddrive.cli import build_parser, main
@@ -326,6 +327,15 @@ def test_cli_train_bad_physics_setting_fails_before_writing(tmp_path, key, value
     assert not out.exists()
 
 
+@pytest.mark.parametrize("capacity", ["4", "0"])
+def test_cli_train_replay_capacity_must_hold_a_batch(tmp_path, caplog, capacity):
+    cfg = write_config(tmp_path, batch_size="8", replay_capacity=capacity)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "replay_capacity" in caplog.text
+
+
 def test_cli_train_overrides(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
@@ -398,7 +408,9 @@ def test_cli_eval_architecture_mismatch(tmp_path):
     cfg = write_config(tmp_path)
     bad = tmp_path / "bad.ckpt"
     actor = nn.init_params([5, 4, 1], ["relu", "tanh"], seed=0)
-    save_container(bad, {"actor_params": actor.flat}, {"kind": "global_round", "actor_net": nn.mlp_meta(actor)})
+    arrays = {"actor_params": actor.flat, "agent_episodes": np.zeros(1, dtype=np.int64)}
+    meta = {"kind": "global_round", "actor_net": nn.mlp_meta(actor), "critic_net": nn.mlp_meta(actor), "round_idx": 0}
+    save_container(bad, arrays, meta)
     assert main(["eval", "--config", str(cfg), "--checkpoint", str(bad), "--out", str(tmp_path / "e")]) != 0
 
 
@@ -430,6 +442,29 @@ def test_cli_inspect_truncated(tmp_path):
     ckpt = out / "round_0.ckpt"
     ckpt.write_bytes(ckpt.read_bytes()[:60])
     assert main(["inspect", str(ckpt)]) != 0
+
+
+def test_cli_malformed_round_checkpoint_exits_2(tmp_path, caplog):
+    import struct
+
+    from feddrive.container import load_container, save_container
+
+    cfg = write_config(tmp_path)
+    main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    arrays, meta = load_container(tmp_path / "out" / "round_0.ckpt")
+    del meta["actor_net"]
+    no_actor = tmp_path / "no_actor.ckpt"
+    save_container(no_actor, arrays, meta)
+    no_arrays = tmp_path / "no_arrays.ckpt"
+    header = json.dumps({"format_version": 1, "meta": {"kind": "global_round"}}).encode()
+    no_arrays.write_bytes(b"FDCKPT1\n" + struct.pack("<I", len(header)) + header)
+    for ckpt, field in [(no_actor, "actor_net"), (no_arrays, "arrays")]:
+        caplog.clear()
+        assert main(["inspect", str(ckpt)]) == 2
+        assert field in caplog.text
+        out = tmp_path / f"eval_{ckpt.stem}"
+        assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt), "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 def test_cli_sim_run_timeout_rows(tmp_path):
@@ -496,3 +531,11 @@ def test_cli_export_json_to_csv(tmp_path):
     with open(dst, newline="") as f:
         rows = list(csv.DictReader(f))
     assert len(rows) == 1 and rows[0]["policy_id"] == "x"
+
+
+@pytest.mark.parametrize("payload,field", [({"a": 1}, "list"), ([{"policy_id": "p"}], "distance_m")])
+def test_cli_export_malformed_summary_exits_2(tmp_path, caplog, payload, field):
+    src = tmp_path / "bad_summary.json"
+    src.write_text(json.dumps(payload))
+    assert main(["export", "--summary", str(src), "--out", str(tmp_path / "s.csv")]) == 2
+    assert "bad_summary.json" in caplog.text and field in caplog.text

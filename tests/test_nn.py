@@ -399,6 +399,26 @@ def test_unsupported_version_rejected(tmp_path):
         load_container(path)
 
 
+@pytest.mark.parametrize(
+    "header",
+    [
+        {"format_version": 1, "meta": {}},
+        {"format_version": 1, "arrays": {}, "meta": {}},
+        {"format_version": 1, "arrays": [{"name": "x"}], "meta": {}},
+        {"format_version": 1, "arrays": []},
+    ],
+)
+def test_malformed_header_rejected(tmp_path, header):
+    import json
+    import struct
+
+    path = tmp_path / "net.ckpt"
+    blob = json.dumps(header).encode()
+    path.write_bytes(b"FDCKPT1\n" + struct.pack("<I", len(blob)) + blob)
+    with pytest.raises(ContainerError, match="array|meta"):
+        load_container(path)
+
+
 def test_container_roundtrip(tmp_path):
     arrays = {"a": np.arange(6.0).reshape(2, 3), "b": np.array([1, 2, 3], dtype=np.int64)}
     meta = {"note": "hello", "n": 3}

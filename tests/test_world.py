@@ -50,7 +50,6 @@ def add_background(world, edge_id, pos, speed=0.0, factor=1.0, route=("ab", "bc"
             length_m=world.scenario.vehicle_length_m,
             route=tuple(route),
             route_idx=idx,
-            role="background",
             speed_factor=factor,
         )
     )
@@ -325,6 +324,17 @@ def test_scheduled_spawn_appears_and_defers():
     assert len(world.background) == 1  # blocker never moves, spawn stays deferred
 
 
+def test_scheduled_spawn_beside_a_blocker_is_not_deferred():
+    blocker = SpawnSpec(step=0, route="main", pos_m=30.0, speed_factor=0.0)
+    beside = SpawnSpec(step=0, route="main", pos_m=30.0, lane=1, speed_factor=0.0)
+    world = make_world(LIT_ROAD, background_spawns=(blocker, beside))
+    world.step(0.0)  # step 0: both inserted, the second on lane 1
+    assert [(v.vehicle_id, v.edge_id, v.pos_m, v.lane) for v in world.background] == [
+        ("bg0", "ab", 30.0, 0),
+        ("bg1", "ab", 30.0, 1),
+    ]
+
+
 # ---------------------------------------------------------------- collision
 
 
@@ -371,7 +381,6 @@ def test_collision_at_intersection_crossing(cross_net):
             length_m=5.0,
             route=("sn1", "sn2"),
             route_idx=0,
-            role="background",
         )
     )
     assert world.collision_check() is True
