@@ -20,6 +20,7 @@ from pathlib import Path
 from . import __version__
 from .config import ConfigError, load_run_config
 from .container import ContainerError, load_container
+from .ddpg import ACTION_DIM, STATE_DIM
 from .evaluation import evaluate, export_csv, export_json, policy_act, summaries_from_json
 from .federation import round_reports_csv, run_training
 from .metrics import run_episode
@@ -43,13 +44,31 @@ def _read_round_checkpoint(path: str | Path) -> tuple[dict, dict]:
     missing += [k for k in ("actor_params", "agent_episodes") if k not in arrays]
     if missing:
         raise ContainerError(f"{path}: round checkpoint lacks {', '.join(missing)}")
+    for key in ("actor_net", "critic_net"):
+        net = meta[key]
+        if not (
+            isinstance(net, dict)
+            and _is_list_of(net.get("layer_sizes"), int)
+            and _is_list_of(net.get("activations"), str)
+        ):
+            raise ContainerError(f"{path}: {key} needs a list of int layer_sizes and a list of str activations")
     return arrays, meta
 
 
+def _is_list_of(value, kind: type) -> bool:
+    return isinstance(value, list) and all(type(v) is kind for v in value)
+
+
 def load_actor(path: str | Path) -> MlpParams:
-    """Actor weights from a global-round checkpoint."""
+    """Actor weights from a global-round checkpoint, checked to map a state to an action."""
     arrays, meta = _read_round_checkpoint(path)
-    return mlp_from_parts(meta["actor_net"], arrays["actor_params"])
+    actor = mlp_from_parts(meta["actor_net"], arrays["actor_params"])
+    if (actor.in_dim, actor.out_dim) != (STATE_DIM, ACTION_DIM):
+        raise ContainerError(
+            f"{path}: actor must map {STATE_DIM} state components to {ACTION_DIM} action, "
+            f"got {actor.in_dim}->{actor.out_dim}"
+        )
+    return actor
 
 
 def cmd_train(args: argparse.Namespace) -> int:

@@ -20,6 +20,7 @@ from .nn import (
     MlpParams,
     adam_step,
     backward,
+    cast_params,
     forward,
     init_adam,
     init_params,
@@ -31,6 +32,9 @@ from .sim.world import CAUSE_COLLISION, CAUSE_DESTINATION, EgoObservation, StepO
 
 STATE_DIM = 6
 ACTION_DIM = 1
+# dtype of an agent's nets, Adam states, gradients and replay ring; the global
+# model, aggregation and checkpoints stay float64 (see ``federation``)
+TRAIN_DTYPE = np.float32
 # the four networks of an agent or a global model; round checkpoints store each as f"{name}_params"
 NET_NAMES = ("actor", "critic", "target_actor", "target_critic")
 
@@ -61,6 +65,7 @@ _REWARD = _ACTION + 1
 _NEXT = _REWARD + 1
 _DONE = _NEXT + STATE_DIM
 _WIDTH = _DONE + 1
+_ROW_MAX = float(np.finfo(TRAIN_DTYPE).max)
 
 
 class ReplayBuffer:
@@ -71,7 +76,7 @@ class ReplayBuffer:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         # np.empty, not np.zeros: a zeroed 6 MB ring measured +5 MB peak RSS; rows at or past _size are never read
-        self._rows = np.empty((capacity, _WIDTH))
+        self._rows = np.empty((capacity, _WIDTH), dtype=TRAIN_DTYPE)
         self._write = 0
         self._size = 0
 
@@ -80,13 +85,14 @@ class ReplayBuffer:
 
     def store(self, state: np.ndarray, action: float, reward: float, next_state: np.ndarray, done: bool) -> None:
         """Write one transition; ``done`` is an environment terminal (collision/arrival), not truncation."""
+        # NaN fails every comparison; a magnitude past the ring dtype's max would be stored as inf
         if not (
-            np.all(np.isfinite(state))
-            and np.all(np.isfinite(next_state))
-            and math.isfinite(action)
-            and math.isfinite(reward)
+            np.abs(state).max() <= _ROW_MAX
+            and np.abs(next_state).max() <= _ROW_MAX
+            and abs(action) <= _ROW_MAX
+            and abs(reward) <= _ROW_MAX
         ):
-            raise ValueError("transition contains non-finite values")
+            raise ValueError(f"transition contains non-finite values or values beyond {_ROW_MAX:.3g}")
         row = self._rows[self._write]
         row[:_ACTION] = state
         row[_ACTION] = action
@@ -134,7 +140,10 @@ class OuNoiseState:
 def ou_sample(state: OuNoiseState, rng: np.random.Generator) -> tuple[float, OuNoiseState]:
     z = rng.standard_normal()
     x = state.x + state.theta * (state.mu - state.x) * state.dt + state.sigma * math.sqrt(state.dt) * z
-    return x, replace(state, x=x)
+    # replace(state, x=x) without rerunning __post_init__: only x changes, and it is not checked
+    nxt = object.__new__(OuNoiseState)
+    nxt.__dict__.update(state.__dict__, x=x)
+    return x, nxt
 
 
 def ou_stationary_variance(theta: float, sigma: float, dt: float) -> float:
@@ -216,6 +225,7 @@ class DdpgAgent:
             ["relu"] * len(hp.critic_hidden) + ["identity"],
             seed=derive_seed(seed, 2),
         )
+        actor, critic = cast_params(actor, TRAIN_DTYPE), cast_params(critic, TRAIN_DTYPE)
         return cls(
             agent_id=agent_id,
             hp=hp,

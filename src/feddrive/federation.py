@@ -6,7 +6,9 @@ count to the aggregator.  No observations, actions, rewards, or replay
 contents cross that boundary.  Aggregation is the episode-weighted mean
 ``sum(n_i * w_i) / sum(n_i)``, summed in ascending agent-id order.  Agents
 train one after another in the calling thread, in the order given (ascending
-id from ``run_training``).
+id from ``run_training``).  Agents train in ``ddpg.TRAIN_DTYPE``; updates, the
+global model, aggregation and checkpoints are float64, and ``broadcast``
+rounds the global weights into the agents' dtype.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .container import save_container
 from .ddpg import NET_NAMES, DdpgAgent, DdpgHyperparams, soft_update, train_episode
-from .nn import MlpParams, flatten_params, mlp_meta
+from .nn import MlpParams, cast_params, mlp_meta
 from .seeding import derive_seed
 from .sim.world import ScenarioConfig, TrafficWorld
 
@@ -147,7 +149,7 @@ def aggregate(updates: list[AgentUpdate]) -> tuple[np.ndarray, np.ndarray]:
 def broadcast(global_model: GlobalModel, agents: list[DdpgAgent], optimizer_state: str = OPTIMIZER_RESET) -> None:
     """Overwrite every agent's online and target nets with the global online weights, in place.
 
-    Replay buffers are kept.
+    The weights are rounded to the agents' dtype.  Replay buffers are kept.
     """
     for agent in agents:
         for net in (agent.actor, agent.target_actor):
@@ -177,11 +179,11 @@ def _train_agent_round(
         # len(rewards) is the episode in progress; a world that cannot be built fails episode 0, step 0
         step_idx = getattr(exc, "step_idx", 0)
         raise AgentTrainingError(agent.agent_id, round_idx, len(rewards), step_idx, exc) from exc
-    # copies: the payload must not change when the agent trains on
+    # float64 copies: the payload must not change when the agent trains on
     update = AgentUpdate(
         agent_id=agent.agent_id,
-        actor_weights=flatten_params(agent.actor),
-        critic_weights=flatten_params(agent.critic),
+        actor_weights=agent.actor.flat.astype(np.float64),
+        critic_weights=agent.critic.flat.astype(np.float64),
         episodes=config.episodes_per_round,
     )
     stats = AgentRoundStats(
@@ -251,14 +253,9 @@ def save_round_checkpoint(
 
 
 def init_global_model(hp: DdpgHyperparams, master_seed: int) -> GlobalModel:
+    """An agent's init widened to float64, so the first broadcast gives the agents that init exactly."""
     template = DdpgAgent.create(hp, seed=derive_seed(master_seed, 0xF0), agent_id=-1)
-    return GlobalModel(
-        actor=template.actor,
-        critic=template.critic,
-        target_actor=template.target_actor,
-        target_critic=template.target_critic,
-        round_idx=0,
-    )
+    return GlobalModel(**{name: cast_params(getattr(template, name), np.float64) for name in NET_NAMES})
 
 
 def run_training(

@@ -1,7 +1,11 @@
 """Dense feed-forward networks with hand-written reverse-mode gradients and Adam.
 
-Everything is float64.  A network's parameters are one contiguous vector,
-``MlpParams.flat``, and its ``layers`` are weight/bias views into it.
+A network's parameters are one contiguous vector, ``MlpParams.flat``, and its
+``layers`` are weight/bias views into it.  That vector's dtype is the net's
+dtype: ``forward`` casts its input to it, and gradients, Adam moments and
+copies are made in it.  Nets built from layers (``init_params``,
+``MlpParams(layers=...)``, ``mlp_from_parts``) are float64; ``cast_params``
+gives a copy in another dtype.
 ``adam_step`` updates its ``params`` and ``state`` in place; no other function
 here writes to an argument.  Fixed elementwise formulas, applied in a fixed
 order, keep gradient checks and cross-run determinism exact.  Supported
@@ -119,7 +123,7 @@ def init_params(layer_sizes: list[int], activations: list[str], seed: int) -> Ml
 
 def forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Run a batch (n, in_dim) through the net; cache is sufficient for backward."""
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=params.flat.dtype)
     if x.ndim != 2 or x.shape[1] != params.in_dim:
         raise ValueError(f"expected input of shape (n, {params.in_dim}), got {x.shape}")
     values, preacts = [x], []
@@ -142,7 +146,7 @@ def backward(params: MlpParams, cache: ForwardCache, output_gradient: np.ndarray
 
     The parameter gradient is a new ``MlpParams`` laid out like ``params``.
     """
-    grad = MlpParams.wrap(np.empty(params.param_count), params.layer_sizes, params.activations)
+    grad = MlpParams.wrap(np.empty_like(params.flat), params.layer_sizes, params.activations)
     return grad, _backpropagate(params, cache, output_gradient, grad)
 
 
@@ -153,7 +157,7 @@ def input_gradient(params: MlpParams, cache: ForwardCache, output_gradient: np.n
 
 def _backpropagate(params: MlpParams, cache: ForwardCache, output_gradient: np.ndarray, grad: MlpParams | None) -> np.ndarray:
     """Input gradient; also writes the parameter gradients into ``grad`` unless it is None."""
-    g = np.asarray(output_gradient, dtype=np.float64)
+    g = np.asarray(output_gradient, dtype=params.flat.dtype)
     if g.shape != cache.preacts[-1].shape:
         raise ValueError(f"output gradient shape {g.shape} != output shape {cache.preacts[-1].shape}")
     for i in reversed(range(len(params.layers))):
@@ -172,8 +176,8 @@ def _backpropagate(params: MlpParams, cache: ForwardCache, output_gradient: np.n
 
 
 def init_adam(params: MlpParams, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    n = params.param_count
-    return AdamState(m=np.zeros(n), v=np.zeros(n), t=0, beta1=beta1, beta2=beta2, eps=eps)
+    m, v = np.zeros_like(params.flat), np.zeros_like(params.flat)
+    return AdamState(m=m, v=v, t=0, beta1=beta1, beta2=beta2, eps=eps)
 
 
 ADAM_CHUNK = 32768  # elements per pass, so a chunk's operands stay in cache between passes
@@ -191,7 +195,7 @@ def adam_step(params: MlpParams, grads: MlpParams, state: AdamState, lr: float) 
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     c1, c2 = 1.0 - b1**state.t, 1.0 - b2**state.t
-    scratch = np.empty((2, min(ADAM_CHUNK, params.param_count)))
+    scratch = np.empty((2, min(ADAM_CHUNK, params.param_count)), dtype=params.flat.dtype)
     for lo in range(0, params.param_count, ADAM_CHUNK):
         g, m, v, theta = (a[lo : lo + ADAM_CHUNK] for a in (grads.flat, state.m, state.v, params.flat))
         step, denom = scratch[:, : g.size]
@@ -211,13 +215,18 @@ def flatten_params(params: MlpParams) -> np.ndarray:
 
 
 def unflatten_params(template: MlpParams, vector: np.ndarray) -> MlpParams:
-    """A new net holding a copy of ``vector``; the template supplies shapes and activations."""
-    return _wrap_copy(vector, template.layer_sizes, template.activations)
+    """A new net holding a copy of ``vector``; the template supplies shapes, activations and dtype."""
+    return _wrap_copy(vector, template.layer_sizes, template.activations, template.flat.dtype)
 
 
-def _wrap_copy(vector: np.ndarray, layer_sizes, activations) -> MlpParams:
+def cast_params(params: MlpParams, dtype) -> MlpParams:
+    """A copy of ``params`` whose vector is ``params.flat`` converted to ``dtype``."""
+    return _wrap_copy(params.flat, params.layer_sizes, params.activations, dtype)
+
+
+def _wrap_copy(vector: np.ndarray, layer_sizes, activations, dtype) -> MlpParams:
     count = sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]))
-    vector = np.array(vector, dtype=np.float64)
+    vector = np.array(vector, dtype=dtype)
     if vector.shape != (count,):
         raise ValueError(f"expected vector of length {count}, got shape {vector.shape}")
     return MlpParams.wrap(vector, layer_sizes, activations)
@@ -235,4 +244,4 @@ def mlp_from_parts(meta: dict, flat: np.ndarray) -> MlpParams:
     sizes = [int(s) for s in meta["layer_sizes"]]
     acts = [str(a) for a in meta["activations"]]
     _check_architecture(sizes, acts)
-    return _wrap_copy(flat, sizes, acts)
+    return _wrap_copy(flat, sizes, acts, np.float64)

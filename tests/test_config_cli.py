@@ -467,6 +467,56 @@ def test_cli_malformed_round_checkpoint_exits_2(tmp_path, caplog):
         assert not out.exists()
 
 
+def test_cli_actor_of_wrong_shape_fails_before_writing(tmp_path, caplog):
+    from feddrive import nn
+    from feddrive.container import save_container
+
+    cfg = write_config(tmp_path)
+    bad = tmp_path / "bad.ckpt"
+    actor = nn.init_params([5, 4, 1], ["relu", "tanh"], seed=0)
+    arrays = {"actor_params": actor.flat, "agent_episodes": np.ones(1, dtype=np.int64)}
+    meta = {"kind": "global_round", "actor_net": nn.mlp_meta(actor), "critic_net": nn.mlp_meta(actor), "round_idx": 0}
+    save_container(bad, arrays, meta)
+    for command in (["eval", "--config", str(cfg)], ["sim-run", "--config", str(cfg)]):
+        caplog.clear()
+        out = tmp_path / command[0]
+        assert main([*command, "--checkpoint", str(bad), "--out", str(out)]) == 2
+        assert "actor must map 6 state components to 1 action, got 5->1" in caplog.text
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "net, fault",
+    [
+        ("actor_net", {"layer_sizes": None}),
+        ("actor_net", {"layer_sizes": ["6", "8", "1"]}),
+        ("actor_net", {"layer_sizes": 6}),
+        ("actor_net", {"activations": "relu"}),
+        ("critic_net", {"activations": None}),
+        ("critic_net", {"layer_sizes": [7, 8.5, 1]}),
+    ],
+)
+def test_cli_round_checkpoint_net_meta_is_checked(tmp_path, caplog, net, fault):
+    from feddrive.container import load_container, save_container
+
+    cfg = write_config(tmp_path)
+    main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    arrays, meta = load_container(tmp_path / "out" / "round_0.ckpt")
+    for key, value in fault.items():
+        if value is None:
+            del meta[net][key]
+        else:
+            meta[net][key] = value
+    ckpt = tmp_path / "bad_meta.ckpt"
+    save_container(ckpt, arrays, meta)
+    caplog.clear()
+    assert main(["inspect", str(ckpt)]) == 2
+    assert f"{net} needs a list of int layer_sizes" in caplog.text
+    out = tmp_path / "eval"
+    assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_cli_sim_run_timeout_rows(tmp_path):
     cfg = write_config(tmp_path, max_steps="900")
     out = tmp_path / "sim"

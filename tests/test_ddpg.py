@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,8 +108,13 @@ def test_buffer_row_round_trip():
 
 def test_buffer_rejects_non_finite():
     buf = ReplayBuffer(capacity=4)
-    with pytest.raises(ValueError, match="non-finite"):
-        buf.store(np.full(6, np.nan), 0.0, 0.0, np.zeros(6), False)
+    for field in ("state", "action", "reward", "next_state"):
+        for bad in (np.nan, np.inf, -1e39):  # -1e39 is finite in float64 but -inf in the float32 ring
+            args = {"state": np.zeros(6), "action": 0.0, "reward": 0.0, "next_state": np.zeros(6), "done": False}
+            args[field] = np.full(6, bad) if field.endswith("state") else bad
+            with pytest.raises(ValueError, match="non-finite"):
+                buf.store(**args)
+    assert len(buf) == 0
 
 
 def test_buffer_sampling_uniformity():
@@ -140,6 +147,21 @@ def test_ou_full_reversion():
     state = OuNoiseState(x=5.0, mu=0.0, theta=1.0, sigma=0.0, dt=1.0)
     x, _ = ou_sample(state, np.random.default_rng(0))
     assert x == 0.0
+
+
+def test_ou_sample_state_equals_replace():
+    state = OuNoiseState(x=0.3, mu=-0.2, theta=0.4, sigma=0.25, dt=0.5)
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        x, nxt = ou_sample(state, rng)
+        want = dataclasses.replace(state, x=x)
+        assert type(nxt) is OuNoiseState and nxt.x == x
+        for f in dataclasses.fields(OuNoiseState):
+            assert getattr(nxt, f.name) == getattr(want, f.name), f.name
+        assert nxt == want and hash(nxt) == hash(want)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            nxt.x = 0.0
+        state = nxt
 
 
 def test_ou_stationary_statistics():

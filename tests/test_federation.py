@@ -306,6 +306,43 @@ def test_update_payload_does_not_follow_further_training(road_scenario):
     assert np.array_equal(update.critic_weights, critic)
 
 
+def test_precision_boundary(road_scenario, tmp_path):
+    """Agents train in float32; payloads, the global model and checkpoints are float64."""
+    from feddrive.container import load_container
+
+    cfg = tiny_fed(road_scenario(max_steps=40), agents=2, rounds=1, episodes_per_round=1)
+    gm = init_global_model(cfg.hp, cfg.master_seed)
+    nets = (gm.actor, gm.critic, gm.target_actor, gm.target_critic)
+    # the init is float32-exact, so the first broadcast hands every agent the global weights unrounded
+    assert all(np.array_equal(net.flat.astype(np.float32).astype(np.float64), net.flat) for net in nets)
+    agents = [DdpgAgent.create(cfg.hp, seed=i, agent_id=i) for i in range(2)]
+    broadcast(gm, agents)
+    assert np.array_equal(agents[0].actor.flat, gm.actor.flat)
+
+    updates = [federation._train_agent_round(cfg, agent, 0)[0] for agent in agents]
+    for u in updates:
+        assert u.actor_weights.dtype == u.critic_weights.dtype == np.float64
+    for agent in agents:
+        assert len(agent.buffer) >= cfg.hp.batch_size  # updates ran
+        batch = agent.buffer.sample(cfg.hp.batch_size, np.random.default_rng(0))
+        assert batch.states.dtype == batch.rewards.dtype == np.float32  # column views of the ring
+        grads, _ = ddpg.policy_gradient(agent.actor, agent.critic, batch.states, -1.0, 1.0)
+        assert grads.flat.dtype == np.float32
+        for net in (agent.actor, agent.critic, agent.target_actor, agent.target_critic):
+            assert net.flat.dtype == np.float32
+        for adam in (agent.actor_adam, agent.critic_adam):
+            assert adam.t > 0 and adam.m.dtype == adam.v.dtype == np.float32
+
+    run_round(cfg, gm, agents, round_idx=0, out_dir=tmp_path)
+    assert all(net.flat.dtype == np.float64 for net in nets)
+    arrays, _ = load_container(tmp_path / "round_0.ckpt")
+    for name, array in arrays.items():
+        assert array.dtype == (np.int64 if name == "agent_episodes" else np.float64), name
+    # broadcast rounded the aggregate into the agents' float32 nets
+    assert agents[0].actor.flat.dtype == np.float32
+    assert np.array_equal(agents[0].actor.flat, gm.actor.flat.astype(np.float32))
+
+
 def test_checkpoints_and_episode_conservation(road_scenario, tmp_path):
     from feddrive.container import load_container
 

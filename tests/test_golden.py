@@ -26,9 +26,9 @@ from feddrive.sim import TrafficWorld
 from tests.conftest import CONFIGS, NETS
 
 GOLDEN_SHA256 = {
-    "round_0.ckpt": "6c331c4edfe1685f0aac65cc7c39a2c55057f36113ee9dd568b46d71303185da",
+    "round_0.ckpt": "bd01af99904abb9167c0871fb04168e890b10bed3ef7d90b652715e046e0cef2",
     "round_0.manifest.json": "f4599b0c433a32ccc2922bb0627a6e3b3527d38f14feff1e34f392cbf6e7f200",
-    "round_1.ckpt": "6bff028108a2ded7fd1d423127014064bcf5f81e9c3c330ce9db32a5b484cd6d",
+    "round_1.ckpt": "1c83b8eab3911da9e21bce345d34c5495e10c09c6c2d8a3c44cecc4f968eb97d",
     "round_1.manifest.json": "4f32bf08dfad3dab9a6eb1e83fb7de23a187ad911f66905f696de7674ac3ce79",
     "round_reports.csv": "5b013ab87decdf9d5cffe4ca49bb9f65e094bce328a54f1fb79d625df2e86170",
 }

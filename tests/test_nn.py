@@ -218,6 +218,21 @@ def test_input_gradient_is_backwards_input_gradient(sizes, acts):
 # --------------------------------------------------------------------- adam
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_net_dtype_follows_flat(dtype):
+    p = nn.cast_params(small_net(), dtype)
+    assert p.flat.dtype == dtype and all(layer.weights.dtype == dtype for layer in p.layers)
+    x = np.random.default_rng(0).normal(size=(3, 6)).astype(np.float32 if dtype == np.float64 else np.float64)
+    out, cache = nn.forward(p, x)  # the input is cast to the net's dtype
+    assert out.dtype == dtype and all(v.dtype == dtype for v in cache.values + cache.preacts)
+    grads, gx = nn.backward(p, cache, np.ones((3, 1)))
+    assert grads.flat.dtype == gx.dtype == nn.input_gradient(p, cache, np.ones((3, 1))).dtype == dtype
+    state = nn.init_adam(p)
+    nn.adam_step(p, grads, state, lr=1e-3)
+    assert p.flat.dtype == state.m.dtype == state.v.dtype == dtype
+    assert nn.unflatten_params(p, np.zeros(p.param_count)).flat.dtype == dtype
+
+
 def test_adam_zero_gradient_noop():
     p = small_net()
     p2 = nn.unflatten_params(p, p.flat)  # stepped in place; p keeps the start
