@@ -25,6 +25,7 @@ content twice yields byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -39,22 +40,15 @@ class ContainerError(ValueError):
 
 
 def save_container(path: str | Path, arrays: dict[str, np.ndarray], meta: dict) -> None:
-    entries = []
-    payload = bytearray()
+    """Write the header, then each array's bytes straight from a little-endian C-order view."""
+    payload, entries, offset = [], [], 0
     for name, arr in arrays.items():
-        arr = np.ascontiguousarray(arr)
-        dtype = arr.dtype.newbyteorder("<")
-        raw = arr.astype(dtype, copy=False).tobytes()
+        arr = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
         entries.append(
-            {
-                "name": name,
-                "dtype": dtype.str,
-                "shape": list(arr.shape),
-                "offset": len(payload),
-                "nbytes": len(raw),
-            }
+            {"name": name, "dtype": arr.dtype.str, "shape": list(arr.shape), "offset": offset, "nbytes": arr.nbytes}
         )
-        payload.extend(raw)
+        payload.append(arr)
+        offset += arr.nbytes
     header = json.dumps(
         {"format_version": FORMAT_VERSION, "arrays": entries, "meta": meta},
         sort_keys=True,
@@ -64,7 +58,8 @@ def save_container(path: str | Path, arrays: dict[str, np.ndarray], meta: dict) 
         f.write(MAGIC)
         f.write(struct.pack("<I", len(header)))
         f.write(header)
-        f.write(bytes(payload))
+        for arr in payload:
+            f.write(memoryview(arr))
 
 
 def load_container(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
@@ -87,15 +82,22 @@ def load_container(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     entries, meta = header.get("arrays"), header.get("meta")
     if not isinstance(entries, list) or not isinstance(meta, dict):
         raise ContainerError(f"{path}: header needs an 'arrays' list and a 'meta' object")
+    view = memoryview(blob)
     arrays: dict[str, np.ndarray] = {}
     for entry in entries:
         try:
             name, dtype, shape = str(entry["name"]), np.dtype(entry["dtype"]), [int(n) for n in entry["shape"]]
-            start = header_end + int(entry["offset"])
-            end = start + int(entry["nbytes"])
+            offset, nbytes = int(entry["offset"]), int(entry["nbytes"])
         except (KeyError, TypeError, ValueError):
             raise ContainerError(f"{path}: malformed array entry {entry!r}") from None
-        if len(blob) < end:
+        if offset < 0 or nbytes < 0:
+            raise ContainerError(f"{path}: array {name!r} has a negative offset or size")
+        if min(shape, default=0) < 0 or nbytes != math.prod(shape) * dtype.itemsize:
+            raise ContainerError(
+                f"{path}: array {name!r} holds {nbytes} bytes, not shape {shape} of {dtype.str}"
+            )
+        start = header_end + offset
+        if len(blob) < start + nbytes:
             raise ContainerError(f"{path}: truncated payload for array {name!r}")
-        arrays[name] = np.frombuffer(blob[start:end], dtype=dtype).reshape(shape).copy()
+        arrays[name] = np.frombuffer(view[start : start + nbytes], dtype=dtype).reshape(shape).copy()
     return arrays, meta

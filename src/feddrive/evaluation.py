@@ -29,10 +29,6 @@ from .sim.world import EgoObservation, ScenarioConfig, SpawnSpec, TrafficWorld, 
 Policy = MlpParams | Callable[[np.ndarray], float]
 
 
-class InfeasibleDistanceError(ValueError):
-    """Requested destination distance cannot be realized on the corridor."""
-
-
 @dataclass(frozen=True)
 class EvalTemplate:
     """Scenario shape shared by all evaluation distances."""
@@ -42,7 +38,6 @@ class EvalTemplate:
     destination_tolerance_m: float = 5.0
     speed_limit_mps: float = 20.0
     overrun_m: float = 50.0
-    road_length_m: float | None = None  # fixed corridor length; None sizes it per distance
     background_count: int = 0
     background_spawns: tuple[SpawnSpec, ...] = ()
     accel_min_mps2: float = -4.5
@@ -54,9 +49,9 @@ class EvalTemplate:
     def __post_init__(self):
         # checked here, not when evaluate builds a scenario, so a bad setting fails before any output
         check_episode_settings(self)
-        for name in ("speed_limit_mps", "overrun_m", "road_length_m"):
+        for name in ("speed_limit_mps", "overrun_m"):
             value = getattr(self, name)
-            if value is not None and not 0.0 < value < math.inf:
+            if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
@@ -65,19 +60,15 @@ class EvalProtocol:
     episodes: int = 20
     distances_m: tuple[float, ...] = (10.0, 20.0, 52.0, 107.0, 207.0)
     template: EvalTemplate = field(default_factory=EvalTemplate)
-    seeds: tuple[int, ...] | None = None  # one per episode; derived from the template seed if None
 
     def __post_init__(self):
         if self.episodes < 1:
             raise ValueError("episodes must be >= 1")
         if not self.distances_m or not all(0.0 < d < math.inf for d in self.distances_m):
             raise ValueError("distances must be positive and finite")
-        if self.seeds is not None and len(self.seeds) != self.episodes:
-            raise ValueError("need exactly one seed per episode")
 
     def episode_seeds(self) -> tuple[int, ...]:
-        if self.seeds is not None:
-            return self.seeds
+        """One seed per episode, derived from the template's master seed."""
         return tuple(derive_seed(self.template.master_seed, 0xE7A1, e) for e in range(self.episodes))
 
 
@@ -101,11 +92,6 @@ class EvalSummary:
 
 def realize_scenario(template: EvalTemplate, distance_m: float) -> ScenarioConfig:
     """Corridor scenario with the destination at an exact straight-line distance."""
-    if template.road_length_m is not None and distance_m > template.road_length_m:
-        raise InfeasibleDistanceError(
-            f"distance {distance_m} m exceeds the corridor; feasible range is "
-            f"(0, {template.road_length_m}] m"
-        )
     net = straight_corridor(
         distance_m,
         overrun_m=template.overrun_m,
@@ -269,7 +255,6 @@ __all__ = [
     "EvalSummary",
     "EvalTemplate",
     "DistanceResult",
-    "InfeasibleDistanceError",
     "average_speed",
     "travel_delay",
     "evaluate",

@@ -85,14 +85,14 @@ class ForwardCache:
     preacts: tuple[np.ndarray, ...]  # pre-activation of each layer
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def _check_architecture(layer_sizes, activations) -> None:
@@ -175,9 +175,8 @@ def _backpropagate(params: MlpParams, cache: ForwardCache, output_gradient: np.n
     return g
 
 
-def init_adam(params: MlpParams, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    m, v = np.zeros_like(params.flat), np.zeros_like(params.flat)
-    return AdamState(m=m, v=v, t=0, beta1=beta1, beta2=beta2, eps=eps)
+def init_adam(params: MlpParams) -> AdamState:
+    return AdamState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat), t=0)
 
 
 ADAM_CHUNK = 32768  # elements per pass, so a chunk's operands stay in cache between passes
@@ -193,7 +192,7 @@ def adam_step(params: MlpParams, grads: MlpParams, state: AdamState, lr: float) 
     if not np.all(np.isfinite(grads.flat)):
         raise ValueError("non-finite gradient in adam_step (training diverged)")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1, c2 = 1.0 - b1**state.t, 1.0 - b2**state.t
     scratch = np.empty((2, min(ADAM_CHUNK, params.param_count)), dtype=params.flat.dtype)
     for lo in range(0, params.param_count, ADAM_CHUNK):
@@ -205,7 +204,7 @@ def adam_step(params: MlpParams, grads: MlpParams, state: AdamState, lr: float) 
         v += np.multiply(np.multiply(g, 1.0 - b2, out=step), g, out=step)
         np.multiply(np.divide(m, c1, out=step), lr, out=step)  # lr * m_hat
         np.sqrt(np.divide(v, c2, out=denom), out=denom)  # sqrt(v_hat)
-        denom += state.eps
+        denom += ADAM_EPS
         theta -= np.divide(step, denom, out=step)
 
 

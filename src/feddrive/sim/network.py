@@ -187,9 +187,8 @@ def straight_corridor(
     dest_distance_m: float,
     overrun_m: float = 50.0,
     speed_limit_mps: float = 20.0,
-    lanes: int = 1,
 ) -> RoadNetwork:
-    """Build a straight road with the destination node at an exact distance.
+    """Build a straight single-lane road with the destination node at an exact distance.
 
     The ego route ``ego`` ends at the destination node; the background route
     ``through`` continues ``overrun_m`` past it so background traffic clears
@@ -201,8 +200,8 @@ def straight_corridor(
     net.nodes["start"] = Node("start", 0.0, 0.0)
     net.nodes["dest"] = Node("dest", dest_distance_m, 0.0)
     net.nodes["exit"] = Node("exit", dest_distance_m + overrun_m, 0.0)
-    net.edges["main"] = Edge("main", "start", "dest", dest_distance_m, speed_limit_mps, lanes)
-    net.edges["tail"] = Edge("tail", "dest", "exit", overrun_m, speed_limit_mps, lanes)
+    net.edges["main"] = Edge("main", "start", "dest", dest_distance_m, speed_limit_mps, 1)
+    net.edges["tail"] = Edge("tail", "dest", "exit", overrun_m, speed_limit_mps, 1)
     net.routes["ego"] = ("main",)
     net.routes["through"] = ("main", "tail")
     net.validate()

@@ -28,6 +28,13 @@ CAUSE_COLLISION = "collision"
 CAUSE_DESTINATION = "destination"
 CAUSE_MAX_STEPS = "max-steps"
 
+# event-flag predicates of the reward
+BRAKING_ACCEL_MPS2 = -0.5  # the ego brakes when its acceleration is below this
+WAITING_SPEED_MPS = 0.1  # it waits at a light when slower than this ...
+WAITING_LIGHT_RANGE_M = 15.0  # ... within this distance of a red stop line
+# how far ahead a background vehicle looks for a leader on its next edges
+BG_LOOKAHEAD_M = 100.0
+
 
 class EpisodeDoneError(RuntimeError):
     """step() was called after the episode already terminated."""
@@ -70,15 +77,10 @@ class ScenarioConfig:
     vehicle_length_m: float = 5.0
     min_gap_m: float = 2.5
     intersection_box_m: float = 5.0
-    # event-flag predicates
-    braking_accel_mps2: float = -0.5
-    waiting_speed_mps: float = 0.1
-    waiting_light_range_m: float = 15.0
     # background driving
     bg_accel_mps2: float = 2.6
     bg_speed_factor_min: float = 0.8
     bg_speed_factor_max: float = 1.0
-    bg_lookahead_m: float = 100.0
 
     def __post_init__(self):
         check_episode_settings(self)
@@ -86,13 +88,9 @@ class ScenarioConfig:
         for name in ("vehicle_length_m", "bg_accel_mps2"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        for name in (
-            "min_gap_m", "intersection_box_m", "bg_lookahead_m", "waiting_speed_mps", "waiting_light_range_m",
-        ):
+        for name in ("min_gap_m", "intersection_box_m"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
-        if not math.isfinite(self.braking_accel_mps2):
-            raise ValueError(f"braking_accel_mps2 must be finite, got {self.braking_accel_mps2}")
 
 
 def check_episode_settings(s) -> None:
@@ -317,7 +315,7 @@ class TrafficWorld:
         collided = self.collision_check()
         observation = self._observe()
         reached = (not collided) and observation.dest_distance <= sc.destination_tolerance_m
-        braking = self.ego.accel_mps2 < sc.braking_accel_mps2
+        braking = self.ego.accel_mps2 < BRAKING_ACCEL_MPS2
         waiting = self._ego_waiting_at_light(t_start)
         moving = self.ego.speed_mps != 0.0
         # positional arguments in field order: binding keywords costs more, every step
@@ -437,7 +435,7 @@ class TrafficWorld:
         out = []
         dist = self.net.edges[veh.edge_id].length_m - veh.pos_m
         idx = veh.route_idx
-        while dist < self.scenario.bg_lookahead_m:
+        while dist < BG_LOOKAHEAD_M:
             idx = self._next_route_idx(veh.route, idx)
             if idx is None:
                 break
@@ -513,11 +511,10 @@ class TrafficWorld:
     # ------------------------------------------------------------ observation
 
     def _ego_waiting_at_light(self, t: float) -> bool:
-        sc = self.scenario
-        if self.ego.speed_mps >= sc.waiting_speed_mps:
+        if self.ego.speed_mps >= WAITING_SPEED_MPS:
             return False
         stop_dist = self._distance_to_red_light(self.ego, t)
-        return stop_dist is not None and stop_dist <= sc.waiting_light_range_m
+        return stop_dist is not None and stop_dist <= WAITING_LIGHT_RANGE_M
 
     def _observe(self) -> EgoObservation:
         ego = self.ego

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -7,7 +8,10 @@ import pytest
 from feddrive.cli import build_parser, main
 from feddrive import config
 from feddrive.config import ConfigError, load_run_config, parse_config_text
-from feddrive.sim import Edge, SpawnSpec
+from feddrive.ddpg import DdpgHyperparams
+from feddrive.evaluation import EvalProtocol, EvalTemplate
+from feddrive.federation import FederationConfig
+from feddrive.sim import Edge, ScenarioConfig, SpawnSpec
 from tests.conftest import NETS
 
 
@@ -262,6 +266,42 @@ def test_eval_template_and_hyperparameters_follow_the_scenario(tmp_path):
     assert (t.step_length_s, t.master_seed, cfg.federation.master_seed, cfg.master_seed) == (0.5, 42, 42, 42)
     assert (t.accel_min_mps2, t.accel_max_mps2, hp.accel_min_mps2, hp.accel_max_mps2) == (-3.5, 2.25, -3.5, 2.25)
     assert (t.bg_speed_factor_min, t.bg_speed_factor_max) == (0.5, 0.75)
+
+
+# Fields that load_run_config fills from other settings rather than from a key of their own.
+DERIVED_FIELDS = {
+    ScenarioConfig: {"network", "ego_route", "destination_node", "background_spawns"},
+    DdpgHyperparams: {"accel_min_mps2", "accel_max_mps2"},
+    # a config file gives one shared scenario; one per agent (heterogeneous agents) comes only from Python
+    FederationConfig: {"hp", "scenarios", "master_seed"},
+    EvalTemplate: {
+        "step_length_s", "destination_tolerance_m", "background_spawns", "accel_min_mps2", "accel_max_mps2",
+        "bg_speed_factor_min", "bg_speed_factor_max", "master_seed",
+    },
+    EvalProtocol: {"template"},
+    SpawnSpec: {"step", "route", "pos_m", "speed_mps", "speed_factor"},  # the fields of a spawn line
+}
+# Hashed fields that only Python callers set, and why each stays.
+PYTHON_ONLY_FIELDS = {
+    SpawnSpec: {"lane"},  # multi-lane collision and spawn tests place vehicles on other lanes
+}
+
+
+def test_every_hashed_field_has_a_source():
+    """A hashed setting that no config key binds and load_run_config does not derive should be a constant."""
+    bound = {
+        ScenarioConfig: config._SCENARIO_KEYS,
+        DdpgHyperparams: config._HP_KEYS,
+        FederationConfig: config._FEDERATION_KEYS,
+        EvalTemplate: config._TEMPLATE_KEYS,
+        EvalProtocol: config._PROTOCOL_KEYS,
+        SpawnSpec: {},
+    }
+    for cls, keys in bound.items():
+        names = {f.name for f in dataclasses.fields(cls)}
+        sources = set(keys.values()) | DERIVED_FIELDS[cls] | PYTHON_ONLY_FIELDS.get(cls, set())
+        assert names - sources == set(), f"{cls.__name__} fields with no source"
+        assert sources <= names, f"{cls.__name__} lists fields it does not have"
 
 
 # where the number sits in keys that hold more than one

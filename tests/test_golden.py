@@ -26,10 +26,10 @@ from feddrive.sim import TrafficWorld
 from tests.conftest import CONFIGS, NETS
 
 GOLDEN_SHA256 = {
-    "round_0.ckpt": "bd01af99904abb9167c0871fb04168e890b10bed3ef7d90b652715e046e0cef2",
-    "round_0.manifest.json": "f4599b0c433a32ccc2922bb0627a6e3b3527d38f14feff1e34f392cbf6e7f200",
-    "round_1.ckpt": "1c83b8eab3911da9e21bce345d34c5495e10c09c6c2d8a3c44cecc4f968eb97d",
-    "round_1.manifest.json": "4f32bf08dfad3dab9a6eb1e83fb7de23a187ad911f66905f696de7674ac3ce79",
+    "round_0.ckpt": "655109cad20f5973e74d547a8fc0e801ca117a8db79adef1497d40f3e91240c6",
+    "round_0.manifest.json": "25ea0d4cd36eb3bc5d4c21f3f9c253ccdb5549262db9e02d59f5e790f383dc2c",
+    "round_1.ckpt": "597270ba13533af2451fc7204a44839e3b53585d30b256c97f17f8e719fcb27e",
+    "round_1.manifest.json": "87508920d70125b5e6cf523fcf24fd16cba9059eae6cd67f20f82543c76fb290",
     "round_reports.csv": "5b013ab87decdf9d5cffe4ca49bb9f65e094bce328a54f1fb79d625df2e86170",
 }
 

@@ -243,24 +243,8 @@ def test_adam_zero_gradient_noop():
     assert state2.t == 1
 
 
-def test_adam_sign_step_with_zero_betas():
-    p = nn.MlpParams(
-        layers=(nn.LayerParams(weights=np.array([[1.0]]), bias=np.array([2.0])),),
-        activations=("identity",),
-    )
-    g = nn.MlpParams(
-        layers=(nn.LayerParams(weights=np.array([[0.5]]), bias=np.array([-3.0])),),
-        activations=("identity",),
-    )
-    state = nn.AdamState(m=np.zeros(2), v=np.zeros(2), t=0, beta1=0.0, beta2=0.0, eps=1e-8)
-    nn.adam_step(p, g, state, lr=0.1)
-    got = nn.flatten_params(p)
-    want = np.array([1.0, 2.0]) - 0.1 * np.array([0.5, -3.0]) / (np.array([0.5, 3.0]) + 1e-8)
-    assert np.allclose(got, want, rtol=0, atol=1e-15)
-
-
 def test_adam_two_steps_match_hand_recurrence():
-    # scalar parameter, constant gradient, default betas
+    # scalar parameter, constant gradient, the fixed betas and eps
     beta1, beta2, eps, lr, g = 0.9, 0.999, 1e-8, 0.01, 0.7
     theta, m, v = 1.5, 0.0, 0.0
     for t in (1, 2):
@@ -443,3 +427,38 @@ def test_container_roundtrip(tmp_path):
     assert meta2 == meta
     assert np.array_equal(arrays2["a"], arrays["a"])
     assert arrays2["b"].dtype == np.int64
+
+
+def test_container_normalizes_layout_on_save(tmp_path):
+    # big-endian, non-contiguous, empty and bool arrays are stored as little-endian C-order bytes
+    grid = np.arange(24.0).reshape(4, 6)
+    arrays = {
+        "be": np.arange(6, dtype=">f8").reshape(2, 3),
+        "strided": grid[:, ::2],
+        "empty": np.zeros((0, 3)),
+        "flags": np.array([True, False, True]),
+    }
+    a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    save_container(a, arrays, {})
+    save_container(b, {k: np.ascontiguousarray(v, dtype=v.dtype.newbyteorder("<")) for k, v in arrays.items()}, {})
+    assert a.read_bytes() == b.read_bytes()
+    loaded, _ = load_container(a)
+    for name, arr in arrays.items():
+        assert loaded[name].dtype == arr.dtype.newbyteorder("<") and np.array_equal(loaded[name], arr), name
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"offset": -16}, {"nbytes": -8}, {"nbytes": 40}, {"shape": [3, 3]}, {"shape": [-2, -3]}],
+    ids=["negative-offset", "negative-nbytes", "short-nbytes", "long-shape", "negative-shape"],
+)
+def test_bad_array_entry_rejected(tmp_path, change):
+    import json
+    import struct
+
+    path = tmp_path / "net.ckpt"
+    entry = {"name": "w", "dtype": "<f8", "shape": [2, 3], "offset": 16, "nbytes": 48, **change}
+    header = json.dumps({"format_version": 1, "arrays": [entry], "meta": {}}).encode()
+    path.write_bytes(b"FDCKPT1\n" + struct.pack("<I", len(header)) + header + bytes(64))
+    with pytest.raises(ContainerError, match=rf"{path.name}: array 'w'"):
+        load_container(path)
