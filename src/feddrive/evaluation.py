@@ -127,8 +127,31 @@ def rollout(world: TrafficWorld, policy: Policy, episode_seed: int,
     return run_episode(world, policy_act(policy, a_min, a_max), episode_seed)
 
 
+def _memoized(actor: MlpParams, a_min: float, a_max: float) -> Callable[[np.ndarray], float]:
+    """``actor``'s greedy action, computed once per distinct observation.
+
+    Keyed on the vector's bytes, so ``-0.0`` and NaN cannot alias another entry.
+    """
+    actions: dict[bytes, float] = {}
+
+    def act(vec: np.ndarray) -> float:
+        key = vec.tobytes()
+        action = actions.get(key)
+        if action is None:
+            action = actions[key] = policy_action(actor, vec, a_min, a_max)
+        return action
+
+    return act
+
+
 def evaluate(policy: Policy, protocol: EvalProtocol, policy_id: str = "policy") -> EvalSummary:
-    """Roll out the policy over every (distance, seed) condition and aggregate."""
+    """Roll out the policy over every (distance, seed) condition and aggregate.
+
+    The observation holds only ego state, so every greedy episode at one
+    distance drives the same trajectory until a collision ends it.  An actor's
+    action is therefore computed once per distinct observation at a distance;
+    a callable policy, which may keep state, is called at every step.
+    """
     if isinstance(policy, MlpParams):
         if policy.in_dim != 6 or policy.out_dim != 1:
             raise ValueError(
@@ -139,8 +162,9 @@ def evaluate(policy: Policy, protocol: EvalProtocol, policy_id: str = "policy") 
     rows = []
     for d_idx, distance in enumerate(protocol.distances_m):
         world = TrafficWorld(realize_scenario(t, distance))
+        act = _memoized(policy, t.accel_min_mps2, t.accel_max_mps2) if isinstance(policy, MlpParams) else policy
         traces = [
-            rollout(world, policy, derive_seed(seeds[e], d_idx), t.accel_min_mps2, t.accel_max_mps2)
+            rollout(world, act, derive_seed(seeds[e], d_idx), t.accel_min_mps2, t.accel_max_mps2)
             for e in range(protocol.episodes)
         ]
         successes = [tr for tr in traces if tr.reached]

@@ -1,9 +1,10 @@
 import csv
+import math
 
 import numpy as np
 import pytest
 
-from feddrive import nn
+from feddrive import evaluation, nn
 from feddrive.evaluation import (
     CSV_COLUMNS,
     EvalProtocol,
@@ -15,7 +16,7 @@ from feddrive.evaluation import (
     rollout,
     summaries_from_json,
 )
-from feddrive.ddpg import DdpgAgent, DdpgHyperparams, train_episode
+from feddrive.ddpg import DdpgAgent, DdpgHyperparams, policy_action, train_episode
 from feddrive.metrics import RolloutTrace, average_speed, run_episode, travel_delay
 from feddrive.sim import SpawnSpec, TrafficWorld
 
@@ -238,6 +239,105 @@ def test_evaluate_with_background_traffic_collisions():
     summary = evaluate(lambda obs: 2.6, proto, policy_id="reckless")
     (row,) = summary.rows
     assert row.collisions == 2
+
+
+# Two random background vehicles that end some episodes in a collision while
+# the others arrive: 1 collision and 11 arrivals over 12 episodes.
+TRAFFIC = EvalProtocol(
+    episodes=6,
+    distances_m=(52.0, 107.0),
+    template=EvalTemplate(max_steps=60, background_count=2, bg_speed_factor_min=0.4,
+                          bg_speed_factor_max=0.7, master_seed=2),
+)
+A_MIN, A_MAX = TRAFFIC.template.accel_min_mps2, TRAFFIC.template.accel_max_mps2
+
+
+def cruising_actor(seed, accel_mps2=1.5):
+    """A small random actor whose output bias aims its greedy action near ``accel_mps2``."""
+    actor = nn.init_params([6, 8, 1], ["relu", "tanh"], seed=seed)
+    actor.layers[-1].bias[:] += math.atanh(2.0 * (accel_mps2 - A_MIN) / (A_MAX - A_MIN) - 1.0)
+    return actor
+
+
+def unmemoized(actor):
+    return lambda vec: policy_action(actor, vec, A_MIN, A_MAX)
+
+
+@pytest.fixture
+def step_log(monkeypatch):
+    """Every observation acted on in ``evaluate``, as (world index, vector bytes)."""
+    worlds, log = [], []
+    orig = evaluation.run_episode
+
+    def run_episode(world, act, episode_seed):
+        if not worlds or worlds[-1] is not world:
+            worlds.append(world)
+
+        def logged(obs):
+            log.append((len(worlds), obs.as_vector().tobytes()))
+            return act(obs)
+
+        return orig(world, logged, episode_seed)
+
+    monkeypatch.setattr(evaluation, "run_episode", run_episode)
+    return log
+
+
+def test_actor_memo_matches_unmemoized_evaluation(monkeypatch, step_log):
+    actor = cruising_actor(seed=5)
+    reference = evaluate(unmemoized(actor), TRAFFIC)
+    assert sum(r.collisions for r in reference.rows) >= 1
+    assert sum(r.successes for r in reference.rows) >= 1
+    steps = list(step_log)
+
+    calls = 0
+    orig = evaluation.policy_action
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return orig(*args)
+
+    monkeypatch.setattr(evaluation, "policy_action", counted)
+    assert evaluate(actor, TRAFFIC) == reference  # field for field, exactly
+    assert calls == len(set(steps)) < len(steps)
+
+
+def test_callable_policy_is_called_every_step(step_log):
+    calls = 0
+
+    def policy(vec):
+        nonlocal calls
+        calls += 1
+        return 1.5
+
+    evaluate(policy, TRAFFIC)
+    assert calls == len(step_log) > 0
+
+
+def test_back_to_back_actors_each_match_their_reference():
+    first, second = cruising_actor(seed=5), cruising_actor(seed=6, accel_mps2=2.0)
+    got = [evaluate(first, TRAFFIC), evaluate(second, TRAFFIC)]
+    assert got[0] != got[1]
+    assert got == [evaluate(unmemoized(first), TRAFFIC), evaluate(unmemoized(second), TRAFFIC)]
+
+
+def test_nan_actor_output_names_the_same_step():
+    # both hidden units read pos_x at 1.7e308 per normalized unit: their difference
+    # is 0 until pos_x passes about 106 m, where both overflow and inf - inf is NaN
+    actor = cruising_actor(seed=0, accel_mps2=2.0)
+    w1, w2 = actor.layers[0].weights, actor.layers[1].weights
+    w1[:], w2[:] = 0.0, 0.0
+    w1[:2, 0] = 1.7e308
+    w2[0, :2] = (1.0, -1.0)
+    proto = EvalProtocol(episodes=2, distances_m=(207.0,), template=EvalTemplate(max_steps=60))
+    step_idx = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for policy in (unmemoized(actor), actor):
+            with pytest.raises(ValueError, match="non-finite action") as info:
+                evaluate(policy, proto)
+            step_idx.append(info.value.step_idx)
+    assert step_idx[0] == step_idx[1] > 0
 
 
 def test_evaluate_rejects_wrong_architecture():
