@@ -56,6 +56,9 @@ _TEMPLATE_KEYS = {
     "eval_background_count": "background_count",
 }
 _PROTOCOL_KEYS = {"eval_episodes": "episodes", "eval_distances_m": "distances_m"}
+# Scenario fields that evaluation owns: the corridor, or an eval_* key.  The
+# template inherits every other scenario field, which its eval_* key (if any) overrides.
+_EVAL_OWN_FIELDS = {"network", "ego_route", "destination_node", "max_steps", "background_count", "background_spawns"}
 
 _REQUIRED_KEYS = {"network_file", "ego_route", "destination_node"}
 _REPEAT_KEYS = {"spawn", "eval_spawn"}
@@ -226,14 +229,9 @@ def load_run_config(
             EvalTemplate,
             raw,
             _TEMPLATE_KEYS,
-            step_length_s=scenario.step_length_s,
-            destination_tolerance_m=scenario.destination_tolerance_m,  # unless eval_tolerance_m is given
+            **{f.name: getattr(scenario, f.name) for f in dataclasses.fields(scenario)
+               if f.name not in _EVAL_OWN_FIELDS},
             background_spawns=_spawns(raw, "eval_spawn"),
-            accel_min_mps2=scenario.accel_min_mps2,
-            accel_max_mps2=scenario.accel_max_mps2,
-            bg_speed_factor_min=scenario.bg_speed_factor_min,
-            bg_speed_factor_max=scenario.bg_speed_factor_max,
-            master_seed=scenario.master_seed,
         )
         eval_protocol = _build(EvalProtocol, raw, _PROTOCOL_KEYS, template=template)
     except ValueError as exc:

@@ -211,7 +211,6 @@ class DdpgAgent:
     critic_adam: AdamState
     buffer: ReplayBuffer
     noise: OuNoiseState
-    episodes_trained: int = 0
 
     @classmethod
     def create(cls, hp: DdpgHyperparams, seed: int, agent_id: int = 0) -> "DdpgAgent":
@@ -352,8 +351,6 @@ def train_episode(
             soft_update(agent.target_actor, agent.actor, hp.tau)
             soft_update(agent.target_critic, agent.critic, hp.tau)
 
-    trace = run_episode(
+    return run_episode(
         world, lambda obs: select_action(agent, obs, explore=True, rng=rng), episode_seed, on_step=learn
     )
-    agent.episodes_trained += 1
-    return trace

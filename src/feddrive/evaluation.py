@@ -13,42 +13,36 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .ddpg import policy_action
+from .ddpg import ACTION_DIM, STATE_DIM, policy_action
 from .metrics import RolloutTrace, average_speed, run_episode, travel_delay
 from .nn import MlpParams
 from .seeding import derive_seed
-from .sim.network import straight_corridor
-from .sim.world import EgoObservation, ScenarioConfig, SpawnSpec, TrafficWorld, check_episode_settings
+from .sim.network import RoadNetwork, straight_corridor
+from .sim.world import EgoObservation, ScenarioConfig, TrafficWorld
 
 Policy = MlpParams | Callable[[np.ndarray], float]
 
 
 @dataclass(frozen=True)
-class EvalTemplate:
-    """Scenario shape shared by all evaluation distances."""
+class EvalTemplate(ScenarioConfig):
+    """The scenario shared by all evaluation distances; ``realize_scenario`` fills in its corridor."""
 
-    step_length_s: float = 1.0
-    max_steps: int = 900
-    destination_tolerance_m: float = 5.0
+    network: RoadNetwork | None = None
+    ego_route: str = field(default="ego", init=False)
+    destination_node: str = field(default="dest", init=False)
+    # the corridor's own shape
     speed_limit_mps: float = 20.0
     overrun_m: float = 50.0
-    background_count: int = 0
-    background_spawns: tuple[SpawnSpec, ...] = ()
-    accel_min_mps2: float = -4.5
-    accel_max_mps2: float = 2.6
-    bg_speed_factor_min: float = 0.8
-    bg_speed_factor_max: float = 1.0
-    master_seed: int = 0
 
     def __post_init__(self):
-        # checked here, not when evaluate builds a scenario, so a bad setting fails before any output
-        check_episode_settings(self)
+        # checked here, not when evaluate builds a world, so a bad setting fails before any output
+        super().__post_init__()
         for name in ("speed_limit_mps", "overrun_m"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
@@ -92,26 +86,7 @@ class EvalSummary:
 
 def realize_scenario(template: EvalTemplate, distance_m: float) -> ScenarioConfig:
     """Corridor scenario with the destination at an exact straight-line distance."""
-    net = straight_corridor(
-        distance_m,
-        overrun_m=template.overrun_m,
-        speed_limit_mps=template.speed_limit_mps,
-    )
-    return ScenarioConfig(
-        network=net,
-        ego_route="ego",
-        destination_node="dest",
-        destination_tolerance_m=template.destination_tolerance_m,
-        background_count=template.background_count,
-        background_spawns=template.background_spawns,
-        step_length_s=template.step_length_s,
-        max_steps=template.max_steps,
-        master_seed=template.master_seed,
-        accel_min_mps2=template.accel_min_mps2,
-        accel_max_mps2=template.accel_max_mps2,
-        bg_speed_factor_min=template.bg_speed_factor_min,
-        bg_speed_factor_max=template.bg_speed_factor_max,
-    )
+    return replace(template, network=straight_corridor(distance_m, template.overrun_m, template.speed_limit_mps))
 
 
 def policy_act(policy: Policy, a_min: float, a_max: float) -> Callable[[EgoObservation], float]:
@@ -153,9 +128,10 @@ def evaluate(policy: Policy, protocol: EvalProtocol, policy_id: str = "policy") 
     a callable policy, which may keep state, is called at every step.
     """
     if isinstance(policy, MlpParams):
-        if policy.in_dim != 6 or policy.out_dim != 1:
+        if policy.in_dim != STATE_DIM or policy.out_dim != ACTION_DIM:
             raise ValueError(
-                f"actor must map 6 state components to 1 action, got {policy.in_dim}->{policy.out_dim}"
+                f"actor must map {STATE_DIM} state components to {ACTION_DIM} action, "
+                f"got {policy.in_dim}->{policy.out_dim}"
             )
     t = protocol.template
     seeds = protocol.episode_seeds()
@@ -279,8 +255,6 @@ __all__ = [
     "EvalSummary",
     "EvalTemplate",
     "DistanceResult",
-    "average_speed",
-    "travel_delay",
     "evaluate",
     "export_csv",
     "export_json",

@@ -83,30 +83,21 @@ class ScenarioConfig:
     bg_speed_factor_max: float = 1.0
 
     def __post_init__(self):
-        check_episode_settings(self)
         # written so that NaN fails each check
-        for name in ("vehicle_length_m", "bg_accel_mps2"):
+        if self.max_steps < 1:
+            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
+        if self.background_count < 0:
+            raise ValueError("background_count must be >= 0")
+        if not -math.inf < self.accel_min_mps2 < self.accel_max_mps2 < math.inf:
+            raise ValueError("accel_min_mps2 must be below accel_max_mps2, both finite")
+        if not 0.0 <= self.bg_speed_factor_min <= self.bg_speed_factor_max < math.inf:
+            raise ValueError("need 0 <= bg_speed_factor_min <= bg_speed_factor_max, both finite")
+        for name in ("step_length_s", "destination_tolerance_m", "vehicle_length_m", "bg_accel_mps2"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         for name in ("min_gap_m", "intersection_box_m"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
-
-
-def check_episode_settings(s) -> None:
-    """Check the settings a scenario shares with the evaluation template; NaN fails every check."""
-    if s.max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {s.max_steps}")
-    if not 0.0 < s.step_length_s < math.inf:
-        raise ValueError(f"step_length_s must be positive and finite, got {s.step_length_s}")
-    if not 0.0 < s.destination_tolerance_m < math.inf:
-        raise ValueError(f"destination_tolerance_m must be positive and finite, got {s.destination_tolerance_m}")
-    if not -math.inf < s.accel_min_mps2 < s.accel_max_mps2 < math.inf:
-        raise ValueError("accel_min_mps2 must be below accel_max_mps2, both finite")
-    if s.background_count < 0:
-        raise ValueError("background_count must be >= 0")
-    if not 0.0 <= s.bg_speed_factor_min <= s.bg_speed_factor_max < math.inf:
-        raise ValueError("need 0 <= bg_speed_factor_min <= bg_speed_factor_max, both finite")
 
 
 @dataclass

@@ -9,7 +9,7 @@ from feddrive.cli import build_parser, main
 from feddrive import config
 from feddrive.config import ConfigError, load_run_config, parse_config_text
 from feddrive.ddpg import DdpgHyperparams
-from feddrive.evaluation import EvalProtocol, EvalTemplate
+from feddrive.evaluation import EvalProtocol, EvalTemplate, realize_scenario
 from feddrive.federation import FederationConfig
 from feddrive.sim import Edge, ScenarioConfig, SpawnSpec
 from tests.conftest import NETS
@@ -260,12 +260,17 @@ def test_each_key_lands_in_its_field(tmp_path, key):
 def test_eval_template_and_hyperparameters_follow_the_scenario(tmp_path):
     values = {"destination_tolerance_m": "4.5", "step_length_s": "0.5", "master_seed": "42"}
     values.update(accel_min_mps2="-3.5", accel_max_mps2="2.25", bg_speed_factor_min="0.5", bg_speed_factor_max="0.75")
+    values.update(vehicle_length_m="3", min_gap_m="1", intersection_box_m="2", bg_accel_mps2="1.5")
     cfg = load_run_config(write_config(tmp_path, **values))
     sc, t, hp = cfg.scenario, cfg.eval_protocol.template, cfg.federation.hp
     assert t.destination_tolerance_m == sc.destination_tolerance_m == 4.5  # no eval_tolerance_m given
     assert (t.step_length_s, t.master_seed, cfg.federation.master_seed, cfg.master_seed) == (0.5, 42, 42, 42)
     assert (t.accel_min_mps2, t.accel_max_mps2, hp.accel_min_mps2, hp.accel_max_mps2) == (-3.5, 2.25, -3.5, 2.25)
     assert (t.bg_speed_factor_min, t.bg_speed_factor_max) == (0.5, 0.75)
+    # the physics keys reach the scenario evaluation actually drives
+    run = realize_scenario(t, 52.0)
+    assert (run.vehicle_length_m, run.min_gap_m, run.intersection_box_m, run.bg_accel_mps2) == (3.0, 1.0, 2.0, 1.5)
+    assert (run.step_length_s, run.destination_tolerance_m, run.master_seed) == (0.5, 4.5, 42)
 
 
 # Fields that load_run_config fills from other settings rather than from a key of their own.
@@ -274,9 +279,11 @@ DERIVED_FIELDS = {
     DdpgHyperparams: {"accel_min_mps2", "accel_max_mps2"},
     # a config file gives one shared scenario; one per agent (heterogeneous agents) comes only from Python
     FederationConfig: {"hp", "scenarios", "master_seed"},
+    # copied from the scenario, except the spawns (from eval_spawn) and the corridor (realize_scenario)
     EvalTemplate: {
-        "step_length_s", "destination_tolerance_m", "background_spawns", "accel_min_mps2", "accel_max_mps2",
-        "bg_speed_factor_min", "bg_speed_factor_max", "master_seed",
+        "step_length_s", "destination_tolerance_m", "master_seed", "accel_min_mps2", "accel_max_mps2",
+        "vehicle_length_m", "min_gap_m", "intersection_box_m", "bg_accel_mps2", "bg_speed_factor_min",
+        "bg_speed_factor_max", "background_spawns", "network",
     },
     EvalProtocol: {"template"},
     SpawnSpec: {"step", "route", "pos_m", "speed_mps", "speed_factor"},  # the fields of a spawn line
@@ -298,7 +305,7 @@ def test_every_hashed_field_has_a_source():
         SpawnSpec: {},
     }
     for cls, keys in bound.items():
-        names = {f.name for f in dataclasses.fields(cls)}
+        names = {f.name for f in dataclasses.fields(cls) if f.init}  # init=False fields are not settings
         sources = set(keys.values()) | DERIVED_FIELDS[cls] | PYTHON_ONLY_FIELDS.get(cls, set())
         assert names - sources == set(), f"{cls.__name__} fields with no source"
         assert sources <= names, f"{cls.__name__} lists fields it does not have"

@@ -111,6 +111,10 @@ def test_trace_holds_the_episode_invariants(road_scenario, outcome, throttle, sp
         ("accel_min_mps2", float("nan")),
         ("accel_min_mps2", 2.6),
         ("accel_max_mps2", float("inf")),
+        ("vehicle_length_m", 0.0),
+        ("min_gap_m", -1.0),
+        ("intersection_box_m", float("nan")),
+        ("bg_accel_mps2", -1.5),
     ],
 )
 def test_eval_template_rejects_bad_settings(field, value):

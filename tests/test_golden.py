@@ -26,10 +26,10 @@ from feddrive.sim import TrafficWorld
 from tests.conftest import CONFIGS, NETS
 
 GOLDEN_SHA256 = {
-    "round_0.ckpt": "655109cad20f5973e74d547a8fc0e801ca117a8db79adef1497d40f3e91240c6",
-    "round_0.manifest.json": "25ea0d4cd36eb3bc5d4c21f3f9c253ccdb5549262db9e02d59f5e790f383dc2c",
-    "round_1.ckpt": "597270ba13533af2451fc7204a44839e3b53585d30b256c97f17f8e719fcb27e",
-    "round_1.manifest.json": "87508920d70125b5e6cf523fcf24fd16cba9059eae6cd67f20f82543c76fb290",
+    "round_0.ckpt": "7003608ff4392e79dc766d49793b5942f4cf9b1f5d87b81465f6aae8ee6e644a",
+    "round_0.manifest.json": "ea154d0b2cae9e3b909aac7740f556ab5e9ef6f8fba1d9276b252a81f7756dbd",
+    "round_1.ckpt": "95276c65f1e16204ae2a425892cf0dd6da6bb1ed6a2d620d96106db9e7c227fd",
+    "round_1.manifest.json": "86c807c04d8abe8321f057b9585be1498f71449d9ee38af2358f1d872be52c05",
     "round_reports.csv": "5b013ab87decdf9d5cffe4ca49bb9f65e094bce328a54f1fb79d625df2e86170",
 }
 
