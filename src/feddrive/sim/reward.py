@@ -3,7 +3,8 @@
 The cases overlap, so evaluation order matters and is frozen here: terminal
 events first, then the combined traffic conditions, then free movement, then
 bare nonzero speed, then the default.  ``compute_reward`` returns the value
-of the first case whose predicate holds.
+of the first case whose predicate holds; ``REWARD_BY_FLAGS`` holds that value
+for every consistent flag combination, computed once from the table.
 
 Note the nonzero-speed case (+0.04) is listed for completeness of the case
 table but is shadowed by the earlier cases for every consistent flag
@@ -13,7 +14,8 @@ so any moving state was already caught by the free-movement case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from typing import NamedTuple
 
 R_COLLISION = -10.0
 R_DESTINATION = 10.0
@@ -28,8 +30,7 @@ class InconsistentFlagsError(ValueError):
     """Raised for flag combinations the simulator can never produce."""
 
 
-@dataclass(frozen=True)
-class EventFlags:
+class EventFlags(NamedTuple):
     """Boolean events observed during one environment step."""
 
     collided: bool = False
@@ -59,10 +60,27 @@ REWARD_CASES: tuple[tuple[str, object, float], ...] = (
 )
 
 
-def compute_reward(flags: EventFlags) -> float:
-    """Reward for one step: value of the first matching case in REWARD_CASES."""
+def _first_match(flags: EventFlags) -> float:
     flags.validate()
     for _name, predicate, value in REWARD_CASES:
         if predicate(flags):
             return value
     raise AssertionError("default case is unconditional")
+
+
+# every consistent combination of the five flags -> its reward; a NamedTuple
+# hashes and compares as the plain tuple of its fields
+REWARD_BY_FLAGS: dict[EventFlags, float] = {
+    flags: _first_match(flags)
+    for flags in itertools.starmap(EventFlags, itertools.product((False, True), repeat=5))
+    if not (flags.collided and flags.reached_destination)
+}
+
+
+def compute_reward(flags: EventFlags) -> float:
+    """Reward for one step: value of the first matching case in REWARD_CASES.
+
+    Raises ``InconsistentFlagsError`` for flags the simulator can never produce.
+    """
+    reward = REWARD_BY_FLAGS.get(flags)
+    return _first_match(flags) if reward is None else reward

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from ..seeding import derive_seed
-from .network import RoadNetwork
-from .reward import EventFlags, compute_reward
+from .network import RoadNetwork, TrafficLight
+from .reward import REWARD_BY_FLAGS, EventFlags
 
 CAUSE_NONE = "none"
 CAUSE_COLLISION = "collision"
@@ -118,8 +119,10 @@ class VehicleState:
         return self.pos_m - self.length_m
 
 
-@dataclass(frozen=True)
-class EgoObservation:
+# The per-step records (these two and reward.EventFlags) are named tuples:
+# immutable, and cheaper to build than frozen dataclasses, with the same
+# fields, order and repr.
+class EgoObservation(NamedTuple):
     """Six-component state vector fed to the policy."""
 
     pos_x: float
@@ -130,14 +133,10 @@ class EgoObservation:
     dest_distance: float
 
     def as_vector(self) -> np.ndarray:
-        return np.array(
-            [self.pos_x, self.pos_y, self.speed, self.heading, self.acceleration, self.dest_distance],
-            dtype=np.float64,
-        )
+        return np.array(self, dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
     observation: EgoObservation
     reward: float
     done: bool
@@ -145,9 +144,34 @@ class StepOutcome:
     flags: EventFlags
 
 
+class EdgeInfo(NamedTuple):
+    """What the simulation reads of one edge, taken from the network at every reset."""
+
+    length_m: float
+    speed_limit_mps: float
+    light: TrafficLight | None  # the light governing the edge's end
+    line: tuple[float, float, float, float]  # start x, y and the x, y deltas to the end
+    heading: float  # RoadNetwork.heading
+
+
 def distance_to_destination(pos: tuple[float, float], dest: tuple[float, float]) -> float:
     """Euclidean distance between two planar points."""
     return math.hypot(pos[0] - dest[0], pos[1] - dest[1])
+
+
+def _point(edge: EdgeInfo, pos_m: float) -> tuple[float, float]:
+    """``RoadNetwork.point_at``, from the edge's cached geometry."""
+    ax, ay, dx, dy = edge.line
+    f = pos_m / edge.length_m
+    return ax + f * dx, ay + f * dy
+
+
+def _distance_to_red_light(edge: EdgeInfo, pos_m: float, t: float) -> float | None:
+    """Distance from ``pos_m`` on ``edge`` to the stop line of a red light at its end."""
+    light = edge.light
+    if light is None or light.is_green(t):
+        return None
+    return edge.length_m - pos_m
 
 
 class TrafficWorld:
@@ -176,24 +200,38 @@ class TrafficWorld:
                 f"ego route {sc.ego_route!r} ends {gap:.1f} m from destination "
                 f"{sc.destination_node!r} (tolerance {sc.destination_tolerance_m} m)"
             )
-        # Geometry read every step, taken from the network at every reset so
-        # that edits between episodes count: each edge's heading, and its start
-        # point, x/y deltas and length, which _point combines as
-        # RoadNetwork.point_at does.
+        # Everything step, background and spawn code read of the network, in
+        # one pass at every reset so that edits between episodes count.
+        net = self.net
         self._dest_xy = (dest.x, dest.y)
-        self._node_xy = [(node.x, node.y) for node in self.net.nodes.values()]
-        self._edge_heading = {eid: self.net.heading(eid) for eid in self.net.edges}
-        self._edge_line = {}
-        for eid, e in self.net.edges.items():
-            a, b = self.net.nodes[e.from_node], self.net.nodes[e.to_node]
-            self._edge_line[eid] = (a.x, a.y, b.x - a.x, b.y - a.y, e.length_m)
+        self._node_xy = [(node.x, node.y) for node in net.nodes.values()]
+        edges = self._edges = {}
+        headings = set()
+        for eid, e in net.edges.items():
+            a, b = net.nodes[e.from_node], net.nodes[e.to_node]
+            dx, dy = b.x - a.x, b.y - a.y
+            heading = math.atan2(dy, dx)
+            edges[eid] = EdgeInfo(e.length_m, e.speed_limit_mps, net.lights.get(e.to_node), (a.x, a.y, dx, dy), heading)
+            headings.add(heading)
+        # on a network whose edges all run one way (a straight corridor) no path crosses another
+        self._headings_differ = len(headings) > 1
+        # per route: whether it is cyclic (RoadNetwork.route_is_cyclic), and its
+        # length (RoadNetwork.route_length_m) in name order, for random spawns
+        self._route_cyclic = {}
+        self._spawn_routes = []
+        for name in sorted(net.routes):
+            route = net.routes[name]
+            self._route_cyclic[route] = net.route_is_cyclic(route)
+            length = 0.0
+            for eid in route:
+                length += edges[eid].length_m
+            self._spawn_routes.append((route, length))
 
     # ------------------------------------------------------------------ reset
 
     def reset(self, episode_seed: int) -> EgoObservation:
         sc = self.scenario
         self._validate_scenario()
-        self._rng = np.random.Generator(np.random.PCG64(derive_seed(sc.master_seed, episode_seed)))
         self.steps = 0
         self.done = False
         self.cause = CAUSE_NONE
@@ -204,34 +242,25 @@ class TrafficWorld:
         self._pending_spawns = list(sc.background_spawns)
 
         route = self.net.routes[sc.ego_route]
-        self.ego = VehicleState(
-            vehicle_id="ego",
-            edge_id=route[0],
-            pos_m=0.0,
-            lane=0,
-            speed_mps=0.0,
-            accel_mps2=0.0,
-            length_m=sc.vehicle_length_m,
-            route=route,
-            route_idx=0,
-        )
+        self.ego = VehicleState("ego", route[0], 0.0, 0, 0.0, 0.0, sc.vehicle_length_m, route, 0)
         self.background: list[VehicleState] = []
-        self._spawn_random_background(sc.background_count)
+        if sc.background_count:
+            self._spawn_random_background(sc.background_count, derive_seed(sc.master_seed, episode_seed))
         return self._observe()
 
-    def _spawn_random_background(self, count: int) -> None:
-        sc = self.scenario
-        route_names = sorted(self.net.routes)
+    def _spawn_random_background(self, count: int, seed: int) -> None:
+        rng = np.random.Generator(np.random.PCG64(seed))
+        routes = self._spawn_routes
+        low, high = self.scenario.bg_speed_factor_min, self.scenario.bg_speed_factor_max
         for _ in range(count):
             for _attempt in range(100):
-                route_name = route_names[int(self._rng.integers(len(route_names)))]
-                route = self.net.routes[route_name]
+                route, route_length = routes[int(rng.integers(len(routes)))]
+                # three successive random() draws, in one call
+                u_pos, u_factor, u_speed = rng.random(3).tolist()
+                edge_id, pos, idx = self._route_point(route, route_length * u_pos)
                 # uniform(low, high) draws as Generator.uniform does: low + (high - low) * random()
-                pos_on_route = self.net.route_length_m(route_name) * self._rng.random()
-                edge_id, pos, idx = self._route_point(route, pos_on_route)
-                low, high = sc.bg_speed_factor_min, sc.bg_speed_factor_max
-                factor = low + (high - low) * self._rng.random()
-                speed = self.net.edges[edge_id].speed_limit_mps * factor * self._rng.random()
+                factor = low + (high - low) * u_factor
+                speed = self._edges[edge_id].speed_limit_mps * factor * u_speed
                 if self._place_background(route, edge_id, pos, idx, speed, 0, factor):
                     break
             else:
@@ -244,30 +273,22 @@ class TrafficWorld:
         self, route: tuple[str, ...], edge_id: str, pos: float, idx: int, speed: float, lane: int, factor: float
     ) -> bool:
         """Add a background vehicle unless it comes within ``min_gap_m`` of another on its lane; True if added."""
-        veh = VehicleState(
-            vehicle_id=f"bg{self._next_bg_id}",
-            edge_id=edge_id,
-            pos_m=pos,
-            lane=lane,
-            speed_mps=speed,
-            accel_mps2=0.0,
-            length_m=self.scenario.vehicle_length_m,
-            route=route,
-            route_idx=idx,
-            speed_factor=factor,
-        )
+        length = self.scenario.vehicle_length_m
         gap = self.scenario.min_gap_m
+        tail = pos - length
         for other in (self.ego, *self.background):
-            if other.edge_id == edge_id and other.lane == lane and pos + gap > other.tail_m and other.pos_m + gap > veh.tail_m:
+            if other.edge_id == edge_id and other.lane == lane and pos + gap > other.tail_m and other.pos_m + gap > tail:
                 return False
-        self.background.append(veh)
+        self.background.append(
+            VehicleState(f"bg{self._next_bg_id}", edge_id, pos, lane, speed, 0.0, length, route, idx, factor)
+        )
         self._next_bg_id += 1
         return True
 
     def _route_point(self, route: tuple[str, ...], pos_on_route: float) -> tuple[str, float, int]:
         remaining = pos_on_route
         for idx, eid in enumerate(route):
-            length = self.net.edges[eid].length_m
+            length = self._edges[eid].length_m
             if remaining <= length or idx == len(route) - 1:
                 return eid, min(remaining, length), idx
             remaining -= length
@@ -295,36 +316,39 @@ class TrafficWorld:
             self._insert_scheduled_spawns()
 
         accel = min(max(accel, sc.accel_min_mps2), sc.accel_max_mps2)
-        prev_speed = self.ego.speed_mps
+        ego = self.ego
+        prev_speed = ego.speed_mps
         new_speed = max(0.0, prev_speed + accel * dt)
         self._advance_ego(new_speed * dt)
-        self.ego.speed_mps = new_speed
-        self.ego.accel_mps2 = (new_speed - prev_speed) / dt
+        ego.speed_mps = new_speed
+        ego.accel_mps2 = (new_speed - prev_speed) / dt
 
-        self.background_step(t_start)
-
-        collided = self.collision_check()
+        if self.background:  # with no traffic left there is nothing to move or hit
+            self.background_step(t_start)
+            collided = self.collision_check()
+        else:
+            collided = False
         observation = self._observe()
         reached = (not collided) and observation.dest_distance <= sc.destination_tolerance_m
-        braking = self.ego.accel_mps2 < BRAKING_ACCEL_MPS2
+        braking = ego.accel_mps2 < BRAKING_ACCEL_MPS2
         waiting = self._ego_waiting_at_light(t_start)
-        moving = self.ego.speed_mps != 0.0
+        moving = new_speed != 0.0
         # positional arguments in field order: binding keywords costs more, every step
         flags = EventFlags(collided, reached, braking, waiting, moving)
-        reward = compute_reward(flags)
+        reward = REWARD_BY_FLAGS[flags]  # compute_reward, for flags that are consistent by construction
 
         self.steps += 1
         if collided:
-            self.cause = CAUSE_COLLISION
+            cause = CAUSE_COLLISION
         elif reached:
-            self.cause = CAUSE_DESTINATION
+            cause = CAUSE_DESTINATION
         elif self.steps >= sc.max_steps:
-            self.cause = CAUSE_MAX_STEPS
+            cause = CAUSE_MAX_STEPS
         else:
-            self.cause = CAUSE_NONE
-        self.done = self.cause != CAUSE_NONE
-
-        return StepOutcome(observation, reward, self.done, self.cause, flags)
+            cause = CAUSE_NONE
+        self.cause = cause
+        self.done = done = cause != CAUSE_NONE
+        return StepOutcome(observation, reward, done, cause, flags)
 
     def _advance_ego(self, displacement: float) -> None:
         """Move the ego along its route, clamping at the end of the last edge."""
@@ -332,9 +356,10 @@ class TrafficWorld:
         ego = self.ego
         pos = ego.pos_m + displacement
         moved_from = ego.pos_m
-        while pos > self.net.edges[ego.edge_id].length_m:
-            edge_len = self.net.edges[ego.edge_id].length_m
-            self.traveled_freeflow_time_s += (edge_len - moved_from) / self.net.edges[ego.edge_id].speed_limit_mps
+        edge = self._edges[ego.edge_id]
+        while pos > edge.length_m:
+            edge_len = edge.length_m
+            self.traveled_freeflow_time_s += (edge_len - moved_from) / edge.speed_limit_mps
             if ego.route_idx + 1 >= len(ego.route):
                 overshoot = pos - edge_len
                 self.distance_traveled_m -= overshoot
@@ -344,8 +369,9 @@ class TrafficWorld:
             moved_from = 0.0
             ego.route_idx += 1
             ego.edge_id = ego.route[ego.route_idx]
+            edge = self._edges[ego.edge_id]
         else:
-            self.traveled_freeflow_time_s += (pos - moved_from) / self.net.edges[ego.edge_id].speed_limit_mps
+            self.traveled_freeflow_time_s += (pos - moved_from) / edge.speed_limit_mps
         ego.pos_m = pos
 
     def _insert_scheduled_spawns(self) -> None:
@@ -370,15 +396,13 @@ class TrafficWorld:
         """
         sc = self.scenario
         dt = sc.step_length_s
-        # value snapshot: later updates must not change earlier vehicles' gaps
-        snapshot = [
-            (v.vehicle_id, v.edge_id, v.lane, v.pos_m, v.tail_m)
-            for v in (self.ego, *self.background)
-        ]
+        # value snapshot: later updates must not change earlier vehicles' gaps;
+        # each entry keeps its vehicle, so a vehicle skips itself by identity
+        snapshot = [(v, v.edge_id, v.lane, v.pos_m, v.pos_m - v.length_m) for v in (self.ego, *self.background)]
 
         survivors: list[VehicleState] = []
         for veh in self.background:
-            edge = self.net.edges[veh.edge_id]
+            edge = self._edges[veh.edge_id]
             candidate = min(
                 veh.speed_mps + sc.bg_accel_mps2 * dt,
                 edge.speed_limit_mps * veh.speed_factor,
@@ -387,7 +411,7 @@ class TrafficWorld:
             gap = self._gap_to_leader(veh, snapshot)
             if gap is not None:
                 candidate = min(candidate, max(0.0, (gap - sc.min_gap_m) / dt))
-            stop_dist = self._distance_to_red_light(veh, t)
+            stop_dist = _distance_to_red_light(edge, veh.pos_m, t)
             if stop_dist is not None:
                 candidate = min(candidate, max(0.0, stop_dist / dt))
             new_speed = max(0.0, candidate)
@@ -402,14 +426,16 @@ class TrafficWorld:
     def _advance_background(self, veh: VehicleState, displacement: float) -> bool:
         """Move a background vehicle; returns False when it leaves the network."""
         pos = veh.pos_m + displacement
-        while pos > self.net.edges[veh.edge_id].length_m:
-            pos -= self.net.edges[veh.edge_id].length_m
+        edge = self._edges[veh.edge_id]
+        while pos > edge.length_m:
+            pos -= edge.length_m
             idx = self._next_route_idx(veh.route, veh.route_idx)
             if idx is None:
                 return False
             veh.route_idx = idx
             veh.edge_id = veh.route[veh.route_idx]
-            limit = self.net.edges[veh.edge_id].speed_limit_mps
+            edge = self._edges[veh.edge_id]
+            limit = edge.speed_limit_mps
             if veh.speed_mps > limit:
                 veh.speed_mps = limit
         veh.pos_m = pos
@@ -419,53 +445,41 @@ class TrafficWorld:
         """The index after ``idx`` on ``route``: 0 past the end of a cyclic route, None past the end of another."""
         if idx + 1 < len(route):
             return idx + 1
-        return 0 if self.net.route_is_cyclic(route) else None
-
-    def _route_edges_ahead(self, veh: VehicleState) -> list[tuple[str, float]]:
-        """(edge_id, distance from veh to that edge's start) within lookahead."""
-        out = []
-        dist = self.net.edges[veh.edge_id].length_m - veh.pos_m
-        idx = veh.route_idx
-        while dist < BG_LOOKAHEAD_M:
-            idx = self._next_route_idx(veh.route, idx)
-            if idx is None:
-                break
-            eid = veh.route[idx]
-            out.append((eid, dist))
-            dist += self.net.edges[eid].length_m
-            if eid == veh.edge_id:  # wrapped all the way around
-                break
-        return out
+        return 0 if self._route_cyclic[route] else None
 
     def _gap_to_leader(
-        self, veh: VehicleState, snapshot: list[tuple[str, str, int, float, float]]
+        self, veh: VehicleState, snapshot: list[tuple[VehicleState, str, int, float, float]]
     ) -> float | None:
-        """Bumper gap to the nearest vehicle ahead on this vehicle's path."""
+        """Bumper gap to the nearest other vehicle ahead on this vehicle's path.
+
+        The leader is sought on the vehicle's own edge first, then edge by edge
+        along its route while the next edge starts within ``BG_LOOKAHEAD_M``.
+        """
+        edge_id, lane, pos_m = veh.edge_id, veh.lane, veh.pos_m
         best: float | None = None
-        for vid, edge_id, lane, pos, tail in snapshot:
-            if vid == veh.vehicle_id or lane != veh.lane:
-                continue
-            if edge_id == veh.edge_id and pos > veh.pos_m:
-                gap = tail - veh.pos_m
-                best = gap if best is None else min(best, gap)
+        for other, e, other_lane, pos, tail in snapshot:
+            if e == edge_id and pos > pos_m and other_lane == lane and other is not veh:
+                gap = tail - pos_m
+                if best is None or gap < best:
+                    best = gap
         if best is not None:
             return best
-        for eid, dist_to_start in self._route_edges_ahead(veh):
-            candidates = [
-                dist_to_start + tail
-                for vid, edge_id, lane, pos, tail in snapshot
-                if vid != veh.vehicle_id and edge_id == eid and lane == veh.lane
-            ]
-            if candidates:
-                return min(candidates)
-        return None
-
-    def _distance_to_red_light(self, veh: VehicleState, t: float) -> float | None:
-        """Distance to the stop line of a red light at the end of the current edge."""
-        light = self.net.lights.get(self.net.edges[veh.edge_id].to_node)
-        if light is None or light.is_green(t):
-            return None
-        return self.net.edges[veh.edge_id].length_m - veh.pos_m
+        route, idx = veh.route, veh.route_idx
+        dist = self._edges[edge_id].length_m - pos_m  # to the start of the next edge
+        while dist < BG_LOOKAHEAD_M:
+            idx = self._next_route_idx(route, idx)
+            if idx is None:
+                break
+            eid = route[idx]
+            for other, e, other_lane, _pos, tail in snapshot:
+                if e == eid and other_lane == lane and other is not veh:
+                    gap = dist + tail
+                    if best is None or gap < best:
+                        best = gap
+            if best is not None or eid == edge_id:  # found, or wrapped all the way around
+                break
+            dist += self._edges[eid].length_m
+        return best
 
     # -------------------------------------------------------------- collision
 
@@ -476,8 +490,11 @@ class TrafficWorld:
             if other.edge_id == ego.edge_id and other.lane == ego.lane:
                 if ego.pos_m > other.tail_m and other.pos_m > ego.tail_m:
                     return True
-        ex, ey = self._point(ego)
-        ego_heading = self._edge_heading[ego.edge_id]
+        if not self._headings_differ:  # every ``cross`` below would be sin(0) = 0
+            return False
+        ego_edge = self._edges[ego.edge_id]
+        ex, ey = _point(ego_edge, ego.pos_m)
+        ego_heading = ego_edge.heading
         box = self.scenario.intersection_box_m
         for nx, ny in self._node_xy:
             if math.hypot(ex - nx, ey - ny) > box:
@@ -485,33 +502,29 @@ class TrafficWorld:
             for other in self.background:
                 if other.edge_id == ego.edge_id:
                     continue
-                cross = math.sin(self._edge_heading[other.edge_id] - ego_heading)
+                other_edge = self._edges[other.edge_id]
+                cross = math.sin(other_edge.heading - ego_heading)
                 if abs(cross) < 1e-9:  # parallel or oncoming traffic is not crossing
                     continue
-                ox, oy = self._point(other)
+                ox, oy = _point(other_edge, other.pos_m)
                 if math.hypot(ox - nx, oy - ny) <= box:
                     return True
         return False
-
-    def _point(self, veh: VehicleState) -> tuple[float, float]:
-        """``RoadNetwork.point_at`` of the vehicle, from the cached edge geometry."""
-        ax, ay, dx, dy, length = self._edge_line[veh.edge_id]
-        f = veh.pos_m / length
-        return ax + f * dx, ay + f * dy
 
     # ------------------------------------------------------------ observation
 
     def _ego_waiting_at_light(self, t: float) -> bool:
         if self.ego.speed_mps >= WAITING_SPEED_MPS:
             return False
-        stop_dist = self._distance_to_red_light(self.ego, t)
+        stop_dist = _distance_to_red_light(self._edges[self.ego.edge_id], self.ego.pos_m, t)
         return stop_dist is not None and stop_dist <= WAITING_LIGHT_RANGE_M
 
     def _observe(self) -> EgoObservation:
         ego = self.ego
-        x, y = self._point(ego)
+        edge = self._edges[ego.edge_id]
+        x, y = _point(edge, ego.pos_m)
         dest_x, dest_y = self._dest_xy
-        heading = self._edge_heading[ego.edge_id]
+        heading = edge.heading
         dest_distance = math.hypot(x - dest_x, y - dest_y)  # distance_to_destination
         return EgoObservation(x, y, ego.speed_mps, heading, ego.accel_mps2, dest_distance)
 

@@ -9,7 +9,8 @@ acceleration to a collision and to the destination, and actor-driven) pin the
 episode loop that training, evaluation and ``sim-run`` share.  World traces
 with every background vehicle's state pin random background spawning,
 lights, turns, cyclic and oncoming routes and intersection-box collisions,
-which ``sim-run``'s ego-only ``trace.csv`` does not show.
+which ``sim-run``'s ego-only ``trace.csv`` does not show; two more pin the
+evaluation corridor with the benchmark's two slow vehicles.
 The hashes hold for the numpy/OpenBLAS build named in ``BENCH_*.json``; a
 different BLAS kernel may round the matrix products differently.
 """
@@ -21,6 +22,7 @@ import pytest
 
 from feddrive.cli import main
 from feddrive.config import load_run_config
+from feddrive.evaluation import EvalTemplate, realize_scenario
 from feddrive.metrics import run_episode
 from feddrive.sim import TrafficWorld
 from tests.conftest import CONFIGS, NETS
@@ -87,6 +89,12 @@ def test_sim_run_trace_is_golden(smoke_run, tmp_path, config, drive, digest):
 SCHEDULE = (2.6, 2.6, 1.0, 0.0, -1.5, 0.5)
 
 
+def eval_corridor(distance_m: float):
+    """The benchmark's evaluation scenario: two slow random vehicles on the corridor."""
+    template = EvalTemplate(background_count=2, bg_speed_factor_min=0.4, bg_speed_factor_max=0.7, master_seed=0)
+    return realize_scenario(template, distance_m)
+
+
 @pytest.mark.parametrize(
     "config, actions, episode_seeds, digest",
     [
@@ -119,13 +127,34 @@ SCHEDULE = (2.6, 2.6, 1.0, 0.0, -1.5, 0.5)
             (0, 1, 2),
             "ea9bf615ec1088a9315016f0576ae6dfc36569a47cf0010ec2937d3725a5c7e7",
         ),
+        # the 10 m evaluation corridor: random placements rejected for
+        # overlap (2 and 10 of them), a vehicle leaving by ``tail`` and then
+        # a step with no traffic; both episodes arrive after 2 steps
+        (
+            eval_corridor(10.0),
+            SCHEDULE,
+            (0, 2),
+            "31739c87f83f9654a9d597b97114b554b3c51525e2860dd73cd33f5197e23be8",
+        ),
+        # the 207 m evaluation corridor: an arrival after 19 steps, the last 8
+        # with no traffic left, and a collision after 19 steps once a vehicle
+        # has left by ``tail``
+        (
+            eval_corridor(207.0),
+            SCHEDULE,
+            (0, 1),
+            "7ee674afa256c2bb293d89841a9f844ba85348f6f71221d61e7a82fb422a22c5",
+        ),
     ],
-    ids=["grid-traffic", "cross-collision", "long-road-traffic"],
+    ids=["grid-traffic", "cross-collision", "long-road-traffic", "eval-corridor-10m", "eval-corridor-207m"],
 )
 def test_world_trace_is_golden(tmp_path, config, actions, episode_seeds, digest):
-    cfg = tmp_path / "world.cfg"
-    cfg.write_text(config.format(nets=NETS))
-    world = TrafficWorld(load_run_config(cfg).scenario)
+    """``config`` is a run config's text, or a scenario ready to drive."""
+    if isinstance(config, str):
+        cfg = tmp_path / "world.cfg"
+        cfg.write_text(config.format(nets=NETS))
+        config = load_run_config(cfg).scenario
+    world = TrafficWorld(config)
     lines = []
 
     def state() -> str:

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from feddrive.sim import REWARD_CASES, EventFlags, InconsistentFlagsError, compute_reward
+from feddrive.sim.reward import REWARD_BY_FLAGS
 
 ALL_VALUES = {-10.0, 10.0, -0.05, 0.025, 0.05, 0.04, -0.02}
 
@@ -112,3 +113,29 @@ def test_totality_over_flag_space(flags):
             compute_reward(flags)
     else:
         assert compute_reward(flags) in ALL_VALUES
+
+
+def test_reward_lookup_equals_first_match_over_the_case_table():
+    combos = list(all_consistent_flags())
+    assert set(REWARD_BY_FLAGS) == set(combos)
+    for flags in combos:
+        first = next(value for _name, predicate, value in REWARD_CASES if predicate(flags))
+        assert REWARD_BY_FLAGS[flags] == first
+        assert compute_reward(flags) == first
+    # the one inconsistent pair is not in the table and still raises, whatever the other flags
+    for braking, waiting, moving in itertools.product([False, True], repeat=3):
+        flags = EventFlags(True, True, braking, waiting, moving)
+        assert flags not in REWARD_BY_FLAGS
+        with pytest.raises(InconsistentFlagsError):
+            compute_reward(flags)
+
+
+def test_event_flags_repr_and_fields():
+    flags = EventFlags(collided=True, speed_nonzero=True)
+    assert repr(flags) == (
+        "EventFlags(collided=True, reached_destination=False, braking=False, "
+        "waiting_at_light=False, speed_nonzero=True)"
+    )
+    assert flags == EventFlags(True, False, False, False, True)
+    with pytest.raises(AttributeError):
+        flags.collided = False  # immutable, as a step record must be

@@ -138,6 +138,19 @@ def test_network_edited_between_episodes_is_honoured():
         obs = world.step(2.6).observation
 
 
+def test_step_records_print_their_fields():
+    world = make_world(LIT_ROAD)
+    out = world.step(2.6)
+    obs = out.observation
+    assert repr(out) == (
+        f"StepOutcome(observation=EgoObservation(pos_x={obs.pos_x!r}, pos_y=0.0, speed=2.6, heading=0.0, "
+        f"acceleration=2.6, dest_distance={obs.dest_distance!r}), reward=0.05, done=False, cause='none', "
+        "flags=EventFlags(collided=False, reached_destination=False, braking=False, waiting_at_light=False, "
+        "speed_nonzero=True))"
+    )
+    assert obs.as_vector().tolist() == [obs.pos_x, obs.pos_y, obs.speed, obs.heading, obs.acceleration, obs.dest_distance]
+
+
 def test_reset_initial_observation():
     net = "node a 0 0\nnode b 3 4\nedge ab a b 5 20 1\nroute main ab\n"
     world = make_world(net, destination_node="b")
@@ -270,6 +283,18 @@ def test_background_stopped_leader_one_metre():
     world.background_step(t=50.0)  # green phase, light not a factor
     assert follower.speed_mps == 0.0
     assert leader.tail_m - follower.pos_m == pytest.approx(1.0)
+
+
+def test_leader_sharing_the_followers_id_still_blocks_it():
+    # a vehicle skips only itself: an id is a label that two vehicles can share
+    world = make_world(LIT_ROAD, max_steps=900)
+    world.ego.pos_m = 90.0
+    follower = add_background(world, "ab", 10.0, speed=4.0)
+    leader = add_background(world, "ab", 20.0, speed=0.0, factor=0.0)  # tail at 15, gap 5 m
+    leader.vehicle_id = follower.vehicle_id
+    world.background_step(t=50.0)
+    assert follower.speed_mps == 5.0 - world.scenario.min_gap_m
+    assert leader.tail_m - follower.pos_m == world.scenario.min_gap_m
 
 
 def test_background_red_light_deceleration():
