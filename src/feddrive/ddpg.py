@@ -5,6 +5,17 @@ The critic regresses onto the target-network bootstrap value
 deterministic policy gradient through the critic.  Episode truncation at the
 step budget does not cut the bootstrap: only collision and arrival are
 environment terminals.
+
+A warm update (``update``: ``critic_update``, ``actor_update``, then both
+``soft_update``s) allocates nothing parameter-sized.  Its forward and
+backward passes run through ``nn.LayerBuffers`` shared by every net of one
+architecture, dtype and batch size in the process (``_shared_buffers``): an
+agent's online and target nets share one set, and so do all agents.  That
+is safe only because agents train serially, one update at a time, in one
+thread (see ``federation``), and because each pass uses up what the one
+before it left in the buffers before it runs.  Nothing returned from them
+outlives the update except ``policy_gradient``'s gradient, which is valid
+until the next update of a net of the same architecture.
 """
 
 from __future__ import annotations
@@ -17,14 +28,17 @@ import numpy as np
 from .metrics import RolloutTrace, run_episode
 from .nn import (
     AdamState,
+    LayerBuffers,
     MlpParams,
     adam_step,
     backward,
+    backward_into,
     cast_params,
     forward,
+    forward_into,
     init_adam,
     init_params,
-    input_gradient,
+    soft_update,
     unflatten_params,
 )
 from .seeding import derive_seed
@@ -225,6 +239,8 @@ class DdpgAgent:
             seed=derive_seed(seed, 2),
         )
         actor, critic = cast_params(actor, TRAIN_DTYPE), cast_params(critic, TRAIN_DTYPE)
+        for net in (actor, critic):  # the update buffers are made here, before any update (see nn.LayerBuffers)
+            _shared_buffers(net, hp.batch_size)
         return cls(
             agent_id=agent_id,
             hp=hp,
@@ -254,12 +270,39 @@ def select_action(agent: DdpgAgent, obs: EgoObservation, explore: bool, rng: np.
     return a
 
 
+_SHARED_BUFFERS: dict[tuple, LayerBuffers] = {}
+
+
+def _shared_buffers(params: MlpParams, n: int) -> LayerBuffers:
+    """The process's one buffer set for nets like ``params`` at batch size ``n``."""
+    key = (params.layer_sizes, params.activations, params.flat.dtype, n)
+    bufs = _SHARED_BUFFERS.get(key)
+    if bufs is None:
+        bufs = _SHARED_BUFFERS[key] = LayerBuffers(*key)
+    return bufs
+
+
+def _critic_input(bufs: LayerBuffers, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    """The critic's input [states, actions], assembled in ``bufs.inputs``."""
+    x = bufs.inputs
+    x[:, :STATE_DIM] = states
+    x[:, STATE_DIM:] = actions
+    return x
+
+
+def _mean(a: np.ndarray) -> float:
+    """``float(np.mean(a))`` for a float array, without its Python-level wrapper."""
+    return float(np.add.reduce(a, axis=None) / a.size)
+
+
 def critic_targets(agent: DdpgAgent, batch: Batch) -> np.ndarray:
     """Bellman targets y = r + gamma * (1 - done) * Q'(s', mu'(s'))."""
     hp = agent.hp
-    next_u, _ = forward(agent.target_actor, batch.next_states)
+    n = batch.states.shape[0]
+    critic_bufs = _shared_buffers(agent.target_critic, n)
+    next_u = forward_into(agent.target_actor, _shared_buffers(agent.target_actor, n), batch.next_states)
     next_a = scale_action(next_u, hp.accel_min_mps2, hp.accel_max_mps2)
-    next_q, _ = forward(agent.target_critic, np.hstack([batch.next_states, next_a]))
+    next_q = forward_into(agent.target_critic, critic_bufs, _critic_input(critic_bufs, batch.next_states, next_a))
     return batch.rewards + hp.gamma * (1.0 - batch.dones) * next_q
 
 
@@ -267,29 +310,38 @@ def critic_update(agent: DdpgAgent, batch: Batch) -> float:
     """One Adam step on the critic toward the Bellman targets; returns the pre-step MSE."""
     y = critic_targets(agent, batch)
     n = batch.states.shape[0]
-    q, cache = forward(agent.critic, np.hstack([batch.states, batch.actions]))
+    bufs = _shared_buffers(agent.critic, n)
+    q = forward_into(agent.critic, bufs, _critic_input(bufs, batch.states, batch.actions))
     err = q - y
-    loss = float(np.mean(err**2))
+    loss = _mean(err**2)
     if not math.isfinite(loss):
         raise ValueError("non-finite critic loss")
-    grads, _ = backward(agent.critic, cache, 2.0 * err / n)
-    adam_step(agent.critic, grads, agent.critic_adam, agent.hp.critic_lr)
+    backward_into(agent.critic, bufs, 2.0 * err / n)
+    adam_step(agent.critic, bufs.grad, agent.critic_adam, agent.hp.critic_lr)
     return loss
 
 
 def policy_gradient(
     actor: MlpParams, critic: MlpParams, states: np.ndarray, a_min: float, a_max: float
 ) -> tuple[MlpParams, float]:
-    """Gradient of mean Q(s, mu(s)) w.r.t. actor parameters, and the objective value."""
+    """Gradient of mean Q(s, mu(s)) w.r.t. actor parameters, and the objective value.
+
+    The gradient is a buffer shared by every actor of this architecture and
+    batch size; it is valid until the next update of such a net.
+    """
     n = states.shape[0]
-    u, actor_cache = forward(actor, states)
+    actor_bufs, critic_bufs = _shared_buffers(actor, n), _shared_buffers(critic, n)
+    u = forward_into(actor, actor_bufs, states)
     actions = scale_action(u, a_min, a_max)
-    q, critic_cache = forward(critic, np.hstack([states, actions]))
-    objective = float(np.mean(q))
-    dq_da = input_gradient(critic, critic_cache, np.full_like(q, 1.0 / n))[:, states.shape[1]:]
-    du = dq_da * 0.5 * (a_max - a_min)
-    grads, _ = backward(actor, actor_cache, du)
-    return grads, objective
+    q = forward_into(critic, critic_bufs, _critic_input(critic_bufs, states, actions))
+    objective = _mean(q)
+    mean_grad = critic_bufs.output_gradient
+    mean_grad.fill(1.0 / n)
+    dq_da = backward_into(critic, critic_bufs, mean_grad, grad=False, input_grad=True)[:, states.shape[1]:]
+    du = np.multiply(dq_da, 0.5, out=actor_bufs.output_gradient)
+    np.multiply(du, a_max - a_min, out=du)
+    backward_into(actor, actor_bufs, du)
+    return actor_bufs.grad, objective
 
 
 def actor_update(agent: DdpgAgent, batch: Batch) -> float:
@@ -315,15 +367,12 @@ def _ascend_actor(agent: DdpgAgent, grads: MlpParams) -> None:
     adam_step(agent.actor, grads, agent.actor_adam, agent.hp.actor_lr)
 
 
-def soft_update(target: MlpParams, source: MlpParams, tau: float) -> None:
-    """Set ``target`` to the elementwise combination tau*source + (1-tau)*target, in place."""
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError("tau must lie in [0, 1]")
-    t, s = target.flat, source.flat
-    if t.shape != s.shape:
-        raise ValueError(f"shape mismatch: target {t.shape} vs source {s.shape}")
-    t *= 1.0 - tau
-    t += tau * s
+def update(agent: DdpgAgent, batch: Batch) -> None:
+    """One DDPG update on a replay batch: critic, actor, then both target nets."""
+    critic_update(agent, batch)
+    actor_update(agent, batch)
+    soft_update(agent.target_actor, agent.actor, agent.hp.tau)
+    soft_update(agent.target_critic, agent.critic, agent.hp.tau)
 
 
 def train_episode(
@@ -345,11 +394,7 @@ def train_episode(
             out.cause in (CAUSE_COLLISION, CAUSE_DESTINATION),
         )
         if len(agent.buffer) >= hp.batch_size:
-            batch = agent.buffer.sample(hp.batch_size, rng)
-            critic_update(agent, batch)
-            actor_update(agent, batch)
-            soft_update(agent.target_actor, agent.actor, hp.tau)
-            soft_update(agent.target_critic, agent.critic, hp.tau)
+            update(agent, agent.buffer.sample(hp.batch_size, rng))
 
     return run_episode(
         world, lambda obs: select_action(agent, obs, explore=True, rng=rng), episode_seed, on_step=learn

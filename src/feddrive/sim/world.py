@@ -215,6 +215,14 @@ class TrafficWorld:
             headings.add(heading)
         # on a network whose edges all run one way (a straight corridor) no path crosses another
         self._headings_differ = len(headings) > 1
+        for spawn in sc.background_spawns:
+            edge_id, _, _ = self._route_point(net.routes[spawn.route], spawn.pos_m)
+            lanes = net.edges[edge_id].lanes
+            if not 0 <= spawn.lane < lanes:
+                raise ValueError(
+                    f"spawn at {spawn.pos_m} m on route {spawn.route!r} has lane {spawn.lane}, "
+                    f"but edge {edge_id!r} has {lanes} lane(s)"
+                )
         # per route: whether it is cyclic (RoadNetwork.route_is_cyclic), and its
         # length (RoadNetwork.route_length_m) in name order, for random spawns
         self._route_cyclic = {}

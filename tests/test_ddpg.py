@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from feddrive import nn
 from feddrive.ddpg import (
+    STATE_DIM,
     Batch,
     DdpgAgent,
     DdpgHyperparams,
@@ -23,6 +25,7 @@ from feddrive.ddpg import (
     select_action,
     soft_update,
     train_episode,
+    update,
 )
 from feddrive.metrics import average_speed
 from feddrive.sim import EgoObservation, SpawnSpec, TrafficWorld
@@ -477,3 +480,89 @@ def test_targets_initialized_to_online():
     agent = DdpgAgent.create(TINY, seed=8)
     assert np.array_equal(nn.flatten_params(agent.actor), nn.flatten_params(agent.target_actor))
     assert np.array_equal(nn.flatten_params(agent.critic), nn.flatten_params(agent.target_critic))
+
+
+# ------------------------------------------------- buffered update path
+
+
+def reference_update(agent, batch):
+    """One DDPG update composed from the allocating ``nn`` functions; returns the loss and objective."""
+    hp = agent.hp
+    a_min, a_max, n = hp.accel_min_mps2, hp.accel_max_mps2, batch.states.shape[0]
+    next_u, _ = nn.forward(agent.target_actor, batch.next_states)
+    next_q, _ = nn.forward(agent.target_critic, np.hstack([batch.next_states, scale_action(next_u, a_min, a_max)]))
+    y = batch.rewards + hp.gamma * (1.0 - batch.dones) * next_q
+    q, cache = nn.forward(agent.critic, np.hstack([batch.states, batch.actions]))
+    err = q - y
+    loss = float(np.mean(err**2))
+    grads, _ = nn.backward(agent.critic, cache, 2.0 * err / n)
+    nn.adam_step(agent.critic, grads, agent.critic_adam, hp.critic_lr)
+
+    u, actor_cache = nn.forward(agent.actor, batch.states)
+    q, critic_cache = nn.forward(agent.critic, np.hstack([batch.states, scale_action(u, a_min, a_max)]))
+    objective = float(np.mean(q))
+    dq_da = nn.input_gradient(agent.critic, critic_cache, np.full_like(q, 1.0 / n))[:, STATE_DIM:]
+    grads, _ = nn.backward(agent.actor, actor_cache, dq_da * 0.5 * (a_max - a_min))
+    np.negative(grads.flat, out=grads.flat)
+    nn.adam_step(agent.actor, grads, agent.actor_adam, hp.actor_lr)
+
+    for target, online in ((agent.target_actor.flat, agent.actor.flat), (agent.target_critic.flat, agent.critic.flat)):
+        target *= 1.0 - hp.tau
+        target += hp.tau * online
+    return loss, objective
+
+
+def filled_buffer(hp, rng, count=200):
+    buffer = ReplayBuffer(hp.buffer_capacity)
+    for _ in range(count):
+        buffer.store(rng.normal(size=6), float(rng.normal()), float(rng.normal()), rng.normal(size=6), rng.random() < 0.2)
+    return buffer
+
+
+def agent_bytes(agent):
+    nets = [getattr(agent, name).flat.tobytes() for name in ("actor", "critic", "target_actor", "target_critic")]
+    adams = [(s.m.tobytes(), s.v.tobytes(), s.t) for s in (agent.actor_adam, agent.critic_adam)]
+    return nets, adams
+
+
+@pytest.mark.parametrize("hidden, steps", [((32, 32), 6), ((400, 300), 2)], ids=["32x32", "400x300"])
+def test_buffered_update_equals_allocating_composition(hidden, steps):
+    # two agents share the update buffers; interleaving them (A, B, A, B)
+    # shows any state one leaves there for the other
+    hp = DdpgHyperparams(actor_hidden=hidden, critic_hidden=hidden, buffer_capacity=256)
+    rng = np.random.default_rng(0)
+    buffer = filled_buffer(hp, rng)
+    trained = [DdpgAgent.create(hp, seed=s, agent_id=s) for s in (1, 2)]
+    reference = [DdpgAgent.create(hp, seed=s, agent_id=s) for s in (1, 2)]
+    assert trained[0].actor.flat.dtype == np.float32
+    for _ in range(steps):
+        for agent, ref in zip(trained, reference):
+            batch = buffer.sample(hp.batch_size, rng)
+            update(agent, batch)
+            reference_update(ref, batch)
+    for agent, ref in zip(trained, reference):
+        assert agent_bytes(agent) == agent_bytes(ref)
+        assert agent.critic_adam.t == agent.actor_adam.t == steps
+    # the public steps return the reference's loss and objective, bit for bit
+    batch = buffer.sample(hp.batch_size, rng)
+    loss, objective = reference_update(reference[0], batch)
+    assert critic_update(trained[0], batch) == loss
+    assert actor_update(trained[0], batch) == objective
+
+
+def test_warm_update_allocates_less_than_a_critic_vector():
+    hp = DdpgHyperparams(buffer_capacity=256)  # the paper's 400x300 nets
+    rng = np.random.default_rng(0)
+    buffer = filled_buffer(hp, rng)
+    agent = DdpgAgent.create(hp, seed=0)
+    batches = [buffer.sample(hp.batch_size, rng) for _ in range(11)]
+    update(agent, batches[0])  # warm
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for batch in batches[1:]:
+            update(agent, batch)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < agent.critic.flat.nbytes  # about 484 KB

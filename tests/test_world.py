@@ -26,6 +26,7 @@ edge bc b c 100 20 1
 light b 10 10 10
 route main ab bc
 """
+TWO_LANE_AB_ROAD = LIT_ROAD.replace("edge ab a b 100 20 1", "edge ab a b 100 20 2")
 
 
 def make_world(net_text, **overrides):
@@ -351,12 +352,23 @@ def test_scheduled_spawn_appears_and_defers():
 def test_scheduled_spawn_beside_a_blocker_is_not_deferred():
     blocker = SpawnSpec(step=0, route="main", pos_m=30.0, speed_factor=0.0)
     beside = SpawnSpec(step=0, route="main", pos_m=30.0, lane=1, speed_factor=0.0)
-    world = make_world(LIT_ROAD, background_spawns=(blocker, beside))
+    world = make_world(TWO_LANE_AB_ROAD, background_spawns=(blocker, beside))
     world.step(0.0)  # step 0: both inserted, the second on lane 1
     assert [(v.vehicle_id, v.edge_id, v.pos_m, v.lane) for v in world.background] == [
         ("bg0", "ab", 30.0, 0),
         ("bg1", "ab", 30.0, 1),
     ]
+
+
+def test_spawn_lane_must_exist_on_the_edge_it_lands_on():
+    make_world(TWO_LANE_AB_ROAD, background_spawns=(SpawnSpec(step=0, route="main", pos_m=30.0, lane=1),))
+    with pytest.raises(ValueError, match="lane 1, but edge 'ab' has 1 lane"):
+        make_world(LIT_ROAD, background_spawns=(SpawnSpec(step=0, route="main", pos_m=30.0, lane=1),))
+    # 150 m along the route lands on bc, which has one lane
+    with pytest.raises(ValueError, match="lane 1, but edge 'bc' has 1 lane"):
+        make_world(TWO_LANE_AB_ROAD, background_spawns=(SpawnSpec(step=0, route="main", pos_m=150.0, lane=1),))
+    with pytest.raises(ValueError, match="lane -1, but edge 'ab' has 2 lane"):
+        make_world(TWO_LANE_AB_ROAD, background_spawns=(SpawnSpec(step=0, route="main", pos_m=30.0, lane=-1),))
 
 
 # ---------------------------------------------------------------- collision
