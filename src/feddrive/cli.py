@@ -24,7 +24,7 @@ from .ddpg import ACTION_DIM, STATE_DIM
 from .evaluation import evaluate, export_csv, export_json, policy_act, summaries_from_json
 from .federation import round_reports_csv, run_training
 from .metrics import run_episode
-from .nn import MlpParams, mlp_from_parts
+from .nn import MlpParams, count_params, mlp_from_parts
 from .sim.world import TrafficWorld
 
 log = logging.getLogger("feddrive")
@@ -134,8 +134,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def _describe_net(label: str, net_meta: dict) -> str:
     sizes = net_meta["layer_sizes"]
-    count = sum(a * b + b for a, b in zip(sizes, sizes[1:]))
-    return f"{label}: sizes {sizes}, activations {net_meta['activations']}, {count} parameters"
+    return f"{label}: sizes {sizes}, activations {net_meta['activations']}, {count_params(sizes)} parameters"
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:

@@ -142,7 +142,10 @@ def _spawns(raw: dict, key: str) -> tuple[SpawnSpec, ...]:
         }
         if factor:
             fields["speed_factor"] = _cast(key, factor[0], float)
-        specs.append(SpawnSpec(**fields))
+        try:
+            specs.append(SpawnSpec(**fields))
+        except ValueError as exc:
+            raise ConfigError(f"key {key!r}: {exc}") from None
     return tuple(specs)
 
 

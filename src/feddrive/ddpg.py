@@ -239,7 +239,7 @@ class DdpgAgent:
             seed=derive_seed(seed, 2),
         )
         actor, critic = cast_params(actor, TRAIN_DTYPE), cast_params(critic, TRAIN_DTYPE)
-        for net in (actor, critic):  # the update buffers are made here, before any update (see nn.LayerBuffers)
+        for net in (actor, critic):  # the shared update buffers, made with the agent so that no update allocates them
             _shared_buffers(net, hp.batch_size)
         return cls(
             agent_id=agent_id,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -194,22 +194,12 @@ def export_csv(summaries: list[EvalSummary], path: str | Path) -> None:
 
 def export_json(summaries: list[EvalSummary], path: str | Path) -> None:
     """JSON mirror of the CSV: its fields plus each row's ``timeouts`` and ``successes``."""
-    payload = [
-        {
-            "policy_id": s.policy_id,
-            "distance_m": r.distance_m,
-            "episodes": r.episodes,
-            "collisions": r.collisions,
-            "timeouts": r.timeouts,
-            "successes": r.successes,
-            "mean_travel_delay_s": r.mean_travel_delay_s,
-            "mean_avg_speed_mps": r.mean_avg_speed_mps,
-            "success_rate": r.success_rate,
-        }
-        for s in summaries
-        for r in s.rows
-    ]
+    payload = [{"policy_id": s.policy_id, **asdict(r)} for s in summaries for r in s.rows]
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+
+
+# a JSON value's cast to each annotation of ``DistanceResult``
+_FIELD_CASTS = {"int": int, "float": float, "float | None": lambda v: None if v is None else float(v)}
 
 
 def summaries_from_json(path: str | Path) -> list[EvalSummary]:
@@ -232,18 +222,7 @@ def summaries_from_json(path: str | Path) -> list[EvalSummary]:
         if missing:
             raise ConfigError(f"{path}: row {i} lacks {', '.join(missing)}")
         try:
-            row = DistanceResult(
-                distance_m=float(item["distance_m"]),
-                episodes=int(item["episodes"]),
-                collisions=int(item["collisions"]),
-                timeouts=int(item["timeouts"]),
-                successes=int(item["successes"]),
-                mean_travel_delay_s=(
-                    None if item["mean_travel_delay_s"] is None else float(item["mean_travel_delay_s"])
-                ),
-                mean_avg_speed_mps=float(item["mean_avg_speed_mps"]),
-                success_rate=float(item["success_rate"]),
-            )
+            row = DistanceResult(**{f.name: _FIELD_CASTS[f.type](item[f.name]) for f in fields(DistanceResult)})
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: row {i}: {exc}") from None
         by_policy.setdefault(str(item["policy_id"]), []).append(row)

@@ -24,7 +24,6 @@ exact.  Supported activations: relu, tanh, identity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,6 +118,11 @@ def _check_architecture(layer_sizes, activations) -> None:
         raise ValueError(f"layer sizes must be >= 1, got {layer_sizes}")
 
 
+def count_params(layer_sizes) -> int:
+    """The number of weights and biases of a net with these layer sizes."""
+    return sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]))
+
+
 def init_params(layer_sizes: list[int], activations: list[str], seed: int) -> MlpParams:
     """Uniform fan-in init: W ~ U[-1/sqrt(fan_in), 1/sqrt(fan_in)], biases zero."""
     _check_architecture(layer_sizes, activations)
@@ -134,54 +138,31 @@ def init_params(layer_sizes: list[int], activations: list[str], seed: int) -> Ml
 class LayerBuffers:
     """Every array a forward and backward pass of one architecture writes, at one batch size.
 
-    ``values`` and ``preacts`` are laid out as in a ``ForwardCache``, except
-    that each activation is applied in place: ``values[i + 1]`` is
-    ``preacts[i]`` and holds layer i's output.  Backward reads a
-    pre-activation only as a relu's ``> 0`` mask, which the relu leaves as
-    it was.  ``values[0]`` holds whatever input the last ``forward_into``
-    was given.  ``inputs`` and ``output_gradient`` are spare arrays for a
-    caller to assemble a net input or an output gradient in, and ``grad``
-    receives ``backward_into``'s parameter gradients.  Each pass through the
-    buffers overwrites what the one before left there.
+    ``values`` and ``preacts`` hold what a ``ForwardCache`` holds: the
+    input the last ``forward_into`` was given, then each layer's output, and
+    each layer's pre-activation.  ``inputs`` and ``output_gradient`` are
+    spare arrays for a caller to assemble a net input or an output gradient
+    in, ``grad`` receives ``backward_into``'s parameter gradients, and
+    ``scratch`` holds each layer's relu mask, pre-activation gradient and
+    input gradient.  Each pass through the buffers overwrites what the one
+    before left there.
     """
 
     def __init__(self, layer_sizes, activations, dtype, n: int):
-        # One allocation holds every float array here (grad, inputs and
-        # output_gradient, then per layer at most an output, an input
-        # gradient and a pre-activation gradient), each on a 16-element
-        # boundary.  As one block made at agent creation (``DdpgAgent.create``)
-        # the set left the paper-size benchmark's peak RSS where it was;
-        # separate arrays, or a block made at the first update, raised it by
-        # about 2 MB.
-        count = sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]))
-        block = np.empty(count + 3 * n * sum(layer_sizes) + 16 * (3 + 3 * len(activations)), dtype)
-        pos = 0
-
-        def take(*shape):
-            nonlocal pos
-            size = math.prod(shape)
-            array = block[pos : pos + size].reshape(shape)
-            pos += -(-size // 16) * 16
-            return array
-
-        self.grad = MlpParams.wrap(take(count), layer_sizes, activations)
-        self.inputs = take(n, layer_sizes[0])
-        self.output_gradient = take(n, layer_sizes[-1])
-        self.preacts = [take(n, fan_out) for fan_out in layer_sizes[1:]]
-        self.values = [None, *self.preacts]
-        # per layer: the relu mask, the pre-activation gradient and the input
-        # gradient; below the output layer a relu's pre-activation gradient
-        # overwrites the gradient it is computed from, elementwise
-        g_ins = [take(n, fan_in) for fan_in in layer_sizes[:-1]]
-        self.scratch = []
-        for i, (fan_out, act) in enumerate(zip(layer_sizes[1:], activations)):
-            if act == "identity":
-                gz = None
-            elif act == "relu" and i + 1 < len(g_ins):
-                gz = g_ins[i + 1]
-            else:
-                gz = take(n, fan_out)
-            self.scratch.append((np.empty((n, fan_out), bool) if act == "relu" else None, gz, g_ins[i]))
+        self.grad = MlpParams.wrap(np.empty(count_params(layer_sizes), dtype), layer_sizes, activations)
+        self.inputs = np.empty((n, layer_sizes[0]), dtype)
+        self.output_gradient = np.empty((n, layer_sizes[-1]), dtype)
+        self.preacts = [np.empty((n, fan_out), dtype) for fan_out in layer_sizes[1:]]
+        # an identity layer's output is its pre-activation, as in ``_forward``
+        self.values = [None, *(z if a == "identity" else np.empty_like(z) for z, a in zip(self.preacts, activations))]
+        self.scratch = [
+            (
+                np.empty((n, fan_out), bool) if act == "relu" else None,
+                None if act == "identity" else np.empty((n, fan_out), dtype),
+                np.empty((n, fan_in), dtype),
+            )
+            for fan_in, fan_out, act in zip(layer_sizes, layer_sizes[1:], activations)
+        ]
 
 
 _ALLOCATE = (None, None, None)  # a layer's scratch in an allocating backward: every array new
@@ -208,9 +189,8 @@ def _forward(params: MlpParams, values: list, preacts: list) -> np.ndarray:
     """The forward layer arithmetic on ``values[0]``; fills ``values[1:]`` and ``preacts``.
 
     Each layer writes into the arrays already there, or into new ones where
-    an entry is None; where ``values[i + 1]`` is ``preacts[i]`` the
-    activation is applied in place.  An identity layer's output is its
-    pre-activation array.
+    an entry is None.  An identity layer's output is its pre-activation
+    array.
     """
     x = values[0]
     for i, (layer, act) in enumerate(zip(params.layers, params.activations)):
@@ -358,7 +338,7 @@ def cast_params(params: MlpParams, dtype) -> MlpParams:
 
 
 def _wrap_copy(vector: np.ndarray, layer_sizes, activations, dtype) -> MlpParams:
-    count = sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]))
+    count = count_params(layer_sizes)
     vector = np.array(vector, dtype=dtype)
     if vector.shape != (count,):
         raise ValueError(f"expected vector of length {count}, got shape {vector.shape}")

@@ -60,6 +60,11 @@ class SpawnSpec:
     lane: int = 0
     speed_factor: float = 1.0
 
+    def __post_init__(self):
+        for name in ("step", "pos_m", "speed_mps", "speed_factor"):
+            if not 0.0 <= getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:

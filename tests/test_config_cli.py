@@ -374,6 +374,24 @@ def test_cli_train_bad_physics_setting_fails_before_writing(tmp_path, key, value
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key,line,name",
+    [
+        ("spawn", "-1 main 30 0", "step"),
+        ("spawn", "0 main -5 0", "pos_m"),
+        ("eval_spawn", "0 through 25 -1", "speed_mps"),
+        ("eval_spawn", "0 through 25 0 -0.5", "speed_factor"),
+    ],
+)
+def test_cli_train_negative_spawn_number_fails_before_writing(tmp_path, key, line, name):
+    cfg = write_config(tmp_path, **{key: line})
+    with pytest.raises(ConfigError, match=f"key '{key}': {name} must be >= 0 and finite"):
+        load_run_config(cfg)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("capacity", ["4", "0"])
 def test_cli_train_replay_capacity_must_hold_a_batch(tmp_path, caplog, capacity):
     cfg = write_config(tmp_path, batch_size="8", replay_capacity=capacity)

@@ -140,14 +140,18 @@ def rel_err(a, b):
     return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
 
 
-@pytest.mark.parametrize(
-    "sizes,acts",
-    [
-        ((6, 8, 1), ("relu", "tanh")),
-        ((7, 5, 1), ("relu", "identity")),  # critic-style concatenated input width
-        ((4, 6, 3), ("tanh", "identity")),
-    ],
-)
+ARCHITECTURES = [
+    ((6, 8, 1), ("relu", "tanh")),
+    ((7, 5, 1), ("relu", "identity")),  # critic-style concatenated input width
+    ((4, 6, 3), ("tanh", "identity")),
+    ((5, 4, 3, 2), ("identity", "tanh", "relu")),
+    ((3, 2), ("relu",)),
+    ((3, 2), ("tanh",)),
+    ((3, 2), ("identity",)),
+]
+
+
+@pytest.mark.parametrize("sizes,acts", ARCHITECTURES)
 def test_gradient_check(sizes, acts):
     p = small_net(seed=11, sizes=sizes, acts=acts)
     rng = np.random.default_rng(7)
@@ -213,6 +217,37 @@ def test_input_gradient_is_backwards_input_gradient(sizes, acts):
     assert np.array_equal(nn.input_gradient(p, cache, g_out), g_in)  # same bits
     with pytest.raises(ValueError, match="output gradient shape"):
         nn.input_gradient(p, cache, g_out[:, :0])
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("n", [1, 5])
+@pytest.mark.parametrize("sizes,acts", ARCHITECTURES)
+def test_buffered_passes_equal_allocating(sizes, acts, n, dtype):
+    p = nn.cast_params(small_net(seed=11, sizes=sizes, acts=acts), dtype)
+    bufs = nn.LayerBuffers(p.layer_sizes, p.activations, dtype, n)
+    for i, act in enumerate(acts):  # an activation gets its own output array
+        assert (bufs.values[i + 1] is bufs.preacts[i]) == (act == "identity")
+    rng = np.random.default_rng(7)
+    for _ in range(2):  # the second pass reuses what the first wrote
+        x = rng.normal(size=(n, sizes[0])).astype(dtype)
+        g_out = rng.normal(size=(n, sizes[-1])).astype(dtype)
+        out, cache = nn.forward(p, x)
+        grads, g_in = nn.backward(p, cache, g_out)
+        assert same_bytes(nn.forward_into(p, bufs, x), out)
+        assert all(map(same_bytes, bufs.values, cache.values))
+        assert all(map(same_bytes, bufs.preacts, cache.preacts))
+        assert nn.backward_into(p, bufs, g_out) is None
+        assert same_bytes(bufs.grad.flat, grads.flat)
+        bufs.grad.flat.fill(np.nan)
+        g_in_only = nn.backward_into(p, bufs, g_out, grad=False, input_grad=True)
+        assert same_bytes(g_in_only, nn.input_gradient(p, cache, g_out))
+        assert np.isnan(bufs.grad.flat).all()  # grad=False leaves the parameter gradients alone
+        assert same_bytes(nn.backward_into(p, bufs, g_out, grad=True, input_grad=True), g_in)
+        assert same_bytes(bufs.grad.flat, grads.flat)
 
 
 # --------------------------------------------------------------------- adam

@@ -15,6 +15,7 @@ from feddrive.sim import (
     distance_to_destination,
     load_network,
 )
+from feddrive.sim.network import straight_corridor
 
 # straight road with a light at the midpoint node, red during [0, 10)
 LIT_ROAD = """
@@ -371,6 +372,14 @@ def test_spawn_lane_must_exist_on_the_edge_it_lands_on():
         make_world(TWO_LANE_AB_ROAD, background_spawns=(SpawnSpec(step=0, route="main", pos_m=30.0, lane=-1),))
 
 
+@pytest.mark.parametrize("value", [-5.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("name", ["step", "pos_m", "speed_mps", "speed_factor"])
+def test_spawn_numbers_must_be_non_negative_and_finite(name, value):
+    # a negative pos_m would place the vehicle behind its route's start, off the road
+    with pytest.raises(ValueError, match=f"{name} must be >= 0 and finite"):
+        SpawnSpec(**{"step": 0, "route": "main", name: value})
+
+
 # ---------------------------------------------------------------- collision
 
 
@@ -399,6 +408,14 @@ def test_collision_other_lane_ignored():
     world.ego.pos_m = 15.0
     add_background(world, "ab", 14.0, lane=1)
     assert world.collision_check() is False
+
+
+@pytest.mark.xfail(strict=True, reason="collision_check compares positions only on a shared edge (ROADMAP item 9a)")
+def test_ego_overlap_across_a_collinear_edge_boundary_collides():
+    world = make_world(straight_corridor(107.0), ego_route="ego", destination_node="dest")
+    world.ego.pos_m = 104.0  # ego body (99, 104] on main
+    add_background(world, "tail", 1.0, route=("main", "tail"))  # leader body (103, 108] in main's coordinates
+    assert world.collision_check() is True  # the same overlap within one edge collides
 
 
 def test_collision_at_intersection_crossing(cross_net):
