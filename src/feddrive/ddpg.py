@@ -6,16 +6,19 @@ deterministic policy gradient through the critic.  Episode truncation at the
 step budget does not cut the bootstrap: only collision and arrival are
 environment terminals.
 
-A warm update (``update``: ``critic_update``, ``actor_update``, then both
-``soft_update``s) allocates nothing parameter-sized.  Its forward and
-backward passes run through ``nn.LayerBuffers`` shared by every net of one
-architecture, dtype and batch size in the process (``_shared_buffers``): an
-agent's online and target nets share one set, and so do all agents.  That
-is safe only because agents train serially, one update at a time, in one
-thread (see ``federation``), and because each pass uses up what the one
+Every forward and backward pass runs through ``nn.forward_into`` and
+``nn.backward_into`` on an ``nn.LayerBuffers`` set shared by every net of
+one architecture, dtype and batch size in the process
+(``_shared_buffers``): an agent's online and target nets share one set, and
+so do all agents.  Actions (``policy_action``, in exploration and in
+evaluation) run on the batch-1 sets, and updates on the batch-size ones,
+so a warm update (``update``: ``critic_update``, ``actor_update``, then both
+``soft_update``s) allocates nothing parameter-sized.  Sharing is safe only
+because training and evaluation run serially in one thread, agents one
+after another (see ``federation``), and each pass uses up what the one
 before it left in the buffers before it runs.  Nothing returned from them
-outlives the update except ``policy_gradient``'s gradient, which is valid
-until the next update of a net of the same architecture.
+outlives the call that made it except ``policy_gradient``'s gradient,
+which is valid until the next update of a net of the same architecture.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .nn import (
     backward,
     backward_into,
     cast_params,
-    forward,
+    forward,  # unused here, but bench/tracing.py wraps ``ddpg.forward`` and ``ddpg.backward``
     forward_into,
     init_adam,
     init_params,
@@ -206,7 +209,7 @@ def scale_action(u: float | np.ndarray, a_min: float, a_max: float):
 
 def policy_action(actor: MlpParams, obs_vec: np.ndarray, a_min: float, a_max: float) -> float:
     """Deterministic (noise-free) action for one raw observation vector."""
-    out, _ = forward(actor, normalize_obs(obs_vec).reshape(1, -1))
+    out = forward_into(actor, _shared_buffers(actor, 1), normalize_obs(obs_vec).reshape(1, -1))
     a = scale_action(float(out[0, 0]), a_min, a_max)  # the NumPy scalar's IEEE arithmetic, without its overhead
     if not math.isfinite(a):
         raise ValueError("actor produced a non-finite action")

@@ -43,6 +43,11 @@ class AgentTrainingError(RuntimeError):
             f"agent {agent_id} failed in round {round_idx}, episode {episode_idx}, step {step_idx}: {cause}"
         )
 
+    def __reduce__(self):
+        # rebuilt from its message and fields, not through __init__, so it pickles (to cross a process
+        # boundary) whatever its cause; BaseException.__new__ stores the message as args
+        return RuntimeError.__new__, (type(self), *self.args), self.__dict__
+
 
 @dataclass(frozen=True)
 class AgentUpdate:
@@ -74,6 +79,7 @@ class AgentRoundStats:
     collisions: int
     episodes: int
     episode_rewards: tuple[float, ...] = ()
+    episode_steps: tuple[int, ...] = ()  # per episode, as RolloutTrace.steps
 
 
 @dataclass(frozen=True)
@@ -163,8 +169,9 @@ def broadcast(global_model: GlobalModel, agents: list[DdpgAgent], optimizer_stat
 def _train_agent_round(
     config: FederationConfig, agent: DdpgAgent, round_idx: int
 ) -> tuple[AgentUpdate, AgentRoundStats]:
-    # a round keeps each episode's return and the collision count, not the traces
+    # a round keeps each episode's return and steps and the collision count, not the traces
     rewards: list[float] = []
+    steps: list[int] = []
     collisions = 0
     try:
         world = TrafficWorld(config.scenario_for(agent.agent_id))
@@ -174,6 +181,7 @@ def _train_agent_round(
             rng = np.random.Generator(np.random.PCG64(derive_seed(episode_seed, 1)))
             trace = train_episode(agent, world, derive_seed(episode_seed, 0), rng)
             rewards.append(trace.total_reward)
+            steps.append(trace.steps)
             collisions += trace.collided
     except Exception as exc:
         # len(rewards) is the episode in progress; a world that cannot be built fails episode 0, step 0
@@ -192,6 +200,7 @@ def _train_agent_round(
         collisions=collisions,
         episodes=len(rewards),
         episode_rewards=tuple(rewards),
+        episode_steps=tuple(steps),
     )
     return update, stats
 

@@ -7,19 +7,25 @@ copies are made in it.  Nets built from layers (``init_params``,
 ``MlpParams(layers=...)``, ``mlp_from_parts``) are float64; ``cast_params``
 gives a copy in another dtype.
 
-The layer arithmetic exists once, in ``_forward`` and ``_backpropagate``,
-which write into given arrays or, where they are given None, into new
-ones.  ``forward``, ``backward`` and ``input_gradient`` run them on new
-arrays.  ``forward_into`` and ``backward_into`` run them on a
-``LayerBuffers``, preallocated per architecture and batch size, so a warm
-training update allocates nothing parameter-sized; they write into that
-buffer set and nowhere else, and what they return lives there until its
-next use.  Both kinds of call make the same ufunc and BLAS calls on the
-same values, so they give the same bits.  ``adam_step`` updates its
-``params`` and ``state`` in place, and ``soft_update`` its ``target``; no
-other function here writes to an argument.  Fixed elementwise formulas,
-applied in a fixed order, keep gradient checks and cross-run determinism
-exact.  Supported activations: relu, tanh, identity.
+The layer arithmetic exists once, in ``forward_into`` and ``backward_into``,
+and the arrays of one pass live in one container, a ``LayerBuffers`` made
+per architecture and batch size.  Both functions write into the buffer set
+they are given and nowhere else, and what they return lives there until
+its next use, so a caller that keeps its sets allocates nothing
+parameter-sized per pass.  ``ddpg`` keeps one set per architecture, dtype
+and batch size, for batch-1 actions and batch-64 updates alike, and shares
+it between nets; that is safe because training and evaluation run
+serially.  ``forward`` runs ``forward_into`` on a fresh set and returns the
+set as its cache; ``backward`` and ``input_gradient`` run ``backward_into``
+on that cache.  These fresh-buffer calls are the reference that reused
+buffers are checked against: the same ufunc and BLAS calls run on the same
+values, so they give the same bits.
+
+``adam_step`` updates its ``params`` and ``state`` in place, and
+``soft_update`` its ``target``; no other function here writes to an
+argument.  Fixed elementwise formulas, applied in a fixed order, keep
+gradient checks and cross-run determinism exact.  Supported activations:
+relu, tanh, identity.
 """
 
 from __future__ import annotations
@@ -88,12 +94,6 @@ class MlpParams:
         return self.layers[-1].weights.shape[0]
 
 
-@dataclass(frozen=True)
-class ForwardCache:
-    values: tuple[np.ndarray, ...]  # the net input, then each layer's output; batch-major
-    preacts: tuple[np.ndarray, ...]  # pre-activation of each layer
-
-
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
@@ -138,9 +138,9 @@ def init_params(layer_sizes: list[int], activations: list[str], seed: int) -> Ml
 class LayerBuffers:
     """Every array a forward and backward pass of one architecture writes, at one batch size.
 
-    ``values`` and ``preacts`` hold what a ``ForwardCache`` holds: the
-    input the last ``forward_into`` was given, then each layer's output, and
-    each layer's pre-activation.  ``inputs`` and ``output_gradient`` are
+    ``values`` holds the input the last ``forward_into`` was given, then
+    each layer's output, batch-major, and ``preacts`` each layer's
+    pre-activation.  ``inputs`` and ``output_gradient`` are
     spare arrays for a caller to assemble a net input or an output gradient
     in, ``grad`` receives ``backward_into``'s parameter gradients, and
     ``scratch`` holds each layer's relu mask, pre-activation gradient and
@@ -153,7 +153,7 @@ class LayerBuffers:
         self.inputs = np.empty((n, layer_sizes[0]), dtype)
         self.output_gradient = np.empty((n, layer_sizes[-1]), dtype)
         self.preacts = [np.empty((n, fan_out), dtype) for fan_out in layer_sizes[1:]]
-        # an identity layer's output is its pre-activation, as in ``_forward``
+        # an identity layer's output is its pre-activation, as in ``forward_into``
         self.values = [None, *(z if a == "identity" else np.empty_like(z) for z, a in zip(self.preacts, activations))]
         self.scratch = [
             (
@@ -165,36 +165,24 @@ class LayerBuffers:
         ]
 
 
-_ALLOCATE = (None, None, None)  # a layer's scratch in an allocating backward: every array new
-
-
-def forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Run a batch (n, in_dim) through the net; cache is sufficient for backward."""
+def forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, LayerBuffers]:
+    """Run a batch (n, in_dim) through the net on fresh buffers; they are the cache ``backward`` needs."""
     x = np.asarray(x, dtype=params.flat.dtype)
     if x.ndim != 2 or x.shape[1] != params.in_dim:
         raise ValueError(f"expected input of shape (n, {params.in_dim}), got {x.shape}")
-    depth = len(params.layers)
-    values, preacts = [x] + [None] * depth, [None] * depth
-    out = _forward(params, values, preacts)
-    return out, ForwardCache(values=tuple(values), preacts=tuple(preacts))
+    cache = LayerBuffers(params.layer_sizes, params.activations, x.dtype, x.shape[0])
+    return forward_into(params, cache, x), cache
 
 
 def forward_into(params: MlpParams, bufs: LayerBuffers, x: np.ndarray) -> np.ndarray:
-    """``forward`` through ``bufs``; the output is a view into them, valid until their next use."""
-    bufs.values[0] = np.asarray(x, dtype=params.flat.dtype)
-    return _forward(params, bufs.values, bufs.preacts)
+    """Run a batch (n, in_dim) through the net in ``bufs``; the output is a view into them, valid until reused.
 
-
-def _forward(params: MlpParams, values: list, preacts: list) -> np.ndarray:
-    """The forward layer arithmetic on ``values[0]``; fills ``values[1:]`` and ``preacts``.
-
-    Each layer writes into the arrays already there, or into new ones where
-    an entry is None.  An identity layer's output is its pre-activation
-    array.
+    An identity layer's output is its pre-activation array.
     """
-    x = values[0]
+    values, preacts = bufs.values, bufs.preacts
+    x = values[0] = np.asarray(x, dtype=params.flat.dtype)
     for i, (layer, act) in enumerate(zip(params.layers, params.activations)):
-        z = preacts[i] = np.matmul(x, layer.weights.T, out=preacts[i])
+        z = np.matmul(x, layer.weights.T, out=preacts[i])
         z += layer.bias
         if act == "relu":
             x = np.maximum(z, 0.0, out=values[i + 1])
@@ -202,58 +190,38 @@ def _forward(params: MlpParams, values: list, preacts: list) -> np.ndarray:
             x = np.tanh(z, out=values[i + 1])
         else:
             x = z
-        values[i + 1] = x
     return x
 
 
-def backward(params: MlpParams, cache: ForwardCache, output_gradient: np.ndarray) -> tuple[MlpParams, np.ndarray]:
+def backward(params: MlpParams, cache: LayerBuffers, output_gradient: np.ndarray) -> tuple[MlpParams, np.ndarray]:
     """Exact gradients of sum(output * output_gradient) w.r.t. params and input.
 
-    The parameter gradient is a new ``MlpParams`` laid out like ``params``.
+    Both live in ``cache``: the parameter gradient is ``cache.grad``, laid
+    out like ``params``, and each backward through the cache overwrites them.
     """
-    grad = MlpParams.wrap(np.empty_like(params.flat), params.layer_sizes, params.activations)
-    g = _output_gradient(params, cache.preacts, output_gradient)
-    return grad, _backpropagate(params, cache.values, cache.preacts, g, grad, [_ALLOCATE] * len(params.layers))
+    return cache.grad, backward_into(params, cache, output_gradient, input_grad=True)
 
 
-def input_gradient(params: MlpParams, cache: ForwardCache, output_gradient: np.ndarray) -> np.ndarray:
+def input_gradient(params: MlpParams, cache: LayerBuffers, output_gradient: np.ndarray) -> np.ndarray:
     """``backward``'s gradient w.r.t. the input, without the parameter gradients."""
-    g = _output_gradient(params, cache.preacts, output_gradient)
-    return _backpropagate(params, cache.values, cache.preacts, g, None, [_ALLOCATE] * len(params.layers))
+    return backward_into(params, cache, output_gradient, grad=False, input_grad=True)
 
 
 def backward_into(
     params: MlpParams, bufs: LayerBuffers, output_gradient: np.ndarray, grad: bool = True, input_grad: bool = False
 ) -> np.ndarray | None:
-    """``backward`` through the last ``forward_into`` on ``bufs``, in them.
+    """Exact gradients of sum(output * output_gradient), through the last ``forward_into`` on ``bufs``, in them.
 
     Writes the parameter gradients into ``bufs.grad`` if ``grad``.  Returns
     the input gradient, a view into ``bufs`` valid until their next use, if
     ``input_grad``; else the first layer's input gradient is not computed.
     """
-    g = _output_gradient(params, bufs.preacts, output_gradient)
-    return _backpropagate(params, bufs.values, bufs.preacts, g, bufs.grad if grad else None, bufs.scratch, input_grad)
-
-
-def _output_gradient(params: MlpParams, preacts, output_gradient: np.ndarray) -> np.ndarray:
+    values, preacts = bufs.values, bufs.preacts
     g = np.asarray(output_gradient, dtype=params.flat.dtype)
     if g.shape != preacts[-1].shape:
         raise ValueError(f"output gradient shape {g.shape} != output shape {preacts[-1].shape}")
-    return g
-
-
-def _backpropagate(
-    params: MlpParams, values, preacts, g: np.ndarray, grad: MlpParams | None, scratch, input_grad: bool = True
-) -> np.ndarray | None:
-    """The backward layer arithmetic, from the output gradient ``g``.
-
-    Writes the parameter gradients into ``grad`` unless it is None, and
-    returns the input gradient if ``input_grad`` (else None).  ``scratch[i]``
-    holds layer i's relu mask, pre-activation gradient and input gradient
-    arrays; a None entry makes a new array.
-    """
     for i in reversed(range(len(params.layers))):
-        mask, gz, g_in = scratch[i]
+        mask, gz, g_in = bufs.scratch[i]
         act = params.activations[i]
         if act == "relu":
             gz = np.multiply(g, np.greater(preacts[i], 0.0, out=mask), out=gz)
@@ -263,9 +231,9 @@ def _backpropagate(
             np.multiply(g, gz, out=gz)
         else:
             gz = g
-        if grad is not None:
-            np.matmul(gz.T, values[i], out=grad.layers[i].weights)
-            np.add.reduce(gz, axis=0, out=grad.layers[i].bias)
+        if grad:
+            np.matmul(gz.T, values[i], out=bufs.grad.layers[i].weights)
+            np.add.reduce(gz, axis=0, out=bufs.grad.layers[i].bias)
         if i == 0 and not input_grad:
             return None
         g = np.matmul(gz, params.layers[i].weights, out=g_in)

@@ -221,6 +221,13 @@ class TrafficWorld:
         # on a network whose edges all run one way (a straight corridor) no path crosses another
         self._headings_differ = len(headings) > 1
         for spawn in sc.background_spawns:
+            # _route_point would clamp such a spawn to the route's end, from where it would drive off at once
+            route_length = net.route_length_m(spawn.route)
+            if spawn.pos_m > route_length:
+                raise ValueError(
+                    f"spawn at {spawn.pos_m} m on route {spawn.route!r} lies past the route's end "
+                    f"({route_length} m long)"
+                )
             edge_id, _, _ = self._route_point(net.routes[spawn.route], spawn.pos_m)
             lanes = net.edges[edge_id].lanes
             if not 0 <= spawn.lane < lanes:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from feddrive import nn
+from feddrive import ddpg, evaluation, nn
 from feddrive.ddpg import (
     STATE_DIM,
     Batch,
@@ -18,8 +18,10 @@ from feddrive.ddpg import (
     apply_policy_gradient,
     critic_targets,
     critic_update,
+    normalize_obs,
     ou_sample,
     ou_stationary_variance,
+    policy_action,
     policy_gradient,
     scale_action,
     select_action,
@@ -262,6 +264,52 @@ def test_non_finite_actor_output_rejected():
     agent.actor = nn.unflatten_params(agent.actor, np.full(agent.actor.param_count, np.inf))
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
         select_action(agent, obs_of(), explore=False, rng=np.random.default_rng(0))
+
+
+def allocating_action(actor, vec, a_min, a_max):
+    """``policy_action`` composed from the allocating ``nn.forward``, on buffers of its own."""
+    u, _ = nn.forward(actor, normalize_obs(vec).reshape(1, -1))
+    return scale_action(float(u[0, 0]), a_min, a_max)
+
+
+def test_alternating_actors_share_one_batch1_set_and_keep_their_bits():
+    hp = DdpgHyperparams(actor_hidden=(32, 32), critic_hidden=(32, 32))
+    actors = [DdpgAgent.create(hp, seed=s).actor for s in (1, 2)]
+    assert ddpg._shared_buffers(actors[0], 1) is ddpg._shared_buffers(actors[1], 1)
+    a_min, a_max = hp.accel_min_mps2, hp.accel_max_mps2
+    rng = np.random.default_rng(0)
+    for _ in range(3):  # A, B, A, ...: each reads what the other left in the shared set
+        for actor in actors:
+            vec = rng.normal(scale=50.0, size=6)
+            assert policy_action(actor, vec, a_min, a_max) == allocating_action(actor, vec, a_min, a_max)
+    assert policy_action(actors[0], vec, a_min, a_max) != policy_action(actors[1], vec, a_min, a_max)
+
+
+def test_select_action_interleaved_with_evaluate_keeps_both_bits(monkeypatch):
+    agent = DdpgAgent.create(TINY, seed=1)
+    frozen = DdpgAgent.create(TINY, seed=2).actor  # float32, the agent's architecture: one batch-1 set
+    frozen.layers[-1].bias[:] = 3.0  # drives off, so its observations change from step to step
+    assert ddpg._shared_buffers(agent.actor, 1) is ddpg._shared_buffers(frozen, 1)
+    template = evaluation.EvalTemplate(max_steps=20)
+    a_min, a_max = template.accel_min_mps2, template.accel_max_mps2
+    rng = np.random.default_rng(3)
+    calls = 0
+
+    def interleaved(actor, vec, lo, hi):
+        nonlocal calls
+        calls += 1
+        action = policy_action(actor, vec, lo, hi)
+        assert action == allocating_action(actor, vec, lo, hi)
+        obs = EgoObservation(*rng.normal(scale=50.0, size=6))  # each action runs between two of evaluate's
+        expected = allocating_action(agent.actor, obs.as_vector(), TINY.accel_min_mps2, TINY.accel_max_mps2)
+        assert select_action(agent, obs, explore=False, rng=rng) == expected
+        return action
+
+    protocol = evaluation.EvalProtocol(episodes=2, distances_m=(52.0,), template=template)
+    reference = evaluation.evaluate(lambda vec: allocating_action(frozen, vec, a_min, a_max), protocol)
+    monkeypatch.setattr(evaluation, "policy_action", interleaved)
+    assert evaluation.evaluate(frozen, protocol) == reference
+    assert calls > 5
 
 
 # -------------------------------------------------------------- critic side

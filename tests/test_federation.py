@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 import threading
 
 import numpy as np
@@ -293,6 +294,31 @@ def test_agent_failure_names_the_step(road_scenario, monkeypatch):
     err = info.value
     assert (err.agent_id, err.round_idx, err.episode_idx, err.step_idx) == (0, 0, 0, 17)
     assert isinstance(err.__cause__, FloatingPointError)
+
+
+def test_agent_training_error_pickles_with_its_fields():
+    err = AgentTrainingError(1, 2, 3, 4, ValueError("boom"))
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is AgentTrainingError
+    assert (back.agent_id, back.round_idx, back.episode_idx, back.step_idx) == (1, 2, 3, 4)
+    assert str(back) == str(err) == "agent 1 failed in round 2, episode 3, step 4: boom"
+
+
+def test_round_stats_count_each_episodes_steps(road_scenario, monkeypatch):
+    counted = []  # (agent, steps) per train_episode call, in the order they ran
+
+    def counting_episode(agent, world, episode_seed, rng):
+        trace = train_episode(agent, world, episode_seed, rng)
+        counted.append((agent.agent_id, trace.steps))
+        return trace
+
+    monkeypatch.setattr(federation, "train_episode", counting_episode)
+    cfg = tiny_fed(road_scenario(max_steps=25), agents=2, rounds=2, episodes_per_round=3)
+    _, reports = run_training(cfg)
+    stats = [s for report in reports for s in report.per_agent]
+    assert [(s.agent_id, steps) for s in stats for steps in s.episode_steps] == counted
+    for k, s in enumerate(stats):
+        assert sum(s.episode_steps) == sum(steps for _, steps in counted[3 * k : 3 * k + 3]) > 0
 
 
 def test_update_payload_does_not_follow_further_training(road_scenario):

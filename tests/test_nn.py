@@ -211,9 +211,10 @@ def test_backward_input_gradient_vs_fd():
 def test_input_gradient_is_backwards_input_gradient(sizes, acts):
     p = small_net(seed=5, sizes=sizes, acts=acts)
     rng = np.random.default_rng(2)
-    _, cache = nn.forward(p, rng.normal(size=(9, sizes[0])))
+    x = rng.normal(size=(9, sizes[0]))
     g_out = rng.normal(size=(9, sizes[-1]))
-    _, g_in = nn.backward(p, cache, g_out)
+    _, g_in = nn.backward(p, nn.forward(p, x)[1], g_out)
+    _, cache = nn.forward(p, x)  # a cache of its own: the gradients live in the cache they came from
     assert np.array_equal(nn.input_gradient(p, cache, g_out), g_in)  # same bits
     with pytest.raises(ValueError, match="output gradient shape"):
         nn.input_gradient(p, cache, g_out[:, :0])

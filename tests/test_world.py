@@ -372,6 +372,18 @@ def test_spawn_lane_must_exist_on_the_edge_it_lands_on():
         make_world(TWO_LANE_AB_ROAD, background_spawns=(SpawnSpec(step=0, route="main", pos_m=30.0, lane=-1),))
 
 
+def test_spawn_past_its_route_end_is_rejected(road_scenario):
+    # single_road.net's route "main" is one 400 m edge; such a spawn used to be clamped to 400 m and drive off
+    past = (SpawnSpec(step=0, route="main", pos_m=5000.0),)
+    with pytest.raises(ValueError, match=r"spawn at 5000.0 m on route 'main' lies past the route's end \(400.0 m long\)"):
+        TrafficWorld(road_scenario(background_spawns=past))
+    world = TrafficWorld(road_scenario(background_spawns=(SpawnSpec(step=0, route="main", pos_m=400.0),)))
+    world.reset(0)  # the route's end itself is on the road
+    world.scenario = road_scenario(background_spawns=past)
+    with pytest.raises(ValueError, match="lies past the route's end"):
+        world.reset(0)  # checked again at reset, like the lane
+
+
 @pytest.mark.parametrize("value", [-5.0, float("nan"), float("inf")])
 @pytest.mark.parametrize("name", ["step", "pos_m", "speed_mps", "speed_factor"])
 def test_spawn_numbers_must_be_non_negative_and_finite(name, value):
