@@ -37,6 +37,8 @@ def _setup_logging() -> None:
 
 def _read_round_checkpoint(path: str | Path) -> tuple[dict, dict]:
     """Arrays and meta of a global-round checkpoint, holding everything ``load_actor`` and ``inspect`` read."""
+    if not Path(path).is_file():
+        raise ConfigError(f"checkpoint not found: {path}")
     arrays, meta = load_container(path)
     if meta.get("kind") != "global_round":
         raise ContainerError(f"{path}: unknown checkpoint kind {meta.get('kind')!r}")
@@ -111,10 +113,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, seed=args.seed)
-    ckpt = Path(args.checkpoint)
-    if not ckpt.is_file():
-        raise ConfigError(f"checkpoint not found: {ckpt}")
-    actor = load_actor(ckpt)
+    actor = load_actor(args.checkpoint)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = evaluate(actor, cfg.eval_protocol, policy_id=args.policy_id)
@@ -170,12 +169,7 @@ def cmd_sim_run(args: argparse.Namespace) -> int:
     if not math.isfinite(args.accel):
         raise ConfigError(f"--accel must be a finite acceleration, got {args.accel!r}")
     cfg = load_run_config(args.config, seed=args.seed)
-    actor = None
-    if args.checkpoint is not None:
-        ckpt = Path(args.checkpoint)
-        if not ckpt.is_file():
-            raise ConfigError(f"checkpoint not found: {ckpt}")
-        actor = load_actor(ckpt)
+    actor = load_actor(args.checkpoint) if args.checkpoint is not None else None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     trace_path = out_dir / "trace.csv"

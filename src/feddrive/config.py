@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .ddpg import DdpgHyperparams
-from .evaluation import EvalProtocol, EvalTemplate
+from .evaluation import EvalProtocol, EvalTemplate, realize_scenario
 from .federation import FederationConfig
 from .sim.network import load_network_file
-from .sim.world import ScenarioConfig, SpawnSpec
+from .sim.world import ScenarioConfig, SpawnError, SpawnSpec, TrafficWorld
 
 
 class ConfigError(ValueError):
@@ -149,6 +149,14 @@ def _spawns(raw: dict, key: str) -> tuple[SpawnSpec, ...]:
     return tuple(specs)
 
 
+def _check_world(scenario: ScenarioConfig, key: str, where: str = "") -> None:
+    """Build ``scenario``'s world once; a spawn it rejects raises a ConfigError naming ``key``."""
+    try:
+        TrafficWorld(scenario)
+    except SpawnError as exc:
+        raise ConfigError(f"key {key!r}{where}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class RunConfig:
     scenario: ScenarioConfig
@@ -181,8 +189,10 @@ def load_run_config(
 ) -> RunConfig:
     """Read, override, validate, and materialize a run configuration.
 
-    CLI overrides are applied before validation.  The config hash covers the
-    typed values with defaults applied, the parsed road network included.
+    CLI overrides are applied before validation, which includes building the
+    training world and one evaluation world per distance.  The config hash
+    covers the typed values with defaults applied, the parsed road network
+    included.
     """
     path = Path(path)
     if not path.is_file():
@@ -237,6 +247,10 @@ def load_run_config(
             background_spawns=_spawns(raw, "eval_spawn"),
         )
         eval_protocol = _build(EvalProtocol, raw, _PROTOCOL_KEYS, template=template)
+        # the worlds' own checks (routes, nodes, spawn positions), so that no command writes before they pass
+        _check_world(scenario, "spawn")
+        for distance in eval_protocol.distances_m:
+            _check_world(realize_scenario(template, distance), "eval_spawn", f" at eval distance {distance} m")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -210,7 +210,10 @@ def summaries_from_json(path: str | Path) -> list[EvalSummary]:
     """
     from .config import ConfigError  # config imports this module
 
-    payload = json.loads(Path(path).read_text())
+    try:
+        payload = json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: not a JSON file: {exc}") from None
     if not isinstance(payload, list):
         raise ConfigError(f"{path}: expected a list of rows, got a JSON {type(payload).__name__}")
     names = ("policy_id", *(f.name for f in fields(DistanceResult)))

@@ -8,7 +8,8 @@ File format, one directive per line, ``#`` starts a comment:
     route <name> <edge> [<edge> ...]
 
 Every number must be finite.  Coordinates are meters.  Edges are directed.  A light sits on a node and
-governs the end of every edge that enters that node.
+governs the end of every edge that enters that node.  ``<lanes>`` is parsed and must be at least 1, but
+has no effect on traffic: vehicles drive single file.
 """
 
 from __future__ import annotations
@@ -110,15 +111,12 @@ class RoadNetwork:
         a, b = self.nodes[e.from_node], self.nodes[e.to_node]
         return math.atan2(b.y - a.y, b.x - a.x)
 
-    def point_at(self, edge_id: str, pos_m: float) -> tuple[float, float]:
-        """x/y coordinates of a longitudinal position along an edge."""
-        e = self.edges[edge_id]
-        a, b = self.nodes[e.from_node], self.nodes[e.to_node]
-        f = pos_m / e.length_m
-        return a.x + f * (b.x - a.x), a.y + f * (b.y - a.y)
-
     def route_length_m(self, route_name: str) -> float:
-        return sum(self.edges[eid].length_m for eid in self.routes[route_name])
+        """Sum of the route's edge lengths, added in route order (``sum`` compensates from Python 3.12)."""
+        length = 0.0
+        for eid in self.routes[route_name]:
+            length += self.edges[eid].length_m
+        return length
 
     def route_end_node(self, route_name: str) -> str:
         return self.edges[self.routes[route_name][-1]].to_node

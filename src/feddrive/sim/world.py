@@ -8,8 +8,15 @@ never move backwards this is conservative, and background vehicles can never
 create an overlap.  All background decisions are computed from a snapshot of
 positions taken before anyone moves, so the update is order-independent.
 
-An episode ends at the first collision, on arrival within the destination
-tolerance, or when the step budget is exhausted.
+Traffic is single file, as the ego commands only its longitudinal
+acceleration: every vehicle follows the one ahead of it on its edge, and two
+vehicles on one edge collide when their bodies overlap.  An episode ends at
+the first collision, on arrival within the destination tolerance, or when the
+step budget is exhausted.
+
+The world checks its scenario and reads the network's geometry once, when it
+is built; editing the network or replacing ``scenario`` afterwards is not
+supported.
 """
 
 from __future__ import annotations
@@ -45,6 +52,10 @@ class UnreachableDestinationError(ValueError):
     """The ego route does not end within tolerance of the destination node."""
 
 
+class SpawnError(ValueError):
+    """A scripted background spawn names an unknown route or lies past its route's end."""
+
+
 @dataclass(frozen=True)
 class SpawnSpec:
     """Scripted background spawn, positioned in route coordinates.
@@ -57,7 +68,6 @@ class SpawnSpec:
     route: str
     pos_m: float = 0.0
     speed_mps: float = 0.0
-    lane: int = 0
     speed_factor: float = 1.0
 
     def __post_init__(self):
@@ -111,7 +121,6 @@ class VehicleState:
     vehicle_id: str
     edge_id: str
     pos_m: float
-    lane: int
     speed_mps: float
     accel_mps2: float
     length_m: float
@@ -150,7 +159,7 @@ class StepOutcome(NamedTuple):
 
 
 class EdgeInfo(NamedTuple):
-    """What the simulation reads of one edge, taken from the network at every reset."""
+    """What the simulation reads of one edge, taken from the network when the world is built."""
 
     length_m: float
     speed_limit_mps: float
@@ -165,7 +174,7 @@ def distance_to_destination(pos: tuple[float, float], dest: tuple[float, float])
 
 
 def _point(edge: EdgeInfo, pos_m: float) -> tuple[float, float]:
-    """``RoadNetwork.point_at``, from the edge's cached geometry."""
+    """x/y coordinates of a longitudinal position along an edge."""
     ax, ay, dx, dy = edge.line
     f = pos_m / edge.length_m
     return ax + f * dx, ay + f * dy
@@ -183,75 +192,50 @@ class TrafficWorld:
     """Single-episode traffic environment.  Not thread-safe; one owner at a time."""
 
     def __init__(self, scenario: ScenarioConfig):
-        self.scenario = scenario
-        self.net = scenario.network
-        self._validate_scenario()
+        self.scenario = sc = scenario
+        self.net = net = scenario.network
         self._active = False
-
-    def _validate_scenario(self) -> None:
-        sc = self.scenario
-        if sc.ego_route not in self.net.routes:
+        if sc.ego_route not in net.routes:
             raise ValueError(f"unknown ego route {sc.ego_route!r}")
-        if sc.destination_node not in self.net.nodes:
+        if sc.destination_node not in net.nodes:
             raise ValueError(f"unknown destination node {sc.destination_node!r}")
-        for spawn in sc.background_spawns:
-            if spawn.route not in self.net.routes:
-                raise ValueError(f"spawn references unknown route {spawn.route!r}")
-        end_node = self.net.nodes[self.net.route_end_node(sc.ego_route)]
-        dest = self.net.nodes[sc.destination_node]
+        end_node = net.nodes[net.route_end_node(sc.ego_route)]
+        dest = net.nodes[sc.destination_node]
         gap = distance_to_destination((end_node.x, end_node.y), (dest.x, dest.y))
         if gap > sc.destination_tolerance_m:
             raise UnreachableDestinationError(
                 f"ego route {sc.ego_route!r} ends {gap:.1f} m from destination "
                 f"{sc.destination_node!r} (tolerance {sc.destination_tolerance_m} m)"
             )
-        # Everything step, background and spawn code read of the network, in
-        # one pass at every reset so that edits between episodes count.
-        net = self.net
-        self._dest_xy = (dest.x, dest.y)
-        self._node_xy = [(node.x, node.y) for node in net.nodes.values()]
-        edges = self._edges = {}
-        headings = set()
-        for eid, e in net.edges.items():
-            a, b = net.nodes[e.from_node], net.nodes[e.to_node]
-            dx, dy = b.x - a.x, b.y - a.y
-            heading = math.atan2(dy, dx)
-            edges[eid] = EdgeInfo(e.length_m, e.speed_limit_mps, net.lights.get(e.to_node), (a.x, a.y, dx, dy), heading)
-            headings.add(heading)
-        # on a network whose edges all run one way (a straight corridor) no path crosses another
-        self._headings_differ = len(headings) > 1
         for spawn in sc.background_spawns:
+            if spawn.route not in net.routes:
+                raise SpawnError(f"spawn references unknown route {spawn.route!r}")
             # _route_point would clamp such a spawn to the route's end, from where it would drive off at once
             route_length = net.route_length_m(spawn.route)
             if spawn.pos_m > route_length:
-                raise ValueError(
+                raise SpawnError(
                     f"spawn at {spawn.pos_m} m on route {spawn.route!r} lies past the route's end "
                     f"({route_length} m long)"
                 )
-            edge_id, _, _ = self._route_point(net.routes[spawn.route], spawn.pos_m)
-            lanes = net.edges[edge_id].lanes
-            if not 0 <= spawn.lane < lanes:
-                raise ValueError(
-                    f"spawn at {spawn.pos_m} m on route {spawn.route!r} has lane {spawn.lane}, "
-                    f"but edge {edge_id!r} has {lanes} lane(s)"
-                )
-        # per route: whether it is cyclic (RoadNetwork.route_is_cyclic), and its
-        # length (RoadNetwork.route_length_m) in name order, for random spawns
-        self._route_cyclic = {}
-        self._spawn_routes = []
-        for name in sorted(net.routes):
-            route = net.routes[name]
-            self._route_cyclic[route] = net.route_is_cyclic(route)
-            length = 0.0
-            for eid in route:
-                length += edges[eid].length_m
-            self._spawn_routes.append((route, length))
+        # everything step, background and spawn code read of the network
+        self._dest_xy = (dest.x, dest.y)
+        self._node_xy = [(node.x, node.y) for node in net.nodes.values()]
+        self._edges = {}
+        for eid, e in net.edges.items():
+            a, b = net.nodes[e.from_node], net.nodes[e.to_node]
+            line = (a.x, a.y, b.x - a.x, b.y - a.y)
+            light = net.lights.get(e.to_node)
+            self._edges[eid] = EdgeInfo(e.length_m, e.speed_limit_mps, light, line, net.heading(eid))
+        # on a network whose edges all run one way (a straight corridor) no path crosses another
+        self._headings_differ = len({edge.heading for edge in self._edges.values()}) > 1
+        # per route: whether it is cyclic, and (in name order, for random spawns) its length
+        self._route_cyclic = {route: net.route_is_cyclic(route) for route in net.routes.values()}
+        self._spawn_routes = [(net.routes[name], net.route_length_m(name)) for name in sorted(net.routes)]
 
     # ------------------------------------------------------------------ reset
 
     def reset(self, episode_seed: int) -> EgoObservation:
         sc = self.scenario
-        self._validate_scenario()
         self.steps = 0
         self.done = False
         self.cause = CAUSE_NONE
@@ -262,7 +246,7 @@ class TrafficWorld:
         self._pending_spawns = list(sc.background_spawns)
 
         route = self.net.routes[sc.ego_route]
-        self.ego = VehicleState("ego", route[0], 0.0, 0, 0.0, 0.0, sc.vehicle_length_m, route, 0)
+        self.ego = VehicleState("ego", route[0], 0.0, 0.0, 0.0, sc.vehicle_length_m, route, 0)
         self.background: list[VehicleState] = []
         if sc.background_count:
             self._spawn_random_background(sc.background_count, derive_seed(sc.master_seed, episode_seed))
@@ -281,7 +265,7 @@ class TrafficWorld:
                 # uniform(low, high) draws as Generator.uniform does: low + (high - low) * random()
                 factor = low + (high - low) * u_factor
                 speed = self._edges[edge_id].speed_limit_mps * factor * u_speed
-                if self._place_background(route, edge_id, pos, idx, speed, 0, factor):
+                if self._place_background(route, edge_id, pos, idx, speed, factor):
                     break
             else:
                 raise ValueError(
@@ -290,17 +274,17 @@ class TrafficWorld:
                 )
 
     def _place_background(
-        self, route: tuple[str, ...], edge_id: str, pos: float, idx: int, speed: float, lane: int, factor: float
+        self, route: tuple[str, ...], edge_id: str, pos: float, idx: int, speed: float, factor: float
     ) -> bool:
-        """Add a background vehicle unless it comes within ``min_gap_m`` of another on its lane; True if added."""
+        """Add a background vehicle unless it comes within ``min_gap_m`` of another on its edge; True if added."""
         length = self.scenario.vehicle_length_m
         gap = self.scenario.min_gap_m
         tail = pos - length
         for other in (self.ego, *self.background):
-            if other.edge_id == edge_id and other.lane == lane and pos + gap > other.tail_m and other.pos_m + gap > tail:
+            if other.edge_id == edge_id and pos + gap > other.tail_m and other.pos_m + gap > tail:
                 return False
         self.background.append(
-            VehicleState(f"bg{self._next_bg_id}", edge_id, pos, lane, speed, 0.0, length, route, idx, factor)
+            VehicleState(f"bg{self._next_bg_id}", edge_id, pos, speed, 0.0, length, route, idx, factor)
         )
         self._next_bg_id += 1
         return True
@@ -402,7 +386,7 @@ class TrafficWorld:
                 continue
             route = self.net.routes[spawn.route]
             edge_id, pos, idx = self._route_point(route, spawn.pos_m)
-            if not self._place_background(route, edge_id, pos, idx, spawn.speed_mps, spawn.lane, spawn.speed_factor):
+            if not self._place_background(route, edge_id, pos, idx, spawn.speed_mps, spawn.speed_factor):
                 kept.append(replace(spawn, step=spawn.step + 1))  # deferred to the next step rather than dropped
         self._pending_spawns = kept
 
@@ -418,7 +402,7 @@ class TrafficWorld:
         dt = sc.step_length_s
         # value snapshot: later updates must not change earlier vehicles' gaps;
         # each entry keeps its vehicle, so a vehicle skips itself by identity
-        snapshot = [(v, v.edge_id, v.lane, v.pos_m, v.pos_m - v.length_m) for v in (self.ego, *self.background)]
+        snapshot = [(v, v.edge_id, v.pos_m, v.pos_m - v.length_m) for v in (self.ego, *self.background)]
 
         survivors: list[VehicleState] = []
         for veh in self.background:
@@ -468,17 +452,17 @@ class TrafficWorld:
         return 0 if self._route_cyclic[route] else None
 
     def _gap_to_leader(
-        self, veh: VehicleState, snapshot: list[tuple[VehicleState, str, int, float, float]]
+        self, veh: VehicleState, snapshot: list[tuple[VehicleState, str, float, float]]
     ) -> float | None:
         """Bumper gap to the nearest other vehicle ahead on this vehicle's path.
 
         The leader is sought on the vehicle's own edge first, then edge by edge
         along its route while the next edge starts within ``BG_LOOKAHEAD_M``.
         """
-        edge_id, lane, pos_m = veh.edge_id, veh.lane, veh.pos_m
+        edge_id, pos_m = veh.edge_id, veh.pos_m
         best: float | None = None
-        for other, e, other_lane, pos, tail in snapshot:
-            if e == edge_id and pos > pos_m and other_lane == lane and other is not veh:
+        for other, e, pos, tail in snapshot:
+            if e == edge_id and pos > pos_m and other is not veh:
                 gap = tail - pos_m
                 if best is None or gap < best:
                     best = gap
@@ -491,8 +475,8 @@ class TrafficWorld:
             if idx is None:
                 break
             eid = route[idx]
-            for other, e, other_lane, _pos, tail in snapshot:
-                if e == eid and other_lane == lane and other is not veh:
+            for other, e, _pos, tail in snapshot:
+                if e == eid and other is not veh:
                     gap = dist + tail
                     if best is None or gap < best:
                         best = gap
@@ -507,7 +491,7 @@ class TrafficWorld:
         """True when the ego overlaps another vehicle or shares an intersection box."""
         ego = self.ego
         for other in self.background:
-            if other.edge_id == ego.edge_id and other.lane == ego.lane:
+            if other.edge_id == ego.edge_id:
                 if ego.pos_m > other.tail_m and other.pos_m > ego.tail_m:
                     return True
         if not self._headings_differ:  # every ``cross`` below would be sin(0) = 0

@@ -237,12 +237,12 @@ def test_criterion_5_ou_statistics():
 
 
 def _bg_disjoint_and_bounded(world):
-    by_lane = {}
+    by_edge = {}
     for v in world.background:
         limit = world.net.edges[v.edge_id].speed_limit_mps
         assert 0.0 <= v.speed_mps <= limit
-        by_lane.setdefault((v.edge_id, v.lane), []).append(v)
-    for vehicles in by_lane.values():
+        by_edge.setdefault(v.edge_id, []).append(v)
+    for vehicles in by_edge.values():
         vehicles.sort(key=lambda v: v.pos_m)
         for a, b in zip(vehicles, vehicles[1:]):
             assert b.tail_m >= a.pos_m, f"overlap between {a.vehicle_id} and {b.vehicle_id}"

@@ -289,9 +289,7 @@ DERIVED_FIELDS = {
     SpawnSpec: {"step", "route", "pos_m", "speed_mps", "speed_factor"},  # the fields of a spawn line
 }
 # Hashed fields that only Python callers set, and why each stays.
-PYTHON_ONLY_FIELDS = {
-    SpawnSpec: {"lane"},  # multi-lane collision and spawn tests place vehicles on other lanes
-}
+PYTHON_ONLY_FIELDS: dict[type, set[str]] = {}
 
 
 def test_every_hashed_field_has_a_source():
@@ -392,6 +390,32 @@ def test_cli_train_negative_spawn_number_fails_before_writing(tmp_path, key, lin
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "sim-run"])
+def test_cli_spawn_past_its_route_end_fails_before_writing(tmp_path, caplog, command):
+    cfg = write_config(tmp_path, spawn="0 main 5000 0")  # single_road.net's route "main" is 400 m long
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "key 'spawn': spawn at 5000.0 m on route 'main' lies past the route's end" in caplog.text
+
+
+def test_cli_eval_spawn_past_its_route_end_fails_before_writing(tmp_path, caplog):
+    ckpt = tmp_path / "train" / "round_0.ckpt"
+    assert main(["train", "--config", str(write_config(tmp_path)), "--out", str(ckpt.parent)]) == 0
+    cfg = write_config(tmp_path, name="bad.cfg", eval_spawn="0 through 5000 0")
+    out = tmp_path / "eval"
+    assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt), "--out", str(out)]) == 2
+    assert not out.exists()
+    # the corridor's "through" route is the distance plus the 50 m overrun
+    assert "key 'eval_spawn' at eval distance 10.0 m: spawn at 5000.0 m on route 'through'" in caplog.text
+    assert "(60.0 m long)" in caplog.text
+
+
+def test_unknown_ego_route_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="unknown ego route 'nope'"):
+        load_run_config(write_config(tmp_path, ego_route="nope"))
+
+
 @pytest.mark.parametrize("capacity", ["4", "0"])
 def test_cli_train_replay_capacity_must_hold_a_batch(tmp_path, caplog, capacity):
     cfg = write_config(tmp_path, batch_size="8", replay_capacity=capacity)
@@ -463,7 +487,8 @@ def test_eval_setting_error_names_the_config_key(tmp_path, key, value):
 
 def test_cli_eval_missing_checkpoint(tmp_path):
     cfg = write_config(tmp_path)
-    assert main(["eval", "--config", str(cfg), "--checkpoint", str(tmp_path / "no.ckpt"), "--out", str(tmp_path / "e")]) != 0
+    assert main(["eval", "--config", str(cfg), "--checkpoint", str(tmp_path / "no.ckpt"), "--out", str(tmp_path / "e")]) == 2
+    assert not (tmp_path / "e").exists()
 
 
 def test_cli_eval_architecture_mismatch(tmp_path):
@@ -498,6 +523,11 @@ def test_cli_inspect_round_checkpoint(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "round index: 3" in printed
     assert "config hash:" in printed
+
+
+def test_cli_inspect_missing_checkpoint_exits_2(tmp_path, caplog):
+    assert main(["inspect", str(tmp_path / "no.ckpt")]) == 2
+    assert "checkpoint not found" in caplog.text and "no.ckpt" in caplog.text
 
 
 def test_cli_inspect_truncated(tmp_path):
@@ -648,9 +678,15 @@ def test_cli_export_json_to_csv(tmp_path):
     assert len(rows) == 1 and rows[0]["policy_id"] == "x"
 
 
-@pytest.mark.parametrize("payload,field", [({"a": 1}, "list"), ([{"policy_id": "p"}], "distance_m")])
+@pytest.mark.parametrize(
+    "payload,field",
+    [({"a": 1}, "list"), ([{"policy_id": "p"}], "distance_m"), (b"not json", "Expecting value"), (b"\xff", "JSON")],
+)
 def test_cli_export_malformed_summary_exits_2(tmp_path, caplog, payload, field):
     src = tmp_path / "bad_summary.json"
-    src.write_text(json.dumps(payload))
+    if isinstance(payload, bytes):  # not JSON text at all
+        src.write_bytes(payload)
+    else:
+        src.write_text(json.dumps(payload))
     assert main(["export", "--summary", str(src), "--out", str(tmp_path / "s.csv")]) == 2
     assert "bad_summary.json" in caplog.text and field in caplog.text

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from feddrive.sim import NetworkParseError, load_network, straight_corridor
+from feddrive.sim import NetworkParseError, ScenarioConfig, TrafficWorld, load_network, straight_corridor
 
 MINIMAL = """
 node a 0 0
@@ -86,8 +86,12 @@ route broken ab cb
 def test_heading_and_point_at(grid_net):
     assert grid_net.heading("e_s") == pytest.approx(0.0)  # eastbound
     assert grid_net.heading("e_e") == pytest.approx(math.pi / 2)  # northbound
-    x, y = grid_net.point_at("e_s", 25.0)
-    assert (x, y) == (25.0, 0.0)
+    # the world observes a position along an edge at its point on the node-to-node line
+    world = TrafficWorld(ScenarioConfig(network=grid_net, ego_route="to_light", destination_node="n10"))
+    world.reset(0)
+    world.ego.pos_m = 25.0  # parked a quarter of the way down the southbound e_w, from (0, 100)
+    obs = world.step(0.0).observation
+    assert (obs.pos_x, obs.pos_y, obs.heading) == (0.0, 75.0, grid_net.heading("e_w"))
 
 
 def test_route_helpers(grid_net):
@@ -95,6 +99,13 @@ def test_route_helpers(grid_net):
     assert grid_net.route_is_cyclic(grid_net.routes["loop"])
     assert not grid_net.route_is_cyclic(grid_net.routes["to_light"])
     assert grid_net.route_end_node("to_light") == "n10"
+
+
+def test_route_length_adds_edges_in_route_order():
+    # compensated summation (the built-in sum of floats from Python 3.12) would give 1e16 + 2
+    text = MINIMAL.replace("edge ab a b 100 20 1", "edge ab a b 1e16 20 1")
+    text += "node c 200 0\nnode d 300 0\nedge bc b c 1 20 1\nedge cd c d 1 20 1\nroute r ab bc cd\n"
+    assert load_network(text).route_length_m("r") == 1e16
 
 
 def test_light_cycle(grid_net):
