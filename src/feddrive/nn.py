@@ -21,11 +21,22 @@ on that cache.  These fresh-buffer calls are the reference that reused
 buffers are checked against: the same ufunc and BLAS calls run on the same
 values, so they give the same bits.
 
+Every matrix product is ``np.dot`` into its ``out`` array, which hands 2-D
+float arrays straight to BLAS.  ``np.matmul`` costs more per call and runs
+the products whose inner dimension is 1 (the input gradient of a 1-wide
+output layer) in numpy's own loop, about 5 times slower at batch 64.  Both
+give the same bits on every shape these nets use; the one known
+difference, the sign of a zero from a 1x1 by 1x1 product, needs a layer
+with one input and one output at batch 1.
+
 ``adam_step`` updates its ``params`` and ``state`` in place, and
 ``soft_update`` its ``target``; no other function here writes to an
 argument.  Fixed elementwise formulas, applied in a fixed order, keep
-gradient checks and cross-run determinism exact.  Supported activations:
-relu, tanh, identity.
+gradient checks and cross-run determinism exact.  ``adam_step`` is textbook
+Adam except that every 64th step sets first moments below 2**26 times the
+dtype's smallest normal to 0 (its docstring gives the bound), which keeps
+subnormal arithmetic out of long runs.  Supported activations: relu, tanh,
+identity.
 """
 
 from __future__ import annotations
@@ -182,7 +193,7 @@ def forward_into(params: MlpParams, bufs: LayerBuffers, x: np.ndarray) -> np.nda
     values, preacts = bufs.values, bufs.preacts
     x = values[0] = np.asarray(x, dtype=params.flat.dtype)
     for i, (layer, act) in enumerate(zip(params.layers, params.activations)):
-        z = np.matmul(x, layer.weights.T, out=preacts[i])
+        z = np.dot(x, layer.weights.T, out=preacts[i])
         z += layer.bias
         if act == "relu":
             x = np.maximum(z, 0.0, out=values[i + 1])
@@ -232,11 +243,11 @@ def backward_into(
         else:
             gz = g
         if grad:
-            np.matmul(gz.T, values[i], out=bufs.grad.layers[i].weights)
+            np.dot(gz.T, values[i], out=bufs.grad.layers[i].weights)
             np.add.reduce(gz, axis=0, out=bufs.grad.layers[i].bias)
         if i == 0 and not input_grad:
             return None
-        g = np.matmul(gz, params.layers[i].weights, out=g_in)
+        g = np.dot(gz, params.layers[i].weights, out=g_in)
     return g
 
 
@@ -245,6 +256,7 @@ def init_adam(params: MlpParams) -> AdamState:
 
 
 ADAM_CHUNK = 32768  # elements per pass, so a chunk's operands stay in cache between passes
+ADAM_FLUSH_EVERY = 64  # steps between flushes of first moments that decay toward the subnormal range
 
 
 def adam_step(params: MlpParams, grads: MlpParams, state: AdamState, lr: float) -> None:
@@ -252,19 +264,37 @@ def adam_step(params: MlpParams, grads: MlpParams, state: AdamState, lr: float) 
 
     Raises on non-finite gradients before anything is written.  The vectors
     are walked in chunks; each element goes through the same operations, in
-    the same order, as in one pass over whole vectors.
+    the same order, as in one pass over whole vectors.  Those are the
+    textbook recurrence's, except for the flush below.
+
+    A first moment whose gradient stays 0 shrinks by beta1 per step until
+    it is subnormal, and arithmetic on subnormals runs several times
+    slower.  So on every 64th step, right after the moment update, the
+    first-moment entries below 2**26 times the dtype's smallest normal
+    (2**-100 in float32) are set to 0.  A surviving entry decays by at most
+    0.9**64 (about 2**-9.7) before the next flush, so neither ``m`` nor
+    ``lr * m_hat`` at lr >= 2**-16 reaches the subnormal range on the way.
+    An entry that is flushed would have moved its parameter by less than
+    2**-100 * lr / eps per step, and by under 1e-24 over its whole decay at
+    lr <= 1e-3, so the parameters keep their bits unless their magnitude is
+    below about 1e-17.  ``v`` shrinks by only beta2 = 0.999 per step, which
+    takes tens of thousands of steps to reach the subnormal range, and is
+    left alone.
     """
     if not np.isfinite(grads.flat).all():
         raise ValueError("non-finite gradient in adam_step (training diverged)")
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1, c2 = 1.0 - b1**state.t, 1.0 - b2**state.t
+    flush_below = np.ldexp(np.finfo(params.flat.dtype).smallest_normal, 26) if state.t % ADAM_FLUSH_EVERY == 0 else 0
     scratch = np.empty((2, min(ADAM_CHUNK, params.param_count)), dtype=params.flat.dtype)
     for lo in range(0, params.param_count, ADAM_CHUNK):
         g, m, v, theta = (a[lo : lo + ADAM_CHUNK] for a in (grads.flat, state.m, state.v, params.flat))
         step, denom = scratch[:, : g.size]
         m *= b1
         m += np.multiply(g, 1.0 - b1, out=step)
+        if flush_below:
+            m[np.abs(m, out=step) < flush_below] = 0.0
         v *= b2
         v += np.multiply(np.multiply(g, 1.0 - b2, out=step), g, out=step)
         np.multiply(np.divide(m, c1, out=step), lr, out=step)  # lr * m_hat

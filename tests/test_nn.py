@@ -251,6 +251,70 @@ def test_buffered_passes_equal_allocating(sizes, acts, n, dtype):
         assert same_bytes(bufs.grad.flat, grads.flat)
 
 
+def matmul_reference(params, x, g_out):
+    """The layer core's arithmetic with every product through ``np.matmul``: output, parameter and input gradient."""
+    values, preacts = [x], []
+    for layer, act in zip(params.layers, params.activations):
+        z = np.matmul(values[-1], layer.weights.T)
+        z += layer.bias
+        preacts.append(z)
+        values.append(np.maximum(z, 0.0) if act == "relu" else np.tanh(z) if act == "tanh" else z)
+    grads, g = [], g_out
+    for i in reversed(range(len(params.layers))):
+        act = params.activations[i]
+        if act == "relu":
+            gz = g * (preacts[i] > 0.0)
+        elif act == "tanh":
+            gz = g * (1.0 - np.square(values[i + 1]))
+        else:
+            gz = g
+        grads[:0] = [np.matmul(gz.T, values[i]).ravel(), np.add.reduce(gz, axis=0)]
+        g = np.matmul(gz, params.layers[i].weights)
+    return values[-1], np.concatenate(grads), g
+
+
+SHIPPED_PAPER_NETS = [
+    ((6, 400, 300, 1), ("relu", "relu", "tanh")),  # actor
+    ((7, 400, 300, 1), ("relu", "relu", "identity")),  # critic
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize(
+    "sizes,acts,n",
+    [(*arch, n) for arch in ARCHITECTURES for n in (1, 5)] + [(*arch, n) for arch in SHIPPED_PAPER_NETS for n in (1, 64)],
+)
+def test_layer_core_equals_matmul_reference(sizes, acts, n, dtype):
+    p = nn.cast_params(small_net(seed=13, sizes=sizes, acts=acts), dtype)
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(n, sizes[0])).astype(dtype)
+    g_out = rng.normal(size=(n, sizes[-1])).astype(dtype)
+    x.flat[::3], x.flat[1::3] = 0.0, -0.0  # signed zeros reach every product
+    g_out.flat[::2] = -0.0
+    bufs = nn.LayerBuffers(p.layer_sizes, p.activations, dtype, n)
+    out = nn.forward_into(p, bufs, x)
+    g_in = nn.backward_into(p, bufs, g_out, input_grad=True)
+    ref_out, ref_grad, ref_g_in = matmul_reference(p, x, g_out)
+    assert same_bytes(out, ref_out)
+    assert same_bytes(bufs.grad.flat, ref_grad)
+    assert same_bytes(g_in, ref_g_in)
+
+
+def test_one_by_one_product_keeps_minus_zero_where_matmul_drops_it():
+    # np.dot takes a scalar path for a 1x1 by 1x1 product, which gives IEEE 1 * -0.0 = -0.0;
+    # np.matmul's loop adds the product to a +0.0 start and gives +0.0.  Only a layer with
+    # one input and one output at batch 1 multiplies 1x1 by 1x1; no shipped net has one
+    # (their inputs are 6 and 7 wide, and updates run at batch 64).
+    p = nn.MlpParams(layers=(nn.LayerParams(weights=np.array([[2.0]]), bias=np.zeros(1)),), activations=("identity",))
+    x, g_out = np.array([[-0.0]]), np.array([[1.0]])
+    bufs = nn.LayerBuffers(p.layer_sizes, p.activations, np.float64, 1)
+    nn.forward_into(p, bufs, x)
+    nn.backward_into(p, bufs, g_out)
+    _, ref_grad, _ = matmul_reference(p, x, g_out)
+    assert np.signbit(bufs.grad.layers[0].weights[0, 0]) and not np.signbit(ref_grad[0])
+    assert bufs.grad.flat[0] == ref_grad[0]  # equal values, opposite signs of zero
+
+
 # --------------------------------------------------------------------- adam
 
 
@@ -314,6 +378,33 @@ def test_adam_rejects_non_finite_gradient():
     # the check runs before anything is written
     assert np.array_equal(p.flat, before)
     assert np.all(state.m == 0.25) and np.all(state.v == 0.5) and state.t == 3
+
+
+def count_subnormal(a):
+    return int(np.count_nonzero((a != 0) & (np.abs(a) < np.finfo(a.dtype).smallest_normal)))
+
+
+def test_adam_keeps_moments_out_of_the_subnormal_range_and_parameters_keep_their_bits():
+    # one nonzero gradient, then zeros: each m entry shrinks by beta1 per step and, left alone,
+    # is subnormal from about step 750 and underflows to 0 after about step 900
+    p = nn.cast_params(small_net(seed=4), np.float32)
+    state = nn.init_adam(p)
+    grads = nn.unflatten_params(p, np.random.default_rng(3).normal(scale=1e-2, size=p.param_count))
+    b1, b2, eps, lr = nn.ADAM_BETA1, nn.ADAM_BETA2, nn.ADAM_EPS, 5e-4
+    theta, m, v = p.flat.copy(), np.zeros_like(p.flat), np.zeros_like(p.flat)
+    reference_subnormal_steps = 0
+    for t in range(1, 1601):
+        nn.adam_step(p, grads, state, lr)
+        assert count_subnormal(state.m) == count_subnormal(state.v) == 0, t
+        # the guard-free recurrence: adam_step's float32 operations, in its order
+        g = grads.flat
+        m = m * b1 + g * (1.0 - b1)
+        v = v * b2 + (g * (1.0 - b2)) * g
+        theta = theta - ((m / (1.0 - b1**t)) * lr) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+        reference_subnormal_steps += count_subnormal(m) > 0
+        grads.flat[:] = 0.0
+    assert reference_subnormal_steps > 100  # without the guard, m is subnormal for that long
+    assert same_bytes(p.flat, theta)
 
 
 # -------------------------------------------------------- flatten/unflatten
