@@ -9,6 +9,7 @@ FEDDRIVE_LOG environment variable (debug/info/warning/error).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import csv
 import json
 import logging
@@ -17,10 +18,12 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .config import ConfigError, load_run_config
 from .container import ContainerError, load_container
-from .ddpg import ACTION_DIM, STATE_DIM
+from .ddpg import check_actor_shape
 from .evaluation import evaluate, export_csv, export_json, policy_act, summaries_from_json
 from .federation import round_reports_csv, run_training
 from .metrics import run_episode
@@ -65,12 +68,22 @@ def load_actor(path: str | Path) -> MlpParams:
     """Actor weights from a global-round checkpoint, checked to map a state to an action."""
     arrays, meta = _read_round_checkpoint(path)
     actor = mlp_from_parts(meta["actor_net"], arrays["actor_params"])
-    if (actor.in_dim, actor.out_dim) != (STATE_DIM, ACTION_DIM):
-        raise ContainerError(
-            f"{path}: actor must map {STATE_DIM} state components to {ACTION_DIM} action, "
-            f"got {actor.in_dim}->{actor.out_dim}"
-        )
+    try:
+        check_actor_shape(actor)
+    except ValueError as exc:
+        raise ContainerError(f"{path}: {exc}") from None
     return actor
+
+
+def _blas_kernel() -> str:
+    """The kernel set that numpy's OpenBLAS picked for this CPU, or "unknown" when it cannot be read."""
+    try:
+        (lib,) = (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so")
+        corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        corename.restype = ctypes.c_char_p
+        return corename().decode() or "unknown"
+    except (OSError, ValueError, AttributeError):
+        return "unknown"
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -98,6 +111,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         "master_seed": cfg.master_seed,
         "seed_derivation": "episode_seed = splitmix64_chain(master_seed, agent_id, episode_idx)",
         "build": f"feddrive {__version__}",
+        "blas_kernel": _blas_kernel(),  # float32 products may round differently under another kernel
         "agents": cfg.federation.agents,
         "rounds": cfg.federation.rounds,
         "episodes_per_round": cfg.federation.episodes_per_round,

@@ -6,6 +6,11 @@ deterministic policy gradient through the critic.  Episode truncation at the
 step budget does not cut the bootstrap: only collision and arrival are
 environment terminals.
 
+A state is ``sim.world.normalize_observation``'s vector of an observation;
+the nets' input widths and the replay row read its width, ``STATE_DIM``.
+``train_episode`` normalises each observation once, and actions
+(``policy_action``, ``select_action``) take the state, not the observation.
+
 Every forward and backward pass runs through ``nn.forward_into`` and
 ``nn.backward_into`` on an ``nn.LayerBuffers`` set shared by every net of
 one architecture, dtype and batch size in the process
@@ -45,9 +50,16 @@ from .nn import (
     unflatten_params,
 )
 from .seeding import derive_seed
-from .sim.world import CAUSE_COLLISION, CAUSE_DESTINATION, EgoObservation, StepOutcome, TrafficWorld
+from .sim.world import (
+    CAUSE_COLLISION,
+    CAUSE_DESTINATION,
+    STATE_DIM,
+    EgoObservation,
+    StepOutcome,
+    TrafficWorld,
+    normalize_observation,
+)
 
-STATE_DIM = 6
 ACTION_DIM = 1
 # dtype of an agent's nets, Adam states, gradients and replay ring; the global
 # model, aggregation and checkpoints stay float64 (see ``federation``)
@@ -55,24 +67,13 @@ TRAIN_DTYPE = np.float32
 # the four networks of an agent or a global model; round checkpoints store each as f"{name}_params"
 NET_NAMES = ("actor", "critic", "target_actor", "target_critic")
 
-# Fixed divisors applied to raw observations before they enter the networks
-# (positions and goal distance in units of 100 m, speed of a 20 m/s limit,
-# heading of pi, acceleration of 5 m/s^2).  Raw meters-scale inputs saturate
-# tanh layers; this keeps them O(1).  The same constant applies everywhere a
-# network consumes an observation, so checkpoints need no extra metadata.
-OBS_SCALE = np.array([100.0, 100.0, 20.0, math.pi, 5.0, 100.0])
-
-
-def normalize_obs(vec: np.ndarray) -> np.ndarray:
-    return np.asarray(vec, dtype=np.float64) / OBS_SCALE
-
 
 @dataclass(frozen=True)
 class Batch:
-    states: np.ndarray  # (n, 6)
+    states: np.ndarray  # (n, STATE_DIM)
     actions: np.ndarray  # (n, 1)
     rewards: np.ndarray  # (n, 1)
-    next_states: np.ndarray  # (n, 6)
+    next_states: np.ndarray  # (n, STATE_DIM)
     dones: np.ndarray  # (n, 1) float 0/1
 
 
@@ -199,6 +200,9 @@ class DdpgHyperparams:
             )
         if not -math.inf < self.accel_min_mps2 < self.accel_max_mps2 < math.inf:
             raise ValueError("accel bounds must be finite and satisfy min < max")
+        for name in ("actor_hidden", "critic_hidden"):
+            if not all(width >= 1 for width in getattr(self, name)):
+                raise ValueError(f"{name} widths must be >= 1, got {list(getattr(self, name))}")
         OuNoiseState(mu=self.ou_mu, theta=self.ou_theta, sigma=self.ou_sigma, dt=self.ou_dt)  # checks the ou_* values
 
 
@@ -207,9 +211,18 @@ def scale_action(u: float | np.ndarray, a_min: float, a_max: float):
     return a_min + (u + 1.0) * 0.5 * (a_max - a_min)
 
 
-def policy_action(actor: MlpParams, obs_vec: np.ndarray, a_min: float, a_max: float) -> float:
-    """Deterministic (noise-free) action for one raw observation vector."""
-    out = forward_into(actor, _shared_buffers(actor, 1), normalize_obs(obs_vec).reshape(1, -1))
+def check_actor_shape(actor: MlpParams) -> None:
+    """Raise ``ValueError`` unless ``actor`` maps a state to an action."""
+    if (actor.in_dim, actor.out_dim) != (STATE_DIM, ACTION_DIM):
+        raise ValueError(
+            f"actor must map {STATE_DIM} state components to {ACTION_DIM} action, "
+            f"got {actor.in_dim}->{actor.out_dim}"
+        )
+
+
+def policy_action(actor: MlpParams, state: np.ndarray, a_min: float, a_max: float) -> float:
+    """Deterministic (noise-free) action for one state (``normalize_observation``'s vector)."""
+    out = forward_into(actor, _shared_buffers(actor, 1), state.reshape(1, -1))
     a = scale_action(float(out[0, 0]), a_min, a_max)  # the NumPy scalar's IEEE arithmetic, without its overhead
     if not math.isfinite(a):
         raise ValueError("actor produced a non-finite action")
@@ -262,10 +275,10 @@ class DdpgAgent:
         self.critic_adam = init_adam(self.critic)
 
 
-def select_action(agent: DdpgAgent, obs: EgoObservation, explore: bool, rng: np.random.Generator) -> float:
-    """Actor output scaled to the acceleration range, plus OU noise when exploring."""
+def select_action(agent: DdpgAgent, state: np.ndarray, explore: bool, rng: np.random.Generator) -> float:
+    """Actor output for one state, scaled to the acceleration range, plus OU noise when exploring."""
     hp = agent.hp
-    a = policy_action(agent.actor, obs.as_vector(), hp.accel_min_mps2, hp.accel_max_mps2)
+    a = policy_action(agent.actor, state, hp.accel_min_mps2, hp.accel_max_mps2)
     if explore:
         noise, agent.noise = ou_sample(agent.noise, rng)
         a += noise * 0.5 * (hp.accel_max_mps2 - hp.accel_min_mps2)
@@ -384,21 +397,27 @@ def train_episode(
     episode_seed: int,
     rng: np.random.Generator,
 ) -> RolloutTrace:
-    """Run one exploratory episode with per-step updates once the buffer is warm; errors carry ``step_idx``."""
+    """Run one exploratory episode with per-step updates once the buffer is warm; errors carry ``step_idx``.
+
+    Each observation is normalised once: its state serves the action chosen
+    from it and both transitions it belongs to.
+    """
     hp = agent.hp
     agent.noise = replace(agent.noise, x=hp.ou_mu)
+    seen = (None, None)  # the latest observation normalised, and its state
+
+    def state_of(obs: EgoObservation) -> np.ndarray:
+        nonlocal seen
+        if seen[0] is not obs:
+            seen = (obs, normalize_observation(obs))
+        return seen[1]
 
     def learn(obs: EgoObservation, action: float, out: StepOutcome) -> None:
-        agent.buffer.store(
-            normalize_obs(obs.as_vector()),
-            action,
-            out.reward,
-            normalize_obs(out.observation.as_vector()),
-            out.cause in (CAUSE_COLLISION, CAUSE_DESTINATION),
-        )
+        done = out.cause in (CAUSE_COLLISION, CAUSE_DESTINATION)
+        agent.buffer.store(state_of(obs), action, out.reward, state_of(out.observation), done)
         if len(agent.buffer) >= hp.batch_size:
             update(agent, agent.buffer.sample(hp.batch_size, rng))
 
     return run_episode(
-        world, lambda obs: select_action(agent, obs, explore=True, rng=rng), episode_seed, on_step=learn
+        world, lambda obs: select_action(agent, state_of(obs), explore=True, rng=rng), episode_seed, on_step=learn
     )

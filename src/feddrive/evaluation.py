@@ -19,12 +19,12 @@ from typing import Callable
 
 import numpy as np
 
-from .ddpg import ACTION_DIM, STATE_DIM, policy_action
+from .ddpg import check_actor_shape, policy_action
 from .metrics import RolloutTrace, average_speed, run_episode, travel_delay
 from .nn import MlpParams
 from .seeding import derive_seed
 from .sim.network import RoadNetwork, straight_corridor
-from .sim.world import EgoObservation, ScenarioConfig, TrafficWorld
+from .sim.world import EgoObservation, ScenarioConfig, TrafficWorld, normalize_observation
 
 Policy = MlpParams | Callable[[np.ndarray], float]
 
@@ -92,7 +92,7 @@ def realize_scenario(template: EvalTemplate, distance_m: float) -> ScenarioConfi
 def policy_act(policy: Policy, a_min: float, a_max: float) -> Callable[[EgoObservation], float]:
     """The policy as ``run_episode``'s ``act``: observation in, acceleration out."""
     if isinstance(policy, MlpParams):
-        return lambda obs: policy_action(policy, obs.as_vector(), a_min, a_max)
+        return lambda obs: policy_action(policy, normalize_observation(obs), a_min, a_max)
     return lambda obs: float(policy(obs.as_vector()))
 
 
@@ -105,7 +105,8 @@ def rollout(world: TrafficWorld, policy: Policy, episode_seed: int,
 def _memoized(actor: MlpParams, a_min: float, a_max: float) -> Callable[[np.ndarray], float]:
     """``actor``'s greedy action, computed once per distinct observation.
 
-    Keyed on the vector's bytes, so ``-0.0`` and NaN cannot alias another entry.
+    Keyed on the raw vector's bytes, so ``-0.0`` and NaN cannot alias another
+    entry, and only a miss normalises it.
     """
     actions: dict[bytes, float] = {}
 
@@ -113,7 +114,7 @@ def _memoized(actor: MlpParams, a_min: float, a_max: float) -> Callable[[np.ndar
         key = vec.tobytes()
         action = actions.get(key)
         if action is None:
-            action = actions[key] = policy_action(actor, vec, a_min, a_max)
+            action = actions[key] = policy_action(actor, normalize_observation(vec), a_min, a_max)
         return action
 
     return act
@@ -128,11 +129,7 @@ def evaluate(policy: Policy, protocol: EvalProtocol, policy_id: str = "policy") 
     a callable policy, which may keep state, is called at every step.
     """
     if isinstance(policy, MlpParams):
-        if policy.in_dim != STATE_DIM or policy.out_dim != ACTION_DIM:
-            raise ValueError(
-                f"actor must map {STATE_DIM} state components to {ACTION_DIM} action, "
-                f"got {policy.in_dim}->{policy.out_dim}"
-            )
+        check_actor_shape(policy)
     t = protocol.template
     seeds = protocol.episode_seeds()
     rows = []

@@ -1,63 +1,1 @@
 """Deterministic discrete-time microscopic traffic environment."""
-
-from .network import (
-    Edge,
-    NetworkParseError,
-    Node,
-    RoadNetwork,
-    TrafficLight,
-    load_network,
-    load_network_file,
-    straight_corridor,
-)
-from .reward import (
-    REWARD_CASES,
-    EventFlags,
-    InconsistentFlagsError,
-    compute_reward,
-)
-from .world import (
-    CAUSE_COLLISION,
-    CAUSE_DESTINATION,
-    CAUSE_MAX_STEPS,
-    CAUSE_NONE,
-    EgoObservation,
-    EpisodeDoneError,
-    ScenarioConfig,
-    SpawnError,
-    SpawnSpec,
-    StepOutcome,
-    TrafficWorld,
-    UnreachableDestinationError,
-    VehicleState,
-    distance_to_destination,
-)
-
-__all__ = [
-    "Edge",
-    "NetworkParseError",
-    "Node",
-    "RoadNetwork",
-    "TrafficLight",
-    "load_network",
-    "load_network_file",
-    "straight_corridor",
-    "REWARD_CASES",
-    "EventFlags",
-    "InconsistentFlagsError",
-    "compute_reward",
-    "CAUSE_COLLISION",
-    "CAUSE_DESTINATION",
-    "CAUSE_MAX_STEPS",
-    "CAUSE_NONE",
-    "EgoObservation",
-    "EpisodeDoneError",
-    "ScenarioConfig",
-    "SpawnError",
-    "SpawnSpec",
-    "StepOutcome",
-    "TrafficWorld",
-    "UnreachableDestinationError",
-    "VehicleState",
-    "distance_to_destination",
-]

@@ -163,6 +163,8 @@ def load_network(text: str) -> RoadNetwork:
         elif kind == "light":
             if len(args) != 4:
                 raise NetworkParseError("light needs: <node> <green_s> <red_s> <offset_s>", lineno)
+            if args[0] in net.lights:
+                raise NetworkParseError(f"duplicate light at node {args[0]!r}", lineno)
             green, red, offset = _floats(args[1:], 3, lineno, "light")
             net.lights[args[0]] = TrafficLight(args[0], green, red, offset)
         elif kind == "route":

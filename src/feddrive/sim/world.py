@@ -17,6 +17,12 @@ step budget is exhausted.
 The world checks its scenario and reads the network's geometry once, when it
 is built; editing the network or replacing ``scenario`` afterwards is not
 supported.
+
+What the ego sees is defined here once: ``EgoObservation`` gives the
+components and their order, ``OBS_SCALE`` a scale per component, and
+``STATE_DIM`` the width.  ``normalize_observation`` turns an observation
+into the policy's state; the networks, the replay rows and the actor checks
+all read these names.
 """
 
 from __future__ import annotations
@@ -137,17 +143,32 @@ class VehicleState:
 # immutable, and cheaper to build than frozen dataclasses, with the same
 # fields, order and repr.
 class EgoObservation(NamedTuple):
-    """Six-component state vector fed to the policy."""
+    """What the ego sees each step, in raw units; ``normalize_observation`` makes it the policy's state."""
 
-    pos_x: float
-    pos_y: float
-    speed: float
-    heading: float
-    acceleration: float
-    dest_distance: float
+    pos_x: float  # m
+    pos_y: float  # m
+    speed: float  # m/s
+    heading: float  # rad
+    acceleration: float  # m/s^2
+    dest_distance: float  # m
 
     def as_vector(self) -> np.ndarray:
+        """The raw components as float64, in field order."""
         return np.array(self, dtype=np.float64)
+
+
+# Each component's fixed scale.  Raw meter-scale inputs saturate tanh layers;
+# the scaled state is O(1).  Every network input is scaled alike, so
+# checkpoints need no extra metadata.
+OBS_SCALE = np.array(
+    EgoObservation(pos_x=100.0, pos_y=100.0, speed=20.0, heading=math.pi, acceleration=5.0, dest_distance=100.0)
+)
+STATE_DIM = len(EgoObservation._fields)
+
+
+def normalize_observation(obs: EgoObservation | np.ndarray) -> np.ndarray:
+    """The float64 state vector of an observation, or of its ``as_vector``."""
+    return np.array(obs, dtype=np.float64) / OBS_SCALE
 
 
 class StepOutcome(NamedTuple):

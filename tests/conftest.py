@@ -2,7 +2,8 @@ from pathlib import Path
 
 import pytest
 
-from feddrive.sim import ScenarioConfig, load_network_file
+from feddrive.sim.network import load_network_file
+from feddrive.sim.world import ScenarioConfig
 
 REPO = Path(__file__).resolve().parent.parent
 NETS = REPO / "nets"

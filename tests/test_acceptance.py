@@ -26,7 +26,8 @@ from feddrive.ddpg import (
 )
 from feddrive.evaluation import EvalProtocol, EvalTemplate, evaluate, export_csv
 from feddrive.federation import AgentUpdate, FederationConfig, aggregate, run_training
-from feddrive.sim import REWARD_CASES, EventFlags, ScenarioConfig, TrafficWorld, compute_reward
+from feddrive.sim.reward import REWARD_CASES, EventFlags, compute_reward
+from feddrive.sim.world import ScenarioConfig, TrafficWorld
 from tests.conftest import CONFIGS
 
 

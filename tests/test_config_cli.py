@@ -11,7 +11,8 @@ from feddrive.config import ConfigError, load_run_config, parse_config_text
 from feddrive.ddpg import DdpgHyperparams
 from feddrive.evaluation import EvalProtocol, EvalTemplate, realize_scenario
 from feddrive.federation import FederationConfig
-from feddrive.sim import Edge, ScenarioConfig, SpawnSpec
+from feddrive.sim.network import Edge
+from feddrive.sim.world import ScenarioConfig, SpawnSpec
 from tests.conftest import NETS
 
 
@@ -331,6 +332,7 @@ def test_cli_train_smoke(tmp_path):
     assert (out / "round_0.ckpt").is_file()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["agents"] == 1
+    assert isinstance(manifest["blas_kernel"], str) and manifest["blas_kernel"]
     report_lines = (out / "round_reports.csv").read_text().strip().splitlines()
     assert len(report_lines) == 2  # header + one (round, agent) row
 
@@ -359,6 +361,15 @@ def test_cli_train_non_finite_setting_fails_before_writing(tmp_path, key, value)
     out = tmp_path / "out"
     assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [("actor_hidden", "0 32"), ("critic_hidden", "16 -4")])
+def test_cli_train_hidden_width_below_one_fails_before_writing(tmp_path, caplog, key, value):
+    cfg = write_config(tmp_path, **{key: value})
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"{key} widths must be >= 1" in caplog.text
 
 
 @pytest.mark.parametrize(

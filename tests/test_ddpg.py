@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from feddrive import ddpg, evaluation, nn
 from feddrive.ddpg import (
-    STATE_DIM,
     Batch,
     DdpgAgent,
     DdpgHyperparams,
@@ -18,7 +17,6 @@ from feddrive.ddpg import (
     apply_policy_gradient,
     critic_targets,
     critic_update,
-    normalize_obs,
     ou_sample,
     ou_stationary_variance,
     policy_action,
@@ -30,7 +28,7 @@ from feddrive.ddpg import (
     update,
 )
 from feddrive.metrics import average_speed
-from feddrive.sim import EgoObservation, SpawnSpec, TrafficWorld
+from feddrive.sim.world import STATE_DIM, EgoObservation, SpawnSpec, TrafficWorld, normalize_observation
 
 TINY = DdpgHyperparams(actor_hidden=(8, 8), critic_hidden=(8, 8), batch_size=8, buffer_capacity=256)
 
@@ -214,39 +212,40 @@ def test_hyperparams_reject_bad_values(field, value):
 # ------------------------------------------------------------ action select
 
 
-def obs_of(speed=0.0, dest=100.0):
-    return EgoObservation(pos_x=0.0, pos_y=0.0, speed=speed, heading=0.0, acceleration=0.0, dest_distance=dest)
+def state_of():
+    """The state of an ego at rest at the origin, 100 m from its goal."""
+    return normalize_observation(EgoObservation(0.0, 0.0, 0.0, 0.0, 0.0, 100.0))
 
 
 def test_select_action_deterministic_without_noise():
     agent = DdpgAgent.create(TINY, seed=1)
     rng = np.random.default_rng(0)
-    a1 = select_action(agent, obs_of(), explore=False, rng=rng)
-    a2 = select_action(agent, obs_of(), explore=False, rng=rng)
+    a1 = select_action(agent, state_of(), explore=False, rng=rng)
+    a2 = select_action(agent, state_of(), explore=False, rng=rng)
     assert a1 == a2
 
 
 def test_zero_weight_actor_gives_midpoint():
     agent = DdpgAgent.create(TINY, seed=1)
     agent.actor = nn.unflatten_params(agent.actor, np.zeros(agent.actor.param_count))
-    a = select_action(agent, obs_of(), explore=False, rng=np.random.default_rng(0))
+    a = select_action(agent, state_of(), explore=False, rng=np.random.default_rng(0))
     assert a == pytest.approx(0.5 * (TINY.accel_min_mps2 + TINY.accel_max_mps2))
 
 
 def test_degenerate_noise_equals_greedy():
     hp = DdpgHyperparams(actor_hidden=(8, 8), critic_hidden=(8, 8), ou_sigma=0.0)
     agent = DdpgAgent.create(hp, seed=1)
-    greedy = select_action(agent, obs_of(), explore=False, rng=np.random.default_rng(0))
-    noisy = select_action(agent, obs_of(), explore=True, rng=np.random.default_rng(0))
+    greedy = select_action(agent, state_of(), explore=False, rng=np.random.default_rng(0))
+    noisy = select_action(agent, state_of(), explore=True, rng=np.random.default_rng(0))
     assert noisy == greedy
 
 
 def test_noise_state_advances_only_when_exploring():
     agent = DdpgAgent.create(TINY, seed=1)
     x0 = agent.noise.x
-    select_action(agent, obs_of(), explore=False, rng=np.random.default_rng(0))
+    select_action(agent, state_of(), explore=False, rng=np.random.default_rng(0))
     assert agent.noise.x == x0
-    select_action(agent, obs_of(), explore=True, rng=np.random.default_rng(0))
+    select_action(agent, state_of(), explore=True, rng=np.random.default_rng(0))
     assert agent.noise.x != x0
 
 
@@ -255,7 +254,7 @@ def test_explore_action_clipped():
     agent = DdpgAgent.create(hp, seed=1)
     rng = np.random.default_rng(0)
     for _ in range(50):
-        a = select_action(agent, obs_of(), explore=True, rng=rng)
+        a = select_action(agent, state_of(), explore=True, rng=rng)
         assert hp.accel_min_mps2 <= a <= hp.accel_max_mps2
 
 
@@ -263,12 +262,12 @@ def test_non_finite_actor_output_rejected():
     agent = DdpgAgent.create(TINY, seed=1)
     agent.actor = nn.unflatten_params(agent.actor, np.full(agent.actor.param_count, np.inf))
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
-        select_action(agent, obs_of(), explore=False, rng=np.random.default_rng(0))
+        select_action(agent, state_of(), explore=False, rng=np.random.default_rng(0))
 
 
-def allocating_action(actor, vec, a_min, a_max):
+def allocating_action(actor, state, a_min, a_max):
     """``policy_action`` composed from the allocating ``nn.forward``, on buffers of its own."""
-    u, _ = nn.forward(actor, normalize_obs(vec).reshape(1, -1))
+    u, _ = nn.forward(actor, state.reshape(1, -1))
     return scale_action(float(u[0, 0]), a_min, a_max)
 
 
@@ -280,9 +279,9 @@ def test_alternating_actors_share_one_batch1_set_and_keep_their_bits():
     rng = np.random.default_rng(0)
     for _ in range(3):  # A, B, A, ...: each reads what the other left in the shared set
         for actor in actors:
-            vec = rng.normal(scale=50.0, size=6)
-            assert policy_action(actor, vec, a_min, a_max) == allocating_action(actor, vec, a_min, a_max)
-    assert policy_action(actors[0], vec, a_min, a_max) != policy_action(actors[1], vec, a_min, a_max)
+            state = normalize_observation(rng.normal(scale=50.0, size=6))
+            assert policy_action(actor, state, a_min, a_max) == allocating_action(actor, state, a_min, a_max)
+    assert policy_action(actors[0], state, a_min, a_max) != policy_action(actors[1], state, a_min, a_max)
 
 
 def test_select_action_interleaved_with_evaluate_keeps_both_bits(monkeypatch):
@@ -295,18 +294,20 @@ def test_select_action_interleaved_with_evaluate_keeps_both_bits(monkeypatch):
     rng = np.random.default_rng(3)
     calls = 0
 
-    def interleaved(actor, vec, lo, hi):
+    def interleaved(actor, state, lo, hi):
         nonlocal calls
         calls += 1
-        action = policy_action(actor, vec, lo, hi)
-        assert action == allocating_action(actor, vec, lo, hi)
-        obs = EgoObservation(*rng.normal(scale=50.0, size=6))  # each action runs between two of evaluate's
-        expected = allocating_action(agent.actor, obs.as_vector(), TINY.accel_min_mps2, TINY.accel_max_mps2)
-        assert select_action(agent, obs, explore=False, rng=rng) == expected
+        action = policy_action(actor, state, lo, hi)
+        assert action == allocating_action(actor, state, lo, hi)
+        own = normalize_observation(rng.normal(scale=50.0, size=6))  # each action runs between two of evaluate's
+        expected = allocating_action(agent.actor, own, TINY.accel_min_mps2, TINY.accel_max_mps2)
+        assert select_action(agent, own, explore=False, rng=rng) == expected
         return action
 
     protocol = evaluation.EvalProtocol(episodes=2, distances_m=(52.0,), template=template)
-    reference = evaluation.evaluate(lambda vec: allocating_action(frozen, vec, a_min, a_max), protocol)
+    reference = evaluation.evaluate(
+        lambda vec: allocating_action(frozen, normalize_observation(vec), a_min, a_max), protocol
+    )
     monkeypatch.setattr(evaluation, "policy_action", interleaved)
     assert evaluation.evaluate(frozen, protocol) == reference
     assert calls > 5
@@ -507,6 +508,31 @@ def test_train_episode_timeout_on_empty_map(road_scenario):
     assert metrics.steps == 900
     assert metrics.timed_out and not metrics.collided and not metrics.reached
     assert average_speed(metrics) == 0.0
+
+
+def test_train_episode_normalises_each_observation_once(road_scenario, monkeypatch):
+    sc = road_scenario(background_count=2, max_steps=40)
+    agent = DdpgAgent.create(TINY, seed=9)
+    calls, stored = 0, []
+
+    def counted(obs):
+        nonlocal calls
+        calls += 1
+        return normalize_observation(obs)
+
+    def store(buffer, state, action, reward, next_state, done):
+        stored.append((state, next_state))
+        orig_store(buffer, state, action, reward, next_state, done)
+
+    orig_store = ReplayBuffer.store
+    monkeypatch.setattr(ddpg, "normalize_observation", counted)
+    monkeypatch.setattr(ReplayBuffer, "store", store)
+    metrics = train_episode(agent, TrafficWorld(sc), episode_seed=5, rng=np.random.default_rng(11))
+    assert metrics.steps > 8  # past the warm-up, so updates ran between actions
+    assert calls == metrics.steps + 1  # the reset observation, then each step's
+    assert len(stored) == metrics.steps
+    # a transition's next state is the next transition's state, the very same array
+    assert all(nxt is state for (_, nxt), (state, _) in zip(stored, stored[1:]))
 
 
 def test_train_episode_deterministic(road_scenario):

@@ -18,7 +18,7 @@ from feddrive.evaluation import (
 )
 from feddrive.ddpg import DdpgAgent, DdpgHyperparams, policy_action, train_episode
 from feddrive.metrics import RolloutTrace, average_speed, run_episode, travel_delay
-from feddrive.sim import SpawnSpec, TrafficWorld
+from feddrive.sim.world import SpawnSpec, TrafficWorld, normalize_observation
 
 
 def trace_of(speeds, cause="destination", dt=1.0):
@@ -264,7 +264,7 @@ def cruising_actor(seed, accel_mps2=1.5):
 
 
 def unmemoized(actor):
-    return lambda vec: policy_action(actor, vec, A_MIN, A_MAX)
+    return lambda vec: policy_action(actor, normalize_observation(vec), A_MIN, A_MAX)
 
 
 @pytest.fixture

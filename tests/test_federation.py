@@ -21,7 +21,7 @@ from feddrive.federation import (
     run_training,
 )
 from feddrive.seeding import derive_seed
-from feddrive.sim import ScenarioConfig, TrafficWorld
+from feddrive.sim.world import ScenarioConfig, TrafficWorld
 
 TINY = DdpgHyperparams(actor_hidden=(8, 8), critic_hidden=(8, 8), batch_size=16, buffer_capacity=512)
 

@@ -24,7 +24,7 @@ from feddrive.cli import main
 from feddrive.config import load_run_config
 from feddrive.evaluation import EvalTemplate, realize_scenario
 from feddrive.metrics import run_episode
-from feddrive.sim import TrafficWorld
+from feddrive.sim.world import TrafficWorld
 from tests.conftest import CONFIGS, NETS
 
 GOLDEN_SHA256 = {

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from feddrive.sim import NetworkParseError, ScenarioConfig, TrafficWorld, load_network, straight_corridor
+from feddrive.sim.network import NetworkParseError, load_network, straight_corridor
+from feddrive.sim.world import ScenarioConfig, TrafficWorld
 
 MINIMAL = """
 node a 0 0
@@ -56,6 +57,7 @@ def test_comments_and_blank_lines():
         ("node a 0 0\nnode b 1 0\nedge ab a b 5 20 1\nlight b inf 10 0", "non-finite timings"),
         ("node a 0 0\nnode b 1 0\nedge ab a b 5 20 1\nlight b 10 nan 0", "non-finite timings"),
         ("node a 0 0\nnode b 1 0\nedge ab a b 5 20 1\nlight b 10 10 nan", "non-finite timings"),
+        ("node a 0 0\nnode b 1 0\nedge ab a b 5 20 1\nlight b 10 10 0\nlight b 20 5 0", "line 5: duplicate light"),
     ],
 )
 def test_parse_errors(bad, match):

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from feddrive.sim import REWARD_CASES, EventFlags, InconsistentFlagsError, compute_reward
-from feddrive.sim.reward import REWARD_BY_FLAGS
+from feddrive.sim.reward import REWARD_BY_FLAGS, REWARD_CASES, EventFlags, InconsistentFlagsError, compute_reward
 
 ALL_VALUES = {-10.0, 10.0, -0.05, 0.025, 0.05, 0.04, -0.02}
 

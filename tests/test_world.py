@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from feddrive.sim import (
+from feddrive.sim.network import load_network, straight_corridor
+from feddrive.sim.world import (
     CAUSE_COLLISION,
     CAUSE_DESTINATION,
     CAUSE_MAX_STEPS,
@@ -12,9 +13,7 @@ from feddrive.sim import (
     UnreachableDestinationError,
     VehicleState,
     distance_to_destination,
-    load_network,
 )
-from feddrive.sim.network import straight_corridor
 
 # straight road with a light at the midpoint node, red during [0, 10)
 LIT_ROAD = """
