@@ -120,7 +120,15 @@ def cmd_train(args: argparse.Namespace) -> int:
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     for r in reports:
         mean = sum(s.mean_reward for s in r.per_agent) / len(r.per_agent)
-        log.info("round %d: mean reward %.3f", r.round_idx, mean)
+        rewards = [rew for s in r.per_agent for rew in s.episode_rewards]
+        log.info(
+            "round %d: mean reward %.3f  min %+.2f  max %+.2f  collisions %d",
+            r.round_idx,
+            mean,
+            min(rewards),
+            max(rewards),
+            sum(s.collisions for s in r.per_agent),
+        )
     log.info("wrote %d checkpoints and round_reports.csv to %s", len(reports), out_dir)
     return 0
 
@@ -221,10 +229,11 @@ def cmd_sim_run(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    src = Path(args.summary)
-    if not src.is_file():
-        raise ConfigError(f"summary file not found: {src}")
-    summaries = summaries_from_json(src)
+    summaries = []
+    for src in map(Path, args.summary):
+        if not src.is_file():
+            raise ConfigError(f"summary file not found: {src}")
+        summaries += summaries_from_json(src)
     export_csv(summaries, args.out)
     log.info("wrote %s", args.out)
     return 0
@@ -265,8 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--episode-seed", type=int, default=0)
     p_sim.set_defaults(func=cmd_sim_run)
 
-    p_export = sub.add_parser("export", help="convert an eval summary JSON to CSV")
-    p_export.add_argument("--summary", required=True)
+    p_export = sub.add_parser("export", help="convert eval summary JSONs to one CSV, rows in the order given")
+    p_export.add_argument("--summary", required=True, nargs="+")
     p_export.add_argument("--out", required=True)
     p_export.set_defaults(func=cmd_export)
     return parser

@@ -195,8 +195,13 @@ def export_json(summaries: list[EvalSummary], path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
-# a JSON value's cast to each annotation of ``DistanceResult``
-_FIELD_CASTS = {"int": int, "float": float, "float | None": lambda v: None if v is None else float(v)}
+# per annotation, the JSON values a row field takes; ``type``, not ``isinstance``, so a bool is no number
+_JSON_KINDS = {
+    "str": ((str,), "a string"),
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "float | None": ((int, float, type(None)), "a number or null"),
+}
 
 
 def summaries_from_json(path: str | Path) -> list[EvalSummary]:
@@ -213,19 +218,25 @@ def summaries_from_json(path: str | Path) -> list[EvalSummary]:
         raise ConfigError(f"{path}: not a JSON file: {exc}") from None
     if not isinstance(payload, list):
         raise ConfigError(f"{path}: expected a list of rows, got a JSON {type(payload).__name__}")
-    names = ("policy_id", *(f.name for f in fields(DistanceResult)))
+    kinds = {"policy_id": "str", **{f.name: f.type for f in fields(DistanceResult)}}
     by_policy: dict[str, list[DistanceResult]] = {}
     for i, item in enumerate(payload):
         if not isinstance(item, dict):
             raise ConfigError(f"{path}: row {i} is not an object")
-        missing = [name for name in names if name not in item]
+        missing = [name for name in kinds if name not in item]
         if missing:
             raise ConfigError(f"{path}: row {i} lacks {', '.join(missing)}")
-        try:
-            row = DistanceResult(**{f.name: _FIELD_CASTS[f.type](item[f.name]) for f in fields(DistanceResult)})
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: row {i}: {exc}") from None
-        by_policy.setdefault(str(item["policy_id"]), []).append(row)
+        row = {}
+        for name, kind in kinds.items():
+            types, wanted = _JSON_KINDS[kind]
+            value = item[name]
+            if type(value) not in types:
+                raise ConfigError(f"{path}: row {i}: {name} must be {wanted}, got {value!r}")
+            try:
+                row[name] = float(value) if type(value) is int and kind != "int" else value
+            except OverflowError:
+                raise ConfigError(f"{path}: row {i}: {name} is too large for a float") from None
+        by_policy.setdefault(row.pop("policy_id"), []).append(DistanceResult(**row))
     return [EvalSummary(policy_id=pid, rows=tuple(rows)) for pid, rows in by_policy.items()]
 
 

@@ -689,9 +689,35 @@ def test_cli_export_json_to_csv(tmp_path):
     assert len(rows) == 1 and rows[0]["policy_id"] == "x"
 
 
+SUMMARY_ROW = {
+    "policy_id": "p",
+    "distance_m": 10.0,
+    "episodes": 20,
+    "collisions": 0,
+    "timeouts": 0,
+    "successes": 20,
+    "mean_travel_delay_s": None,
+    "mean_avg_speed_mps": 5.0,
+    "success_rate": 1.0,
+}
+
+
 @pytest.mark.parametrize(
     "payload,field",
-    [({"a": 1}, "list"), ([{"policy_id": "p"}], "distance_m"), (b"not json", "Expecting value"), (b"\xff", "JSON")],
+    [
+        ({"a": 1}, "list"),
+        ([{"policy_id": "p"}], "distance_m"),
+        (b"not json", "Expecting value"),
+        (b"\xff", "JSON"),
+        ([{**SUMMARY_ROW, "episodes": 20.7}], "episodes must be an integer"),
+        ([{**SUMMARY_ROW, "collisions": "3"}], "collisions must be an integer"),
+        ([{**SUMMARY_ROW, "timeouts": True}], "timeouts must be an integer"),
+        ([{**SUMMARY_ROW, "mean_avg_speed_mps": "5"}], "mean_avg_speed_mps must be a number"),
+        ([{**SUMMARY_ROW, "success_rate": False}], "success_rate must be a number"),
+        ([{**SUMMARY_ROW, "mean_travel_delay_s": "1.5"}], "mean_travel_delay_s must be a number or null"),
+        ([{**SUMMARY_ROW, "distance_m": 10**400}], "distance_m is too large"),
+        ([SUMMARY_ROW, {**SUMMARY_ROW, "policy_id": 3}], "row 1: policy_id must be a string"),
+    ],
 )
 def test_cli_export_malformed_summary_exits_2(tmp_path, caplog, payload, field):
     src = tmp_path / "bad_summary.json"
@@ -701,3 +727,22 @@ def test_cli_export_malformed_summary_exits_2(tmp_path, caplog, payload, field):
         src.write_text(json.dumps(payload))
     assert main(["export", "--summary", str(src), "--out", str(tmp_path / "s.csv")]) == 2
     assert "bad_summary.json" in caplog.text and field in caplog.text
+
+
+def test_cli_export_missing_summary_fails_before_writing(tmp_path, caplog):
+    src = tmp_path / "s.json"
+    src.write_text(json.dumps([SUMMARY_ROW]))
+    dst = tmp_path / "s.csv"
+    assert main(["export", "--summary", str(src), str(tmp_path / "gone.json"), "--out", str(dst)]) == 2
+    assert "gone.json" in caplog.text and not dst.exists()
+
+
+def test_cli_export_takes_typed_json_numbers(tmp_path):
+    # a JSON integer is a number; null is "no arrival" for the delay
+    src = tmp_path / "s.json"
+    src.write_text(json.dumps([{**SUMMARY_ROW, "distance_m": 10, "mean_travel_delay_s": 3}, SUMMARY_ROW]))
+    dst = tmp_path / "s.csv"
+    assert main(["export", "--summary", str(src), "--out", str(dst)]) == 0
+    with open(dst, newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [(r["distance_m"], r["mean_travel_delay_s"]) for r in rows] == [("10.0", "3.0"), ("10.0", "")]

@@ -11,12 +11,20 @@ with every background vehicle's state pin random background spawning,
 lights, turns, cyclic and oncoming routes and intersection-box collisions,
 which ``sim-run``'s ego-only ``trace.csv`` does not show; two more pin the
 evaluation corridor with the benchmark's two slow vehicles.
-The hashes hold for the numpy/OpenBLAS build named in ``BENCH_*.json``; a
-different BLAS kernel may round the matrix products differently.
+The hashes hold for the numpy/OpenBLAS build named in ``BENCH_*.json``
+running its SkylakeX kernels; another BLAS kernel may round the float32
+matrix products differently, which moves the two ``round_*.ckpt`` hashes.
+So the same run is pinned a second time under ``OPENBLAS_CORETYPE=Haswell``,
+kernels that any CPU with AVX2 and FMA runs.
 """
 
 import hashlib
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +33,7 @@ from feddrive.config import load_run_config
 from feddrive.evaluation import EvalTemplate, realize_scenario
 from feddrive.metrics import run_episode
 from feddrive.sim.world import TrafficWorld
-from tests.conftest import CONFIGS, NETS
+from tests.conftest import CONFIGS, NETS, REPO
 
 GOLDEN_SHA256 = {
     "round_0.ckpt": "7003608ff4392e79dc766d49793b5942f4cf9b1f5d87b81465f6aae8ee6e644a",
@@ -33,6 +41,13 @@ GOLDEN_SHA256 = {
     "round_1.ckpt": "95276c65f1e16204ae2a425892cf0dd6da6bb1ed6a2d620d96106db9e7c227fd",
     "round_1.manifest.json": "86c807c04d8abe8321f057b9585be1498f71449d9ee38af2358f1d872be52c05",
     "round_reports.csv": "5b013ab87decdf9d5cffe4ca49bb9f65e094bce328a54f1fb79d625df2e86170",
+}
+
+# under the Haswell kernels only the checkpoints' float32 training arithmetic rounds differently
+HASWELL_SHA256 = {
+    **GOLDEN_SHA256,
+    "round_0.ckpt": "bb1426dadf6e825d2f4e80fb6288f370173f17fa36e9c2f9a8804aba34750a73",
+    "round_1.ckpt": "4ac9bb7b4014d336e4572b06afa15e2cf96015b72ad52481e66babfc24bbb4f9",
 }
 
 EVAL_SHA256 = {
@@ -57,6 +72,31 @@ def smoke_run(tmp_path_factory):
 def test_smoke_run_bytes_are_golden(smoke_run):
     got = {name: sha256(smoke_run / name) for name in GOLDEN_SHA256}
     assert got == GOLDEN_SHA256
+
+
+def cpu_flags() -> set[str]:
+    """The CPU feature flags Linux lists, or none where ``/proc/cpuinfo`` cannot be read."""
+    try:
+        lines = Path("/proc/cpuinfo").read_text().splitlines()
+    except OSError:
+        return set()
+    return {flag for line in lines if line.startswith("flags") for flag in line.split(":", 1)[1].split()}
+
+
+@pytest.mark.skipif(
+    not {"avx2", "fma"} <= cpu_flags(),
+    reason="OpenBLAS's Haswell kernels need a CPU whose /proc/cpuinfo flags list avx2 and fma",
+)
+def test_smoke_run_bytes_are_golden_under_haswell_kernels(tmp_path):
+    # the kernel is chosen when OpenBLAS loads, so the run needs a fresh process
+    pythonpath = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "PYTHONPATH": pythonpath}
+    argv = ["train", "--config", str(SMOKE), "--agents", "2", "--rounds", "2", "--out", str(tmp_path)]
+    result = subprocess.run([sys.executable, "-m", "feddrive.cli", *argv], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert json.loads((tmp_path / "manifest.json").read_text())["blas_kernel"] == "Haswell"
+    got = {name: sha256(tmp_path / name) for name in HASWELL_SHA256}
+    assert got == HASWELL_SHA256
 
 
 def test_eval_bytes_are_golden(smoke_run, tmp_path):
