@@ -24,6 +24,11 @@ after another (see ``federation``), and each pass uses up what the one
 before it left in the buffers before it runs.  Nothing returned from them
 outlives the call that made it except ``policy_gradient``'s gradient,
 which is valid until the next update of a net of the same architecture.
+
+A replay ``Batch`` follows the same rule: ``ReplayBuffer.sample`` gathers
+the drawn rows into one array that the buffer keeps per batch size, and
+returns the same ``Batch`` of column views into it each time, so a batch
+is valid until that buffer's next ``sample``.  Copy its fields to keep them.
 """
 
 from __future__ import annotations
@@ -97,6 +102,7 @@ class ReplayBuffer:
         self._rows = np.empty((capacity, _WIDTH), dtype=TRAIN_DTYPE)
         self._write = 0
         self._size = 0
+        self._batches: dict[int, tuple[np.ndarray, Batch]] = {}  # batch size -> rows array, its column views
 
     def __len__(self) -> int:
         return self._size
@@ -121,17 +127,29 @@ class ReplayBuffer:
         self._size = min(self._size + 1, self.capacity)
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> Batch:
-        """Uniform with-replacement draw over stored items; the fields are column views of one copy."""
+        """Uniform with-replacement draw over stored items, valid until this buffer's next ``sample``.
+
+        The rows are copied into the buffer's one batch array for
+        ``batch_size``; the returned ``Batch``, made with that array, holds
+        column views of it.
+        """
         if self._size < batch_size:
             raise ValueError(f"buffer holds {self._size} transitions, need {batch_size}")
-        rows = self._rows[rng.integers(0, self._size, size=batch_size)]
-        return Batch(
-            states=rows[:, :_ACTION],
-            actions=rows[:, _ACTION:_REWARD],
-            rewards=rows[:, _REWARD:_NEXT],
-            next_states=rows[:, _NEXT:_DONE],
-            dones=rows[:, _DONE:],
-        )
+        drawn = rng.integers(0, self._size, size=batch_size)
+        cached = self._batches.get(batch_size)
+        if cached is None:
+            rows = np.empty((batch_size, _WIDTH), dtype=TRAIN_DTYPE)
+            batch = Batch(
+                states=rows[:, :_ACTION],
+                actions=rows[:, _ACTION:_REWARD],
+                rewards=rows[:, _REWARD:_NEXT],
+                next_states=rows[:, _NEXT:_DONE],
+                dones=rows[:, _DONE:],
+            )
+            cached = self._batches[batch_size] = (rows, batch)
+        # every index is in range, so "clip" never clips; it spares the default mode's buffered copy
+        np.take(self._rows, drawn, axis=0, out=cached[0], mode="clip")
+        return cached[1]
 
 
 @dataclass(frozen=True)
@@ -306,6 +324,20 @@ def _critic_input(bufs: LayerBuffers, states: np.ndarray, actions: np.ndarray) -
     return x
 
 
+def _scale_action_into(out: np.ndarray, u: np.ndarray, a_min: float, a_max: float) -> np.ndarray:
+    """``scale_action(u, a_min, a_max)`` computed in ``out``, with no temporaries; returns ``out``.
+
+    ``scale_action``'s operations run in its order, so the bits are equal
+    when ``out`` has ``u``'s dtype.  ``out`` is meant to be contiguous: the
+    four in-place operations on a strided column cost more than the
+    temporaries they spare.
+    """
+    np.add(u, 1.0, out=out)
+    out *= 0.5
+    out *= a_max - a_min
+    return np.add(a_min, out, out=out)
+
+
 def _mean(a: np.ndarray) -> float:
     """``float(np.mean(a))`` for a float array, without its Python-level wrapper."""
     return float(np.add.reduce(a, axis=None) / a.size)
@@ -317,7 +349,8 @@ def critic_targets(agent: DdpgAgent, batch: Batch) -> np.ndarray:
     n = batch.states.shape[0]
     critic_bufs = _shared_buffers(agent.target_critic, n)
     next_u = forward_into(agent.target_actor, _shared_buffers(agent.target_actor, n), batch.next_states)
-    next_a = scale_action(next_u, hp.accel_min_mps2, hp.accel_max_mps2)
+    # the target critic's spare output-gradient array, unused until a backward pass
+    next_a = _scale_action_into(critic_bufs.output_gradient, next_u, hp.accel_min_mps2, hp.accel_max_mps2)
     next_q = forward_into(agent.target_critic, critic_bufs, _critic_input(critic_bufs, batch.next_states, next_a))
     return batch.rewards + hp.gamma * (1.0 - batch.dones) * next_q
 
@@ -348,7 +381,7 @@ def policy_gradient(
     n = states.shape[0]
     actor_bufs, critic_bufs = _shared_buffers(actor, n), _shared_buffers(critic, n)
     u = forward_into(actor, actor_bufs, states)
-    actions = scale_action(u, a_min, a_max)
+    actions = _scale_action_into(critic_bufs.output_gradient, u, a_min, a_max)  # refilled below, after its copy
     q = forward_into(critic, critic_bufs, _critic_input(critic_bufs, states, actions))
     objective = _mean(q)
     mean_grad = critic_bufs.output_gradient

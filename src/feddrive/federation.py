@@ -24,7 +24,7 @@ import numpy as np
 from .container import save_container
 from .ddpg import NET_NAMES, DdpgAgent, DdpgHyperparams, soft_update, train_episode
 from .nn import MlpParams, cast_params, mlp_meta
-from .seeding import derive_seed
+from .seeding import check_master_seed, derive_seed
 from .sim.world import ScenarioConfig, TrafficWorld
 
 OPTIMIZER_RESET = "reset"
@@ -101,6 +101,7 @@ class FederationConfig:
     optimizer_state: str = OPTIMIZER_RESET
 
     def __post_init__(self):
+        check_master_seed(self.master_seed)
         if self.agents < 1 or self.rounds < 1 or self.episodes_per_round < 1:
             raise ValueError("agents, rounds, and episodes_per_round must all be >= 1")
         if self.optimizer_state not in (OPTIMIZER_RESET, OPTIMIZER_KEEP_LOCAL):

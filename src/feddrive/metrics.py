@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable
 
 from .sim.world import (
@@ -13,6 +15,15 @@ from .sim.world import (
     StepOutcome,
     TrafficWorld,
 )
+
+
+def left_to_right_sum(values) -> float:
+    """The floats summed in order, one rounding per addition.
+
+    That is what the built-in ``sum`` does up to Python 3.11; from 3.12 it
+    compensates, which changes the last bits of episode returns.
+    """
+    return reduce(operator.add, values, 0.0)
 
 
 @dataclass(frozen=True)
@@ -35,7 +46,7 @@ class RolloutTrace:
 
     @property
     def total_reward(self) -> float:
-        return sum(self.rewards)
+        return left_to_right_sum(self.rewards)
 
     @property
     def collided(self) -> bool:
@@ -93,7 +104,7 @@ def average_speed(trace: RolloutTrace) -> float:
     """Sum of per-step ego speeds divided by the number of steps."""
     if trace.steps < 1:
         raise ValueError("average_speed needs at least one step")
-    return sum(trace.speeds_mps) / trace.steps
+    return left_to_right_sum(trace.speeds_mps) / trace.steps
 
 
 def travel_delay(trace: RolloutTrace) -> float:

@@ -31,12 +31,14 @@ with one input and one output at batch 1.
 
 ``adam_step`` updates its ``params`` and ``state`` in place, and
 ``soft_update`` its ``target``; no other function here writes to an
-argument.  Fixed elementwise formulas, applied in a fixed order, keep
-gradient checks and cross-run determinism exact.  ``adam_step`` is textbook
-Adam except that every 64th step sets first moments below 2**26 times the
-dtype's smallest normal to 0 (its docstring gives the bound), which keeps
-subnormal arithmetic out of long runs.  Supported activations: relu, tanh,
-identity.
+argument.  ``adam_step`` works in two scratch vectors that the process
+keeps per dtype and chunk size, so, like a shared buffer set, it must not
+run in two threads at once.  Fixed elementwise formulas, applied in a
+fixed order, keep gradient checks and cross-run determinism exact.
+``adam_step`` is textbook Adam except that every 64th step sets first
+moments below 2**26 times the dtype's smallest normal to 0 (its docstring
+gives the bound), which keeps subnormal arithmetic out of long runs.
+Supported activations: relu, tanh, identity.
 """
 
 from __future__ import annotations
@@ -259,6 +261,18 @@ ADAM_CHUNK = 32768  # elements per pass, so a chunk's operands stay in cache bet
 ADAM_FLUSH_EVERY = 64  # steps between flushes of first moments that decay toward the subnormal range
 
 
+_ADAM_SCRATCH: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _adam_scratch(dtype, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The process's two ``adam_step`` work vectors of one dtype and chunk size."""
+    key = (dtype, size)
+    pair = _ADAM_SCRATCH.get(key)
+    if pair is None:
+        pair = _ADAM_SCRATCH[key] = (np.empty(size, dtype), np.empty(size, dtype))
+    return pair
+
+
 def adam_step(params: MlpParams, grads: MlpParams, state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update of ``params.flat`` and ``state``, in place.
 
@@ -287,10 +301,13 @@ def adam_step(params: MlpParams, grads: MlpParams, state: AdamState, lr: float) 
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1, c2 = 1.0 - b1**state.t, 1.0 - b2**state.t
     flush_below = np.ldexp(np.finfo(params.flat.dtype).smallest_normal, 26) if state.t % ADAM_FLUSH_EVERY == 0 else 0
-    scratch = np.empty((2, min(ADAM_CHUNK, params.param_count)), dtype=params.flat.dtype)
-    for lo in range(0, params.param_count, ADAM_CHUNK):
-        g, m, v, theta = (a[lo : lo + ADAM_CHUNK] for a in (grads.flat, state.m, state.v, params.flat))
-        step, denom = scratch[:, : g.size]
+    count = params.param_count
+    step_buf, denom_buf = _adam_scratch(params.flat.dtype, min(ADAM_CHUNK, count))
+    whole = (grads.flat, state.m, state.v, params.flat)
+    for lo in range(0, count, ADAM_CHUNK):
+        # a net of one chunk (every desk-size net) takes the whole vectors and scratch as they are
+        g, m, v, theta = whole if count <= ADAM_CHUNK else (a[lo : lo + ADAM_CHUNK] for a in whole)
+        step, denom = (step_buf, denom_buf) if g.size == step_buf.size else (step_buf[: g.size], denom_buf[: g.size])
         m *= b1
         m += np.multiply(g, 1.0 - b1, out=step)
         if flush_below:

@@ -28,6 +28,16 @@ def splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def check_master_seed(seed: int) -> None:
+    """Raise ``ValueError`` unless ``seed`` lies in [0, 2**64).
+
+    ``derive_seed`` reduces a master seed mod 2**64, so a seed outside that
+    range would train like its residue under a different config hash.
+    """
+    if not 0 <= seed <= MASK64:
+        raise ValueError(f"master_seed must lie in [0, 2**64), got {seed}")
+
+
 def derive_seed(master: int, *parts: int) -> int:
     """Derive a child seed from ``master`` and one or more integer labels.
 

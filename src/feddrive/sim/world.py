@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..seeding import derive_seed
+from ..seeding import check_master_seed, derive_seed
 from .network import RoadNetwork, TrafficLight
 from .reward import REWARD_BY_FLAGS, EventFlags
 
@@ -106,6 +106,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         # written so that NaN fails each check
+        check_master_seed(self.master_seed)
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
         if self.background_count < 0:
@@ -128,7 +129,7 @@ class VehicleState:
     edge_id: str
     pos_m: float
     speed_mps: float
-    accel_mps2: float
+    accel_mps2: float  # kept up to date for the ego only: nothing reads a background vehicle's
     length_m: float
     route: tuple[str, ...]
     route_idx: int
@@ -441,9 +442,7 @@ class TrafficWorld:
                 candidate = min(candidate, max(0.0, stop_dist / dt))
             new_speed = max(0.0, candidate)
 
-            prev_speed = veh.speed_mps
             veh.speed_mps = new_speed
-            veh.accel_mps2 = (new_speed - prev_speed) / dt
             if self._advance_background(veh, new_speed * dt):
                 survivors.append(veh)
         self.background = survivors

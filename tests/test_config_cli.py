@@ -436,6 +436,27 @@ def test_cli_train_replay_capacity_must_hold_a_batch(tmp_path, caplog, capacity)
     assert "replay_capacity" in caplog.text
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_cli_train_master_seed_outside_64_bits_fails_before_writing(tmp_path, caplog, seed):
+    # seeds are derived mod 2**64, so -1 would train like 2**64 - 1 under another config hash
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(write_config(tmp_path)), "--out", str(out), "--seed", seed]) == 2
+    assert not out.exists()
+    assert f"master_seed must lie in [0, 2**64), got {seed}" in caplog.text
+
+
+@pytest.mark.parametrize(
+    "config_of", [lambda sc: sc, lambda sc: FederationConfig(scenarios=(sc,))], ids=["scenario", "federation"]
+)
+def test_each_config_checks_the_master_seed_range(tmp_path, config_of):
+    base = config_of(load_run_config(write_config(tmp_path)).scenario)
+    for seed in (0, 2**64 - 1):
+        assert dataclasses.replace(base, master_seed=seed).master_seed == seed
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=r"master_seed must lie in \[0, 2\*\*64\)"):
+            dataclasses.replace(base, master_seed=seed)
+
+
 def test_cli_train_overrides(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"

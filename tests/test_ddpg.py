@@ -135,6 +135,28 @@ def test_buffer_sampling_uniformity():
     assert np.all(np.abs(freq - 0.1) < 0.01)
 
 
+def test_sample_refills_one_batch_per_size_with_the_drawn_rows():
+    rng = np.random.default_rng(3)
+    buf = ReplayBuffer(capacity=64)
+    stored = []
+    for _ in range(40):
+        t = (rng.normal(size=6), float(rng.normal()), float(rng.normal()), rng.normal(size=6), bool(rng.random() < 0.3))
+        buf.store(*t)
+        stored.append(np.hstack([t[0], t[1], t[2], t[3], float(t[4])]))
+    stored = np.array(stored, dtype=ddpg.TRAIN_DTYPE)
+    draw, reference = np.random.default_rng(9), np.random.default_rng(9)  # equal generator states
+    batches = []
+    for _ in range(3):
+        batch = buf.sample(16, draw)
+        rows = stored[reference.integers(0, len(buf), size=16)]  # the fancy-index reference
+        columns = (batch.states, batch.actions, batch.rewards, batch.next_states, batch.dones)
+        assert np.hstack(columns).tobytes() == rows.tobytes()
+        batches.append(batch)
+    assert batches[1] is batches[0] and batches[2] is batches[0]  # one Batch per batch size, refilled in place
+    assert buf.sample(8, draw).states.shape == (8, 6)
+    assert batches[0].states.tobytes() == rows[:, :6].tobytes()  # another size leaves this batch alone
+
+
 # ----------------------------------------------------------------- OU noise
 
 
@@ -311,6 +333,18 @@ def test_select_action_interleaved_with_evaluate_keeps_both_bits(monkeypatch):
     monkeypatch.setattr(evaluation, "policy_action", interleaved)
     assert evaluation.evaluate(frozen, protocol) == reference
     assert calls > 5
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_scale_action_into_equals_scale_action_bit_for_bit(dtype):
+    u = np.concatenate([[1.0, -1.0, 0.0, -0.0], np.random.default_rng(0).uniform(-1.0, 1.0, 60)])
+    u = u.astype(dtype).reshape(-1, 1)
+    out = np.empty_like(u)
+    for a_min, a_max in ((-4.5, 2.6), (-1.0, 1.0), (0.0, 3.0), (-2.0, -0.5)):
+        expected = scale_action(u, a_min, a_max)
+        assert expected.dtype == dtype
+        assert ddpg._scale_action_into(out, u, a_min, a_max) is out
+        assert out.tobytes() == expected.tobytes()  # the sign of a zero included
 
 
 # -------------------------------------------------------------- critic side
@@ -629,13 +663,12 @@ def test_warm_update_allocates_less_than_a_critic_vector():
     rng = np.random.default_rng(0)
     buffer = filled_buffer(hp, rng)
     agent = DdpgAgent.create(hp, seed=0)
-    batches = [buffer.sample(hp.batch_size, rng) for _ in range(11)]
-    update(agent, batches[0])  # warm
+    update(agent, buffer.sample(hp.batch_size, rng))  # warm
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        for batch in batches[1:]:
-            update(agent, batch)
+        for _ in range(10):
+            update(agent, buffer.sample(hp.batch_size, rng))
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
