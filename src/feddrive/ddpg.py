@@ -324,20 +324,6 @@ def _critic_input(bufs: LayerBuffers, states: np.ndarray, actions: np.ndarray) -
     return x
 
 
-def _scale_action_into(out: np.ndarray, u: np.ndarray, a_min: float, a_max: float) -> np.ndarray:
-    """``scale_action(u, a_min, a_max)`` computed in ``out``, with no temporaries; returns ``out``.
-
-    ``scale_action``'s operations run in its order, so the bits are equal
-    when ``out`` has ``u``'s dtype.  ``out`` is meant to be contiguous: the
-    four in-place operations on a strided column cost more than the
-    temporaries they spare.
-    """
-    np.add(u, 1.0, out=out)
-    out *= 0.5
-    out *= a_max - a_min
-    return np.add(a_min, out, out=out)
-
-
 def _mean(a: np.ndarray) -> float:
     """``float(np.mean(a))`` for a float array, without its Python-level wrapper."""
     return float(np.add.reduce(a, axis=None) / a.size)
@@ -349,8 +335,7 @@ def critic_targets(agent: DdpgAgent, batch: Batch) -> np.ndarray:
     n = batch.states.shape[0]
     critic_bufs = _shared_buffers(agent.target_critic, n)
     next_u = forward_into(agent.target_actor, _shared_buffers(agent.target_actor, n), batch.next_states)
-    # the target critic's spare output-gradient array, unused until a backward pass
-    next_a = _scale_action_into(critic_bufs.output_gradient, next_u, hp.accel_min_mps2, hp.accel_max_mps2)
+    next_a = scale_action(next_u, hp.accel_min_mps2, hp.accel_max_mps2)
     next_q = forward_into(agent.target_critic, critic_bufs, _critic_input(critic_bufs, batch.next_states, next_a))
     return batch.rewards + hp.gamma * (1.0 - batch.dones) * next_q
 
@@ -381,7 +366,7 @@ def policy_gradient(
     n = states.shape[0]
     actor_bufs, critic_bufs = _shared_buffers(actor, n), _shared_buffers(critic, n)
     u = forward_into(actor, actor_bufs, states)
-    actions = _scale_action_into(critic_bufs.output_gradient, u, a_min, a_max)  # refilled below, after its copy
+    actions = scale_action(u, a_min, a_max)
     q = forward_into(critic, critic_bufs, _critic_input(critic_bufs, states, actions))
     objective = _mean(q)
     mean_grad = critic_bufs.output_gradient

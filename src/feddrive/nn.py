@@ -301,13 +301,10 @@ def adam_step(params: MlpParams, grads: MlpParams, state: AdamState, lr: float) 
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1, c2 = 1.0 - b1**state.t, 1.0 - b2**state.t
     flush_below = np.ldexp(np.finfo(params.flat.dtype).smallest_normal, 26) if state.t % ADAM_FLUSH_EVERY == 0 else 0
-    count = params.param_count
-    step_buf, denom_buf = _adam_scratch(params.flat.dtype, min(ADAM_CHUNK, count))
-    whole = (grads.flat, state.m, state.v, params.flat)
-    for lo in range(0, count, ADAM_CHUNK):
-        # a net of one chunk (every desk-size net) takes the whole vectors and scratch as they are
-        g, m, v, theta = whole if count <= ADAM_CHUNK else (a[lo : lo + ADAM_CHUNK] for a in whole)
-        step, denom = (step_buf, denom_buf) if g.size == step_buf.size else (step_buf[: g.size], denom_buf[: g.size])
+    step_buf, denom_buf = _adam_scratch(params.flat.dtype, min(ADAM_CHUNK, params.param_count))
+    for lo in range(0, params.param_count, ADAM_CHUNK):
+        g, m, v, theta = (a[lo : lo + ADAM_CHUNK] for a in (grads.flat, state.m, state.v, params.flat))
+        step, denom = step_buf[: g.size], denom_buf[: g.size]
         m *= b1
         m += np.multiply(g, 1.0 - b1, out=step)
         if flush_below:
