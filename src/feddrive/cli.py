@@ -22,12 +22,11 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, load_run_config
-from .container import ContainerError, load_container
-from .ddpg import check_actor_shape
+from .container import ContainerError
 from .evaluation import evaluate, export_csv, export_json, policy_act, summaries_from_json
-from .federation import round_reports_csv, run_training
+from .federation import load_actor, read_round_checkpoint, round_reports_csv, run_training
 from .metrics import run_episode
-from .nn import MlpParams, count_params, mlp_from_parts
+from .nn import count_params
 from .sim.world import TrafficWorld
 
 log = logging.getLogger("feddrive")
@@ -36,43 +35,6 @@ log = logging.getLogger("feddrive")
 def _setup_logging() -> None:
     level = os.environ.get("FEDDRIVE_LOG", "info").upper()
     logging.basicConfig(level=getattr(logging, level, logging.INFO), format="%(levelname)s %(message)s")
-
-
-def _read_round_checkpoint(path: str | Path) -> tuple[dict, dict]:
-    """Arrays and meta of a global-round checkpoint, holding everything ``load_actor`` and ``inspect`` read."""
-    if not Path(path).is_file():
-        raise ConfigError(f"checkpoint not found: {path}")
-    arrays, meta = load_container(path)
-    if meta.get("kind") != "global_round":
-        raise ContainerError(f"{path}: unknown checkpoint kind {meta.get('kind')!r}")
-    missing = [k for k in ("actor_net", "critic_net", "round_idx") if k not in meta]
-    missing += [k for k in ("actor_params", "agent_episodes") if k not in arrays]
-    if missing:
-        raise ContainerError(f"{path}: round checkpoint lacks {', '.join(missing)}")
-    for key in ("actor_net", "critic_net"):
-        net = meta[key]
-        if not (
-            isinstance(net, dict)
-            and _is_list_of(net.get("layer_sizes"), int)
-            and _is_list_of(net.get("activations"), str)
-        ):
-            raise ContainerError(f"{path}: {key} needs a list of int layer_sizes and a list of str activations")
-    return arrays, meta
-
-
-def _is_list_of(value, kind: type) -> bool:
-    return isinstance(value, list) and all(type(v) is kind for v in value)
-
-
-def load_actor(path: str | Path) -> MlpParams:
-    """Actor weights from a global-round checkpoint, checked to map a state to an action."""
-    arrays, meta = _read_round_checkpoint(path)
-    actor = mlp_from_parts(meta["actor_net"], arrays["actor_params"])
-    try:
-        check_actor_shape(actor)
-    except ValueError as exc:
-        raise ContainerError(f"{path}: {exc}") from None
-    return actor
 
 
 def _blas_kernel() -> str:
@@ -159,7 +121,7 @@ def _describe_net(label: str, net_meta: dict) -> str:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    arrays, meta = _read_round_checkpoint(args.checkpoint)
+    arrays, meta = read_round_checkpoint(args.checkpoint)
     print(f"checkpoint kind: {meta['kind']}")
     print(_describe_net("actor", meta["actor_net"]))
     print(_describe_net("critic", meta["critic_net"]))

@@ -22,7 +22,7 @@ from .ddpg import DdpgHyperparams
 from .evaluation import EvalProtocol, EvalTemplate, realize_scenario
 from .federation import FederationConfig
 from .sim.network import load_network_file
-from .sim.world import ScenarioConfig, SpawnError, SpawnSpec, TrafficWorld
+from .sim.world import BackgroundCountError, ScenarioConfig, SpawnError, SpawnSpec, TrafficWorld
 
 
 class ConfigError(ValueError):
@@ -149,12 +149,14 @@ def _spawns(raw: dict, key: str) -> tuple[SpawnSpec, ...]:
     return tuple(specs)
 
 
-def _check_world(scenario: ScenarioConfig, key: str, where: str = "") -> None:
-    """Build ``scenario``'s world once; a spawn it rejects raises a ConfigError naming ``key``."""
+def _check_world(scenario: ScenarioConfig, prefix: str = "", where: str = "") -> None:
+    """Build ``scenario``'s world once; a spawn or background count it rejects raises a ConfigError naming its key."""
     try:
         TrafficWorld(scenario)
     except SpawnError as exc:
-        raise ConfigError(f"key {key!r}{where}: {exc}") from None
+        raise ConfigError(f"key {prefix + 'spawn'!r}{where}: {exc}") from None
+    except BackgroundCountError as exc:
+        raise ConfigError(f"key {prefix + 'background_count'!r}{where}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -247,10 +249,10 @@ def load_run_config(
             background_spawns=_spawns(raw, "eval_spawn"),
         )
         eval_protocol = _build(EvalProtocol, raw, _PROTOCOL_KEYS, template=template)
-        # the worlds' own checks (routes, nodes, spawn positions), so that no command writes before they pass
-        _check_world(scenario, "spawn")
+        # the worlds' own checks (routes, nodes, spawns, background count), so that no command writes before they pass
+        _check_world(scenario)
         for distance in eval_protocol.distances_m:
-            _check_world(realize_scenario(template, distance), "eval_spawn", f" at eval distance {distance} m")
+            _check_world(realize_scenario(template, distance), "eval_", f" at eval distance {distance} m")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

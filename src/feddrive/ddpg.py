@@ -69,8 +69,6 @@ ACTION_DIM = 1
 # dtype of an agent's nets, Adam states, gradients and replay ring; the global
 # model, aggregation and checkpoints stay float64 (see ``federation``)
 TRAIN_DTYPE = np.float32
-# the four networks of an agent or a global model; round checkpoints store each as f"{name}_params"
-NET_NAMES = ("actor", "critic", "target_actor", "target_critic")
 
 
 @dataclass(frozen=True)

@@ -8,27 +8,30 @@ contents cross that boundary.  Aggregation is the episode-weighted mean
 train one after another in the calling thread, in the order given (ascending
 id from ``run_training``).  Agents train in ``ddpg.TRAIN_DTYPE``; updates, the
 global model, aggregation and checkpoints are float64, and ``broadcast``
-rounds the global weights into the agents' dtype.
+rounds the global weights into the agents' dtype.  This module alone knows the
+round checkpoint's format: ``save_round_checkpoint`` writes it, and
+``read_round_checkpoint`` and ``load_actor`` read it back, checked.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .container import save_container
-from .ddpg import NET_NAMES, DdpgAgent, DdpgHyperparams, soft_update, train_episode
-from .nn import MlpParams, cast_params, mlp_meta
+from .container import ContainerError, load_container, save_container
+from .ddpg import DdpgAgent, DdpgHyperparams, check_actor_shape, soft_update, train_episode
+from .nn import MlpParams, cast_params, check_architecture, count_params, mlp_from_parts, mlp_meta
 from .seeding import check_master_seed, derive_seed
 from .sim.world import ScenarioConfig, TrafficWorld
 
 OPTIMIZER_RESET = "reset"
 OPTIMIZER_KEEP_LOCAL = "keep-local"
+# the four networks of an agent or a global model; round checkpoints store each as f"{name}_params"
+NET_NAMES = ("actor", "critic", "target_actor", "target_critic")
 
 
 class AgentTrainingError(RuntimeError):
@@ -69,24 +72,28 @@ class GlobalModel:
     critic: MlpParams
     target_actor: MlpParams
     target_critic: MlpParams
-    round_idx: int = 0
 
 
 @dataclass(frozen=True)
 class AgentRoundStats:
     agent_id: int
-    mean_reward: float
     collisions: int
-    episodes: int
-    episode_rewards: tuple[float, ...] = ()
-    episode_steps: tuple[int, ...] = ()  # per episode, as RolloutTrace.steps
+    episode_rewards: tuple[float, ...]
+    episode_steps: tuple[int, ...]  # per episode, as RolloutTrace.steps
+
+    @property
+    def episodes(self) -> int:
+        return len(self.episode_rewards)
+
+    @property
+    def mean_reward(self) -> float:
+        return float(np.mean(self.episode_rewards))
 
 
 @dataclass(frozen=True)
 class RoundReport:
     round_idx: int
     per_agent: tuple[AgentRoundStats, ...]
-    aggregation_wall_s: float
     checkpoint_path: str | None
 
 
@@ -196,12 +203,7 @@ def _train_agent_round(
         episodes=config.episodes_per_round,
     )
     stats = AgentRoundStats(
-        agent_id=agent.agent_id,
-        mean_reward=float(np.mean(rewards)),
-        collisions=collisions,
-        episodes=len(rewards),
-        episode_rewards=tuple(rewards),
-        episode_steps=tuple(steps),
+        agent_id=agent.agent_id, collisions=collisions, episode_rewards=tuple(rewards), episode_steps=tuple(steps)
     )
     return update, stats
 
@@ -216,35 +218,32 @@ def run_round(
 ) -> RoundReport:
     """One federated round: local training, aggregation, global update, broadcast."""
     updates, stats = zip(*(_train_agent_round(config, agent, round_idx) for agent in agents))
-
-    t0 = time.perf_counter()
     actor_flat, critic_flat = aggregate(updates)
     global_model.actor.flat[:] = actor_flat
     global_model.critic.flat[:] = critic_flat
     soft_update(global_model.target_actor, global_model.actor, config.hp.tau)
     soft_update(global_model.target_critic, global_model.critic, config.hp.tau)
-    global_model.round_idx = round_idx
-    wall = time.perf_counter() - t0
 
     broadcast(global_model, agents, config.optimizer_state)
 
     ckpt_path = None
     if out_dir is not None:
-        ckpt_path = str(save_round_checkpoint(Path(out_dir), global_model, updates, config_hash))
-    return RoundReport(round_idx=round_idx, per_agent=stats, aggregation_wall_s=wall, checkpoint_path=ckpt_path)
+        ckpt_path = str(save_round_checkpoint(Path(out_dir), global_model, updates, round_idx, config_hash))
+    return RoundReport(round_idx=round_idx, per_agent=stats, checkpoint_path=ckpt_path)
 
 
 def save_round_checkpoint(
-    out_dir: Path, global_model: GlobalModel, updates: list[AgentUpdate], config_hash: str
+    out_dir: Path, global_model: GlobalModel, updates: list[AgentUpdate], round_idx: int, config_hash: str
 ) -> Path:
+    """Write ``round_<round_idx>.ckpt`` and its manifest; ``read_round_checkpoint`` reads the checkpoint back."""
     out_dir.mkdir(parents=True, exist_ok=True)
     ordered = sorted(updates, key=lambda u: u.agent_id)
-    path = out_dir / f"round_{global_model.round_idx}.ckpt"
+    path = out_dir / f"round_{round_idx}.ckpt"
     arrays = {f"{name}_params": getattr(global_model, name).flat for name in NET_NAMES}
     arrays["agent_episodes"] = np.array([u.episodes for u in ordered], dtype=np.int64)
     meta = {
         "kind": "global_round",
-        "round_idx": global_model.round_idx,
+        "round_idx": round_idx,
         "actor_net": mlp_meta(global_model.actor),
         "critic_net": mlp_meta(global_model.critic),
         "agent_ids": [u.agent_id for u in ordered],
@@ -252,14 +251,56 @@ def save_round_checkpoint(
     }
     save_container(path, arrays, meta)
     manifest = {
-        "round_idx": global_model.round_idx,
+        "round_idx": round_idx,
         "agent_episodes": {str(u.agent_id): u.episodes for u in ordered},
         "config_hash": config_hash,
     }
-    (out_dir / f"round_{global_model.round_idx}.manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
+    (out_dir / f"round_{round_idx}.manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
+
+
+def read_round_checkpoint(path: str | Path) -> tuple[dict, dict]:
+    """Arrays and meta of a global-round checkpoint, checked to hold everything ``load_actor`` and ``inspect`` read."""
+    if not Path(path).is_file():
+        raise ContainerError(f"checkpoint not found: {path}")
+    arrays, meta = load_container(path)
+    if meta.get("kind") != "global_round":
+        raise ContainerError(f"{path}: unknown checkpoint kind {meta.get('kind')!r}")
+    missing = [k for k in ("actor_net", "critic_net", "round_idx") if k not in meta]
+    missing += [k for k in ("actor_params", "agent_episodes") if k not in arrays]
+    if missing:
+        raise ContainerError(f"{path}: round checkpoint lacks {', '.join(missing)}")
+    for key in ("actor_net", "critic_net"):
+        net = meta[key]
+        if not (
+            isinstance(net, dict)
+            and _is_list_of(net.get("layer_sizes"), int)
+            and _is_list_of(net.get("activations"), str)
+        ):
+            raise ContainerError(f"{path}: {key} needs a list of int layer_sizes and a list of str activations")
+        try:
+            check_architecture(net["layer_sizes"], net["activations"])
+        except ValueError as exc:
+            raise ContainerError(f"{path}: {key}: {exc}") from None
+    actor_params, count = arrays["actor_params"], count_params(meta["actor_net"]["layer_sizes"])
+    if actor_params.shape != (count,):
+        raise ContainerError(f"{path}: actor_params has shape {actor_params.shape}, but actor_net needs ({count},)")
+    return arrays, meta
+
+
+def _is_list_of(value, kind: type) -> bool:
+    return isinstance(value, list) and all(type(v) is kind for v in value)
+
+
+def load_actor(path: str | Path) -> MlpParams:
+    """Actor weights from a global-round checkpoint, checked to map a state to an action."""
+    arrays, meta = read_round_checkpoint(path)
+    actor = mlp_from_parts(meta["actor_net"], arrays["actor_params"])
+    try:
+        check_actor_shape(actor)
+    except ValueError as exc:
+        raise ContainerError(f"{path}: {exc}") from None
+    return actor
 
 
 def init_global_model(hp: DdpgHyperparams, master_seed: int) -> GlobalModel:

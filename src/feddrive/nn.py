@@ -117,7 +117,8 @@ class AdamState:
     t: int
 
 
-def _check_architecture(layer_sizes, activations) -> None:
+def check_architecture(layer_sizes, activations) -> None:
+    """Raise ``ValueError`` unless these are at least two sizes >= 1, with one known activation between each two."""
     if len(layer_sizes) < 2:
         raise ValueError(f"need at least 2 layer sizes, got {layer_sizes}")
     if len(activations) != len(layer_sizes) - 1:
@@ -138,7 +139,7 @@ def count_params(layer_sizes) -> int:
 
 def init_params(layer_sizes: list[int], activations: list[str], seed: int) -> MlpParams:
     """Uniform fan-in init: W ~ U[-1/sqrt(fan_in), 1/sqrt(fan_in)], biases zero."""
-    _check_architecture(layer_sizes, activations)
+    check_architecture(layer_sizes, activations)
     rng = np.random.Generator(np.random.PCG64(seed))
     layers = []
     for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
@@ -368,5 +369,5 @@ def mlp_from_parts(meta: dict, flat: np.ndarray) -> MlpParams:
     """A net holding a copy of ``flat``, checked against the stored architecture."""
     sizes = [int(s) for s in meta["layer_sizes"]]
     acts = [str(a) for a in meta["activations"]]
-    _check_architecture(sizes, acts)
+    check_architecture(sizes, acts)
     return _wrap_copy(flat, sizes, acts, np.float64)

@@ -62,6 +62,10 @@ class SpawnError(ValueError):
     """A scripted background spawn names an unknown route or lies past its route's end."""
 
 
+class BackgroundCountError(ValueError):
+    """More random background vehicles than the routes' edges can hold beside the ego."""
+
+
 @dataclass(frozen=True)
 class SpawnSpec:
     """Scripted background spawn, positioned in route coordinates.
@@ -239,6 +243,15 @@ class TrafficWorld:
                     f"spawn at {spawn.pos_m} m on route {spawn.route!r} lies past the route's end "
                     f"({route_length} m long)"
                 )
+        # vehicles on one edge stand at least a length plus the gap apart, front to front; the ego takes one place
+        spacing = sc.vehicle_length_m + sc.min_gap_m
+        route_edges = set().union(*net.routes.values())
+        places = sum(math.floor(net.edges[eid].length_m / spacing) + 1 for eid in route_edges) - 1
+        if sc.background_count > places:
+            raise BackgroundCountError(
+                f"background_count {sc.background_count} exceeds the {places} vehicles that fit beside the ego "
+                f"on the routes' edges at {spacing} m front to front"
+            )
         # everything step, background and spawn code read of the network
         self._dest_xy = (dest.x, dest.y)
         self._node_xy = [(node.x, node.y) for node in net.nodes.values()]

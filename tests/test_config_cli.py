@@ -508,6 +508,22 @@ def test_cli_eval_bad_setting_fails_before_writing(tmp_path):
         assert not out.exists()
 
 
+def test_cli_background_count_past_the_roads_capacity_fails_before_writing(tmp_path, caplog):
+    # at 7.5 m front to front, single_road.net's 400 m edge holds 53 beside the ego, the 10 m eval corridor 8
+    ckpt = tmp_path / "train" / "round_0.ckpt"
+    assert main(["train", "--config", str(write_config(tmp_path)), "--out", str(ckpt.parent)]) == 0
+    for command, key, named in [
+        (["train"], "background_count", "key 'background_count': background_count 100 exceeds the 53"),
+        (["eval", "--checkpoint", str(ckpt)], "eval_background_count", "key 'eval_background_count' at eval distance 10"),
+    ]:
+        caplog.clear()
+        cfg = write_config(tmp_path, name=f"{key}.cfg", **{key: "100"})
+        out = tmp_path / key
+        assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert named in caplog.text
+        assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "key,value",
     [("eval_max_steps", "0"), ("eval_tolerance_m", "0"), ("eval_speed_limit_mps", "-1"), ("eval_overrun_m", "-5")],
@@ -540,7 +556,7 @@ def test_cli_inspect_default_architecture(tmp_path, capsys):
     from feddrive.ddpg import DdpgHyperparams
     from feddrive.federation import init_global_model, save_round_checkpoint
 
-    path = save_round_checkpoint(tmp_path, init_global_model(DdpgHyperparams(), master_seed=0), [], config_hash="")
+    path = save_round_checkpoint(tmp_path, init_global_model(DdpgHyperparams(), master_seed=0), [], round_idx=0, config_hash="")
     assert main(["inspect", str(path)]) == 0
     out = capsys.readouterr().out
     assert "[6, 400, 300, 1]" in out
@@ -639,6 +655,33 @@ def test_cli_round_checkpoint_net_meta_is_checked(tmp_path, caplog, net, fault):
     caplog.clear()
     assert main(["inspect", str(ckpt)]) == 2
     assert f"{net} needs a list of int layer_sizes" in caplog.text
+    out = tmp_path / "eval"
+    assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (lambda arrays, meta: meta["actor_net"].update(layer_sizes=[6]), "actor_net: need at least 2 layer sizes"),
+        (lambda arrays, meta: meta["critic_net"].update(layer_sizes=[7, 8, -3, 1]), "critic_net: layer sizes must be >= 1"),
+        (lambda arrays, meta: meta["actor_net"].update(activations=["gelu", "relu", "tanh"]), "activation 'gelu'"),
+        (lambda arrays, meta: arrays.update(actor_params=arrays["actor_params"][:-1]), "actor_params has shape (136,)"),
+    ],
+    ids=["one-layer-size", "size-below-1", "unknown-activation", "actor-vector-short"],
+)
+def test_cli_round_checkpoint_architecture_is_checked(tmp_path, caplog, fault, message):
+    from feddrive.container import load_container, save_container
+
+    cfg = write_config(tmp_path)
+    main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    arrays, meta = load_container(tmp_path / "out" / "round_0.ckpt")
+    fault(arrays, meta)
+    ckpt = tmp_path / "bad_architecture.ckpt"
+    save_container(ckpt, arrays, meta)
+    caplog.clear()
+    assert main(["inspect", str(ckpt)]) == 2
+    assert message in caplog.text
     out = tmp_path / "eval"
     assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt), "--out", str(out)]) == 2
     assert not out.exists()

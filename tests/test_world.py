@@ -6,6 +6,7 @@ from feddrive.sim.world import (
     CAUSE_COLLISION,
     CAUSE_DESTINATION,
     CAUSE_MAX_STEPS,
+    BackgroundCountError,
     EpisodeDoneError,
     ScenarioConfig,
     SpawnSpec,
@@ -341,6 +342,14 @@ def test_spawn_past_its_route_end_is_rejected(road_scenario):
         TrafficWorld(road_scenario(background_spawns=past))
     world = TrafficWorld(road_scenario(background_spawns=(SpawnSpec(step=0, route="main", pos_m=400.0),)))
     world.reset(0)  # the route's end itself is on the road
+
+
+def test_background_count_is_bounded_by_the_routes_edges():
+    # at 7.5 m front to front each 100 m edge holds 14; bc, on both routes, counts once; the ego takes one place
+    kwargs = dict(network=load_network(LIT_ROAD + "route tail bc\n"), ego_route="main", destination_node="c")
+    TrafficWorld(ScenarioConfig(**kwargs, background_count=27))
+    with pytest.raises(BackgroundCountError, match=r"background_count 28 exceeds the 27 vehicles .* at 7\.5 m"):
+        TrafficWorld(ScenarioConfig(**kwargs, background_count=28))
 
 
 @pytest.mark.parametrize("value", [-5.0, float("nan"), float("inf")])
