@@ -27,6 +27,7 @@ from .evaluation import evaluate, export_csv, export_json, policy_act, summaries
 from .federation import load_actor, read_round_checkpoint, round_reports_csv, run_training
 from .metrics import run_episode
 from .nn import count_params
+from .seeding import MASK64
 from .sim.world import TrafficWorld
 
 log = logging.getLogger("feddrive")
@@ -152,6 +153,8 @@ TRACE_COLUMNS = (
 def cmd_sim_run(args: argparse.Namespace) -> int:
     if not math.isfinite(args.accel):
         raise ConfigError(f"--accel must be a finite acceleration, got {args.accel!r}")
+    if not 0 <= args.episode_seed <= MASK64:  # derive_seed reduces it mod 2**64, so -1 would alias 2**64 - 1
+        raise ConfigError(f"--episode-seed must lie in [0, 2**64), got {args.episode_seed}")
     cfg = load_run_config(args.config, seed=args.seed)
     actor = load_actor(args.checkpoint) if args.checkpoint is not None else None
     out_dir = Path(args.out)

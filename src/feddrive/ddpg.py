@@ -291,15 +291,16 @@ class DdpgAgent:
         self.critic_adam = init_adam(self.critic)
 
 
-def select_action(agent: DdpgAgent, state: np.ndarray, explore: bool, rng: np.random.Generator) -> float:
-    """Actor output for one state, scaled to the acceleration range, plus OU noise when exploring."""
+def select_action(agent: DdpgAgent, state: np.ndarray, rng: np.random.Generator) -> float:
+    """The exploring action: the actor's scaled output plus OU noise, clipped to the acceleration range.
+
+    The greedy action is ``policy_action(agent.actor, state, a_min, a_max)``.
+    """
     hp = agent.hp
     a = policy_action(agent.actor, state, hp.accel_min_mps2, hp.accel_max_mps2)
-    if explore:
-        noise, agent.noise = ou_sample(agent.noise, rng)
-        a += noise * 0.5 * (hp.accel_max_mps2 - hp.accel_min_mps2)
-        a = min(max(a, hp.accel_min_mps2), hp.accel_max_mps2)
-    return a
+    noise, agent.noise = ou_sample(agent.noise, rng)
+    a += noise * 0.5 * (hp.accel_max_mps2 - hp.accel_min_mps2)
+    return min(max(a, hp.accel_min_mps2), hp.accel_max_mps2)
 
 
 _SHARED_BUFFERS: dict[tuple, LayerBuffers] = {}
@@ -434,6 +435,4 @@ def train_episode(
         if len(agent.buffer) >= hp.batch_size:
             update(agent, agent.buffer.sample(hp.batch_size, rng))
 
-    return run_episode(
-        world, lambda obs: select_action(agent, state_of(obs), explore=True, rng=rng), episode_seed, on_step=learn
-    )
+    return run_episode(world, lambda obs: select_action(agent, state_of(obs), rng), episode_seed, on_step=learn)

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable
 
 from .sim.world import (
@@ -17,36 +15,21 @@ from .sim.world import (
 )
 
 
-def left_to_right_sum(values) -> float:
-    """The floats summed in order, one rounding per addition.
-
-    That is what the built-in ``sum`` does up to Python 3.11; from 3.12 it
-    compensates, which changes the last bits of episode returns.
-    """
-    return reduce(operator.add, values, 0.0)
-
-
 @dataclass(frozen=True)
 class RolloutTrace:
     """The one per-episode record; from ``run_episode`` it has at least one step and exactly one outcome."""
 
-    speeds_mps: tuple[float, ...]  # ego speed after each step
-    rewards: tuple[float, ...]
+    steps: int
+    # sums run left to right from 0.0, one rounding per step (the built-in sum compensates from Python 3.12)
+    total_reward: float  # the return
+    speed_sum_mps: float  # the ego's speed after each step
     step_length_s: float
     cause: str
     traveled_freeflow_s: float  # distance actually covered, at the speed limits
 
     @property
-    def steps(self) -> int:
-        return len(self.speeds_mps)
-
-    @property
     def elapsed_s(self) -> float:
         return self.steps * self.step_length_s
-
-    @property
-    def total_reward(self) -> float:
-        return left_to_right_sum(self.rewards)
 
     @property
     def collided(self) -> bool:
@@ -74,8 +57,8 @@ def run_episode(
     episodes here.  An exception let through carries ``step_idx``, the step in
     progress (from 0; a failing reset reports step 0).
     """
-    speeds: list[float] = []
-    rewards: list[float] = []
+    steps = 0
+    total_reward = speed_sum = 0.0
     try:
         obs = world.reset(episode_seed)
         while True:
@@ -83,17 +66,19 @@ def run_episode(
             out = world.step(action)
             if on_step is not None:
                 on_step(obs, action, out)
-            speeds.append(out.observation.speed)
-            rewards.append(out.reward)
+            steps += 1
+            total_reward += out.reward
+            speed_sum += out.observation.speed
             obs = out.observation
             if out.done:
                 break
     except Exception as exc:
-        exc.step_idx = len(rewards)  # rewards grow as steps complete
+        exc.step_idx = steps  # the completed steps: the index of the one in progress
         raise
     return RolloutTrace(
-        speeds_mps=tuple(speeds),
-        rewards=tuple(rewards),
+        steps=steps,
+        total_reward=total_reward,
+        speed_sum_mps=speed_sum,
         step_length_s=world.scenario.step_length_s,
         cause=world.cause,
         traveled_freeflow_s=world.traveled_freeflow_time_s,
@@ -104,7 +89,7 @@ def average_speed(trace: RolloutTrace) -> float:
     """Sum of per-step ego speeds divided by the number of steps."""
     if trace.steps < 1:
         raise ValueError("average_speed needs at least one step")
-    return left_to_right_sum(trace.speeds_mps) / trace.steps
+    return trace.speed_sum_mps / trace.steps
 
 
 def travel_delay(trace: RolloutTrace) -> float:

@@ -39,10 +39,6 @@ class EventFlags(NamedTuple):
     waiting_at_light: bool = False
     speed_nonzero: bool = False
 
-    def validate(self) -> None:
-        if self.collided and self.reached_destination:
-            raise InconsistentFlagsError("collided and reached_destination are mutually exclusive")
-
 
 # (name, predicate, value), evaluated top to bottom; first match wins.
 REWARD_CASES: tuple[tuple[str, object, float], ...] = (
@@ -60,18 +56,10 @@ REWARD_CASES: tuple[tuple[str, object, float], ...] = (
 )
 
 
-def _first_match(flags: EventFlags) -> float:
-    flags.validate()
-    for _name, predicate, value in REWARD_CASES:
-        if predicate(flags):
-            return value
-    raise AssertionError("default case is unconditional")
-
-
-# every consistent combination of the five flags -> its reward; a NamedTuple
-# hashes and compares as the plain tuple of its fields
+# every consistent combination of the five flags -> the value of its first matching case; a
+# NamedTuple hashes and compares as the plain tuple of its fields
 REWARD_BY_FLAGS: dict[EventFlags, float] = {
-    flags: _first_match(flags)
+    flags: next(value for _name, predicate, value in REWARD_CASES if predicate(flags))
     for flags in itertools.starmap(EventFlags, itertools.product((False, True), repeat=5))
     if not (flags.collided and flags.reached_destination)
 }
@@ -82,5 +70,7 @@ def compute_reward(flags: EventFlags) -> float:
 
     Raises ``InconsistentFlagsError`` for flags the simulator can never produce.
     """
-    reward = REWARD_BY_FLAGS.get(flags)
-    return _first_match(flags) if reward is None else reward
+    try:
+        return REWARD_BY_FLAGS[flags]
+    except KeyError:
+        raise InconsistentFlagsError("collided and reached_destination are mutually exclusive") from None

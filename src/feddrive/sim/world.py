@@ -51,7 +51,7 @@ BG_LOOKAHEAD_M = 100.0
 
 
 class EpisodeDoneError(RuntimeError):
-    """step() was called after the episode already terminated."""
+    """step() was called with no episode in progress: before a reset succeeded, or after the episode ended."""
 
 
 class UnreachableDestinationError(ValueError):
@@ -220,7 +220,7 @@ class TrafficWorld:
     def __init__(self, scenario: ScenarioConfig):
         self.scenario = sc = scenario
         self.net = net = scenario.network
-        self._active = False
+        self.done = True  # no episode in progress until a reset succeeds
         if sc.ego_route not in net.routes:
             raise ValueError(f"unknown ego route {sc.ego_route!r}")
         if sc.destination_node not in net.nodes:
@@ -272,9 +272,8 @@ class TrafficWorld:
     def reset(self, episode_seed: int) -> EgoObservation:
         sc = self.scenario
         self.steps = 0
-        self.done = False
+        self.done = True  # until every vehicle is placed: a failed reset leaves no episode in progress
         self.cause = CAUSE_NONE
-        self._active = True
         self.distance_traveled_m = 0.0
         self.traveled_freeflow_time_s = 0.0  # free-flow time over the distance the ego has actually covered
         self._next_bg_id = 0
@@ -285,6 +284,7 @@ class TrafficWorld:
         self.background: list[VehicleState] = []
         if sc.background_count:
             self._spawn_random_background(sc.background_count, derive_seed(sc.master_seed, episode_seed))
+        self.done = False
         return self._observe()
 
     def _spawn_random_background(self, count: int, seed: int) -> None:
@@ -340,10 +340,8 @@ class TrafficWorld:
 
         A NaN action raises ``ValueError`` before anything changes.
         """
-        if not self._active:
-            raise EpisodeDoneError("reset() must be called before step()")
         if self.done:
-            raise EpisodeDoneError("episode already terminated; call reset()")
+            raise EpisodeDoneError("no episode in progress; call reset()")
         accel = float(action_accel)
         if math.isnan(accel):
             raise ValueError(f"acceleration action {accel!r} is not a number")

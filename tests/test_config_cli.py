@@ -716,6 +716,15 @@ def test_cli_sim_run_rejects_non_finite_accel(tmp_path, accel):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_cli_sim_run_episode_seed_outside_64_bits_fails_before_writing(tmp_path, caplog, seed):
+    # episode seeds are derived mod 2**64, so -1 would run episode 2**64 - 1
+    out = tmp_path / "sim"
+    assert main(["sim-run", "--config", str(write_config(tmp_path)), "--out", str(out), f"--episode-seed={seed}"]) == 2
+    assert not out.exists()
+    assert f"--episode-seed must lie in [0, 2**64), got {seed}" in caplog.text
+
+
 def test_cli_sim_run_rejects_non_finite_network(tmp_path):
     (tmp_path / "nan.net").write_text("node a 0 0\nnode b 400 0\nedge ab a b nan 20 1\nroute main ab\n")
     cfg = write_config(tmp_path, network_file="nan.net")

@@ -242,33 +242,32 @@ def state_of():
 
 def test_select_action_deterministic_without_noise():
     agent = DdpgAgent.create(TINY, seed=1)
-    rng = np.random.default_rng(0)
-    a1 = select_action(agent, state_of(), explore=False, rng=rng)
-    a2 = select_action(agent, state_of(), explore=False, rng=rng)
+    a1 = policy_action(agent.actor, state_of(), TINY.accel_min_mps2, TINY.accel_max_mps2)
+    a2 = policy_action(agent.actor, state_of(), TINY.accel_min_mps2, TINY.accel_max_mps2)
     assert a1 == a2
 
 
 def test_zero_weight_actor_gives_midpoint():
     agent = DdpgAgent.create(TINY, seed=1)
     agent.actor = nn.unflatten_params(agent.actor, np.zeros(agent.actor.param_count))
-    a = select_action(agent, state_of(), explore=False, rng=np.random.default_rng(0))
+    a = policy_action(agent.actor, state_of(), TINY.accel_min_mps2, TINY.accel_max_mps2)
     assert a == pytest.approx(0.5 * (TINY.accel_min_mps2 + TINY.accel_max_mps2))
 
 
 def test_degenerate_noise_equals_greedy():
     hp = DdpgHyperparams(actor_hidden=(8, 8), critic_hidden=(8, 8), ou_sigma=0.0)
     agent = DdpgAgent.create(hp, seed=1)
-    greedy = select_action(agent, state_of(), explore=False, rng=np.random.default_rng(0))
-    noisy = select_action(agent, state_of(), explore=True, rng=np.random.default_rng(0))
+    greedy = policy_action(agent.actor, state_of(), hp.accel_min_mps2, hp.accel_max_mps2)
+    noisy = select_action(agent, state_of(), np.random.default_rng(0))
     assert noisy == greedy
 
 
 def test_noise_state_advances_only_when_exploring():
     agent = DdpgAgent.create(TINY, seed=1)
     x0 = agent.noise.x
-    select_action(agent, state_of(), explore=False, rng=np.random.default_rng(0))
+    policy_action(agent.actor, state_of(), TINY.accel_min_mps2, TINY.accel_max_mps2)
     assert agent.noise.x == x0
-    select_action(agent, state_of(), explore=True, rng=np.random.default_rng(0))
+    select_action(agent, state_of(), np.random.default_rng(0))
     assert agent.noise.x != x0
 
 
@@ -277,7 +276,7 @@ def test_explore_action_clipped():
     agent = DdpgAgent.create(hp, seed=1)
     rng = np.random.default_rng(0)
     for _ in range(50):
-        a = select_action(agent, state_of(), explore=True, rng=rng)
+        a = select_action(agent, state_of(), rng)
         assert hp.accel_min_mps2 <= a <= hp.accel_max_mps2
 
 
@@ -285,7 +284,7 @@ def test_non_finite_actor_output_rejected():
     agent = DdpgAgent.create(TINY, seed=1)
     agent.actor = nn.unflatten_params(agent.actor, np.full(agent.actor.param_count, np.inf))
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
-        select_action(agent, state_of(), explore=False, rng=np.random.default_rng(0))
+        policy_action(agent.actor, state_of(), TINY.accel_min_mps2, TINY.accel_max_mps2)
 
 
 def allocating_action(actor, state, a_min, a_max):
@@ -324,7 +323,7 @@ def test_select_action_interleaved_with_evaluate_keeps_both_bits(monkeypatch):
         assert action == allocating_action(actor, state, lo, hi)
         own = normalize_observation(rng.normal(scale=50.0, size=6))  # each action runs between two of evaluate's
         expected = allocating_action(agent.actor, own, TINY.accel_min_mps2, TINY.accel_max_mps2)
-        assert select_action(agent, own, explore=False, rng=rng) == expected
+        assert policy_action(agent.actor, own, TINY.accel_min_mps2, TINY.accel_max_mps2) == expected
         return action
 
     protocol = evaluation.EvalProtocol(episodes=2, distances_m=(52.0,), template=template)

@@ -2,6 +2,7 @@ import csv
 import functools
 import math
 import operator
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,9 +25,11 @@ from feddrive.sim.world import CAUSE_MAX_STEPS, SpawnSpec, TrafficWorld, normali
 
 
 def trace_of(speeds, cause="destination", dt=1.0):
+    """The trace of an episode whose ego moves at ``speeds``, one per step."""
     return RolloutTrace(
-        speeds_mps=tuple(speeds),
-        rewards=tuple(0.0 for _ in speeds),
+        steps=len(speeds),
+        total_reward=0.0,
+        speed_sum_mps=functools.reduce(operator.add, speeds, 0.0),
         step_length_s=dt,
         cause=cause,
         traveled_freeflow_s=sum(speeds) * dt / 20.0,  # the 20 m/s limit the whole way
@@ -42,13 +45,27 @@ def test_average_speed_examples():
     assert average_speed(trace_of([0.0, 0.0, 0.0])) == 0.0
 
 
+class TenthsWorld:
+    """A stub world whose every step gives reward 0.1 and ego speed 0.1; the tenth ends the episode."""
+
+    scenario = SimpleNamespace(step_length_s=1.0)
+    cause = CAUSE_MAX_STEPS
+    traveled_freeflow_time_s = 0.0
+
+    def reset(self, episode_seed):
+        self.steps = 0
+        return SimpleNamespace(speed=0.0)
+
+    def step(self, action):
+        self.steps += 1
+        return SimpleNamespace(observation=SimpleNamespace(speed=0.1), reward=0.1, done=self.steps == 10)
+
+
 def test_episode_sums_run_left_to_right():
     # Python 3.12's built-in sum compensates and gives 1.0 here; folding left to right gives the bits of 3.10 and 3.11
-    tenths = (0.1,) * 10
-    trace = RolloutTrace(
-        speeds_mps=tenths, rewards=tenths, step_length_s=1.0, cause=CAUSE_MAX_STEPS, traveled_freeflow_s=0.0
-    )
-    assert trace.total_reward == 0.9999999999999999
+    trace = run_episode(TenthsWorld(), lambda obs: 0.0, episode_seed=0)
+    assert trace.steps == 10
+    assert trace.total_reward == trace.speed_sum_mps == 0.9999999999999999
     assert average_speed(trace) == 0.9999999999999999 / 10
 
 
@@ -108,7 +125,6 @@ def test_trace_holds_the_episode_invariants(road_scenario, outcome, throttle, sp
         assert trace.steps >= 1
         assert [trace.collided, trace.reached, trace.timed_out].count(True) == 1
         assert getattr(trace, outcome)
-        assert trace.total_reward == functools.reduce(operator.add, trace.rewards, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -193,9 +209,11 @@ def test_run_episode_passes_each_step_to_on_step():
     for k, (obs, action, out) in enumerate(seen):
         assert obs is acted[k]  # the observation the action was chosen from
         assert action == (2.6 if k % 2 == 0 else 1.0)
-        assert (out.observation.speed, out.reward) == (trace.speeds_mps[k], trace.rewards[k])
         assert out.done == (k == trace.steps - 1)
     assert [o.observation for _, _, o in seen[:-1]] == acted[1:]
+    # the trace's sums are the in-order folds of the steps it saw
+    assert trace.total_reward == functools.reduce(operator.add, [o.reward for _, _, o in seen], 0.0)
+    assert trace.speed_sum_mps == functools.reduce(operator.add, [o.observation.speed for _, _, o in seen], 0.0)
 
 
 @pytest.mark.parametrize("k", [0, 3])

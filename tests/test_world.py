@@ -160,6 +160,16 @@ def test_step_before_reset_rejected(road_scenario):
         world.step(0.0)
 
 
+def test_step_after_a_failed_reset_rejected(road_scenario):
+    world = TrafficWorld(road_scenario(background_count=35))
+    world.reset(0)
+    world.step(0.0)
+    with pytest.raises(ValueError, match="could not place 35 background vehicles"):
+        world.reset(10)  # gives up part-way through placing the background
+    with pytest.raises(EpisodeDoneError):  # not a step on a half-placed episode
+        world.step(0.0)
+
+
 # --------------------------------------------------------------------- step
 
 
