@@ -12,23 +12,21 @@ the nets' input widths and the replay row read its width, ``STATE_DIM``.
 (``policy_action``, ``select_action``) take the state, not the observation.
 
 Every forward and backward pass runs through ``nn.forward_into`` and
-``nn.backward_into`` on an ``nn.LayerBuffers`` set shared by every net of
-one architecture, dtype and batch size in the process
-(``_shared_buffers``): an agent's online and target nets share one set, and
-so do all agents.  Actions (``policy_action``, in exploration and in
-evaluation) run on the batch-1 sets, and updates on the batch-size ones,
-so a warm update (``update``: ``critic_update``, ``actor_update``, then both
-``soft_update``s) allocates nothing parameter-sized.  Sharing is safe only
-because training and evaluation run serially in one thread, agents one
-after another (see ``federation``), and each pass uses up what the one
-before it left in the buffers before it runs.  Nothing returned from them
-outlives the call that made it except ``policy_gradient``'s gradient,
-which is valid until the next update of a net of the same architecture.
+``nn.backward_into`` on the set that ``nn.shared_buffers`` keeps for the
+net's architecture, dtype and batch size: an agent's online and target nets
+share one set, and so do all agents.  Actions (``policy_action``, in exploration
+and in evaluation) run on the batch-1 sets, and updates on the batch-size
+ones, so a warm update (``update``: ``critic_update``, ``actor_update``,
+then both ``soft_update``s) allocates nothing parameter-sized.  That sharing
+rests on ``nn``'s serial rule; nothing returned from the sets outlives the
+call that made it except ``policy_gradient``'s gradient, which is valid
+until the next update of a net of the same architecture.
 
 A replay ``Batch`` follows the same rule: ``ReplayBuffer.sample`` gathers
-the drawn rows into one array that the buffer keeps per batch size, and
-returns the same ``Batch`` of column views into it each time, so a batch
-is valid until that buffer's next ``sample``.  Copy its fields to keep them.
+the drawn rows into the buffer's one batch array, rebuilt only when a call
+asks for another batch size, and returns the same ``Batch`` of column views
+into it each time, so a batch is valid until that buffer's next ``sample``.
+Copy its fields to keep them.
 """
 
 from __future__ import annotations
@@ -51,6 +49,7 @@ from .nn import (
     forward_into,
     init_adam,
     init_params,
+    shared_buffers,
     soft_update,
     unflatten_params,
 )
@@ -100,7 +99,7 @@ class ReplayBuffer:
         self._rows = np.empty((capacity, _WIDTH), dtype=TRAIN_DTYPE)
         self._write = 0
         self._size = 0
-        self._batches: dict[int, tuple[np.ndarray, Batch]] = {}  # batch size -> rows array, its column views
+        self._batch: tuple[np.ndarray, Batch] | None = None  # the last sample's rows array and its column views
 
     def __len__(self) -> int:
         return self._size
@@ -127,15 +126,15 @@ class ReplayBuffer:
     def sample(self, batch_size: int, rng: np.random.Generator) -> Batch:
         """Uniform with-replacement draw over stored items, valid until this buffer's next ``sample``.
 
-        The rows are copied into the buffer's one batch array for
-        ``batch_size``; the returned ``Batch``, made with that array, holds
-        column views of it.
+        The rows are copied into the buffer's one batch array, which is
+        rebuilt only when ``batch_size`` differs from the last call's; the
+        returned ``Batch``, made with that array, holds column views of it.
         """
         if self._size < batch_size:
             raise ValueError(f"buffer holds {self._size} transitions, need {batch_size}")
         drawn = rng.integers(0, self._size, size=batch_size)
-        cached = self._batches.get(batch_size)
-        if cached is None:
+        cached = self._batch
+        if cached is None or len(cached[0]) != batch_size:
             rows = np.empty((batch_size, _WIDTH), dtype=TRAIN_DTYPE)
             batch = Batch(
                 states=rows[:, :_ACTION],
@@ -144,7 +143,7 @@ class ReplayBuffer:
                 next_states=rows[:, _NEXT:_DONE],
                 dones=rows[:, _DONE:],
             )
-            cached = self._batches[batch_size] = (rows, batch)
+            cached = self._batch = (rows, batch)
         # every index is in range, so "clip" never clips; it spares the default mode's buffered copy
         np.take(self._rows, drawn, axis=0, out=cached[0], mode="clip")
         return cached[1]
@@ -238,7 +237,7 @@ def check_actor_shape(actor: MlpParams) -> None:
 
 def policy_action(actor: MlpParams, state: np.ndarray, a_min: float, a_max: float) -> float:
     """Deterministic (noise-free) action for one state (``normalize_observation``'s vector)."""
-    out = forward_into(actor, _shared_buffers(actor, 1), state.reshape(1, -1))
+    out = forward_into(actor, shared_buffers(actor, 1), state.reshape(1, -1))
     a = scale_action(float(out[0, 0]), a_min, a_max)  # the NumPy scalar's IEEE arithmetic, without its overhead
     if not math.isfinite(a):
         raise ValueError("actor produced a non-finite action")
@@ -272,7 +271,7 @@ class DdpgAgent:
         )
         actor, critic = cast_params(actor, TRAIN_DTYPE), cast_params(critic, TRAIN_DTYPE)
         for net in (actor, critic):  # the shared update buffers, made with the agent so that no update allocates them
-            _shared_buffers(net, hp.batch_size)
+            shared_buffers(net, hp.batch_size)
         return cls(
             agent_id=agent_id,
             hp=hp,
@@ -303,18 +302,6 @@ def select_action(agent: DdpgAgent, state: np.ndarray, rng: np.random.Generator)
     return min(max(a, hp.accel_min_mps2), hp.accel_max_mps2)
 
 
-_SHARED_BUFFERS: dict[tuple, LayerBuffers] = {}
-
-
-def _shared_buffers(params: MlpParams, n: int) -> LayerBuffers:
-    """The process's one buffer set for nets like ``params`` at batch size ``n``."""
-    key = (params.layer_sizes, params.activations, params.flat.dtype, n)
-    bufs = _SHARED_BUFFERS.get(key)
-    if bufs is None:
-        bufs = _SHARED_BUFFERS[key] = LayerBuffers(*key)
-    return bufs
-
-
 def _critic_input(bufs: LayerBuffers, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
     """The critic's input [states, actions], assembled in ``bufs.inputs``."""
     x = bufs.inputs
@@ -332,8 +319,8 @@ def critic_targets(agent: DdpgAgent, batch: Batch) -> np.ndarray:
     """Bellman targets y = r + gamma * (1 - done) * Q'(s', mu'(s'))."""
     hp = agent.hp
     n = batch.states.shape[0]
-    critic_bufs = _shared_buffers(agent.target_critic, n)
-    next_u = forward_into(agent.target_actor, _shared_buffers(agent.target_actor, n), batch.next_states)
+    critic_bufs = shared_buffers(agent.target_critic, n)
+    next_u = forward_into(agent.target_actor, shared_buffers(agent.target_actor, n), batch.next_states)
     next_a = scale_action(next_u, hp.accel_min_mps2, hp.accel_max_mps2)
     next_q = forward_into(agent.target_critic, critic_bufs, _critic_input(critic_bufs, batch.next_states, next_a))
     return batch.rewards + hp.gamma * (1.0 - batch.dones) * next_q
@@ -343,7 +330,7 @@ def critic_update(agent: DdpgAgent, batch: Batch) -> float:
     """One Adam step on the critic toward the Bellman targets; returns the pre-step MSE."""
     y = critic_targets(agent, batch)
     n = batch.states.shape[0]
-    bufs = _shared_buffers(agent.critic, n)
+    bufs = shared_buffers(agent.critic, n)
     q = forward_into(agent.critic, bufs, _critic_input(bufs, batch.states, batch.actions))
     err = q - y
     loss = _mean(err**2)
@@ -363,7 +350,7 @@ def policy_gradient(
     batch size; it is valid until the next update of such a net.
     """
     n = states.shape[0]
-    actor_bufs, critic_bufs = _shared_buffers(actor, n), _shared_buffers(critic, n)
+    actor_bufs, critic_bufs = shared_buffers(actor, n), shared_buffers(critic, n)
     u = forward_into(actor, actor_bufs, states)
     actions = scale_action(u, a_min, a_max)
     q = forward_into(critic, critic_bufs, _critic_input(critic_bufs, states, actions))

@@ -6,7 +6,8 @@ count to the aggregator.  No observations, actions, rewards, or replay
 contents cross that boundary.  Aggregation is the episode-weighted mean
 ``sum(n_i * w_i) / sum(n_i)``, summed in ascending agent-id order.  Agents
 train one after another in the calling thread, in the order given (ascending
-id from ``run_training``).  Agents train in ``ddpg.TRAIN_DTYPE``; updates, the
+id from ``run_training``), as ``nn``'s serial rule for the process's shared
+scratch requires.  Agents train in ``ddpg.TRAIN_DTYPE``; updates, the
 global model, aggregation and checkpoints are float64, and ``broadcast``
 rounds the global weights into the agents' dtype.  This module alone knows the
 round checkpoint's format: ``save_round_checkpoint`` writes it, and

@@ -12,14 +12,20 @@ and the arrays of one pass live in one container, a ``LayerBuffers`` made
 per architecture and batch size.  Both functions write into the buffer set
 they are given and nowhere else, and what they return lives there until
 its next use, so a caller that keeps its sets allocates nothing
-parameter-sized per pass.  ``ddpg`` keeps one set per architecture, dtype
-and batch size, for batch-1 actions and batch-64 updates alike, and shares
-it between nets; that is safe because training and evaluation run
-serially.  ``forward`` runs ``forward_into`` on a fresh set and returns the
-set as its cache; ``backward`` and ``input_gradient`` run ``backward_into``
-on that cache.  These fresh-buffer calls are the reference that reused
-buffers are checked against: the same ufunc and BLAS calls run on the same
-values, so they give the same bits.
+parameter-sized per pass.  ``forward`` runs ``forward_into`` on a fresh set
+and returns the set as its cache; ``backward`` and ``input_gradient`` run
+``backward_into`` on that cache.  These fresh-buffer calls are the reference
+that reused buffers are checked against: the same ufunc and BLAS calls run
+on the same values, so they give the same bits.
+
+This module owns the process's scratch memory, in one registry keyed only
+by what training varies: ``shared_buffers(params, n)`` is the one buffer set
+of every net with ``params``' architecture and dtype at batch size ``n``,
+and ``adam_step`` works in two ``ADAM_CHUNK``-long vectors per dtype.  The
+serial rule makes sharing them safe: training and evaluation run in one
+thread, agents one after another, so no two calls use one scratch array at
+once, and each call is done with what the one before left there.  What a
+call returns from scratch is valid until the next call that uses it.
 
 Every matrix product is ``np.dot`` into its ``out`` array, which hands 2-D
 float arrays straight to BLAS.  ``np.matmul`` costs more per call and runs
@@ -31,10 +37,8 @@ with one input and one output at batch 1.
 
 ``adam_step`` updates its ``params`` and ``state`` in place, and
 ``soft_update`` its ``target``; no other function here writes to an
-argument.  ``adam_step`` works in two scratch vectors that the process
-keeps per dtype and chunk size, so, like a shared buffer set, it must not
-run in two threads at once.  Fixed elementwise formulas, applied in a
-fixed order, keep gradient checks and cross-run determinism exact.
+argument.  Fixed elementwise formulas, applied in a fixed order, keep
+gradient checks and cross-run determinism exact.
 ``adam_step`` is textbook Adam except that every 64th step sets first
 moments below 2**26 times the dtype's smallest normal to 0 (its docstring
 gives the bound), which keeps subnormal arithmetic out of long runs.
@@ -179,6 +183,16 @@ class LayerBuffers:
         ]
 
 
+# the process's scratch: buffer sets by (layer sizes, activations, dtype, batch size), Adam's pair by dtype
+_SCRATCH: dict = {}
+
+
+def shared_buffers(params: MlpParams, n: int) -> LayerBuffers:
+    """The process's one buffer set for nets like ``params`` at batch size ``n``, used under the serial rule."""
+    key = (params.layer_sizes, params.activations, params.flat.dtype, n)
+    return _SCRATCH.get(key) or _SCRATCH.setdefault(key, LayerBuffers(*key))
+
+
 def forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, LayerBuffers]:
     """Run a batch (n, in_dim) through the net on fresh buffers; they are the cache ``backward`` needs."""
     x = np.asarray(x, dtype=params.flat.dtype)
@@ -262,18 +276,6 @@ ADAM_CHUNK = 32768  # elements per pass, so a chunk's operands stay in cache bet
 ADAM_FLUSH_EVERY = 64  # steps between flushes of first moments that decay toward the subnormal range
 
 
-_ADAM_SCRATCH: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _adam_scratch(dtype, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The process's two ``adam_step`` work vectors of one dtype and chunk size."""
-    key = (dtype, size)
-    pair = _ADAM_SCRATCH.get(key)
-    if pair is None:
-        pair = _ADAM_SCRATCH[key] = (np.empty(size, dtype), np.empty(size, dtype))
-    return pair
-
-
 def adam_step(params: MlpParams, grads: MlpParams, state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update of ``params.flat`` and ``state``, in place.
 
@@ -301,8 +303,11 @@ def adam_step(params: MlpParams, grads: MlpParams, state: AdamState, lr: float) 
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1, c2 = 1.0 - b1**state.t, 1.0 - b2**state.t
-    flush_below = np.ldexp(np.finfo(params.flat.dtype).smallest_normal, 26) if state.t % ADAM_FLUSH_EVERY == 0 else 0
-    step_buf, denom_buf = _adam_scratch(params.flat.dtype, min(ADAM_CHUNK, params.param_count))
+    dtype = params.flat.dtype
+    flush_below = np.ldexp(np.finfo(dtype).smallest_normal, 26) if state.t % ADAM_FLUSH_EVERY == 0 else 0
+    step_buf, denom_buf = _SCRATCH.get(dtype) or _SCRATCH.setdefault(
+        dtype, (np.empty(ADAM_CHUNK, dtype), np.empty(ADAM_CHUNK, dtype))
+    )
     for lo in range(0, params.param_count, ADAM_CHUNK):
         g, m, v, theta = (a[lo : lo + ADAM_CHUNK] for a in (grads.flat, state.m, state.v, params.flat))
         step, denom = step_buf[: g.size], denom_buf[: g.size]

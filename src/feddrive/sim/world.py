@@ -168,6 +168,7 @@ class EgoObservation(NamedTuple):
 OBS_SCALE = np.array(
     EgoObservation(pos_x=100.0, pos_y=100.0, speed=20.0, heading=math.pi, acceleration=5.0, dest_distance=100.0)
 )
+OBS_SCALE.flags.writeable = False  # no config hash covers it, so an edit would silently rescale every state
 STATE_DIM = len(EgoObservation._fields)
 
 

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import tracemalloc
 
@@ -136,15 +137,20 @@ def test_buffer_sampling_uniformity():
     assert np.all(np.abs(freq - 0.1) < 0.01)
 
 
-def test_sample_refills_one_batch_per_size_with_the_drawn_rows():
-    rng = np.random.default_rng(3)
+def random_buffer(seed: int, count: int) -> tuple[ReplayBuffer, np.ndarray]:
+    """A buffer holding ``count`` random transitions, and the rows it should hold, in the ring's dtype."""
+    rng = np.random.default_rng(seed)
     buf = ReplayBuffer(capacity=64)
     stored = []
-    for _ in range(40):
+    for _ in range(count):
         t = (rng.normal(size=6), float(rng.normal()), float(rng.normal()), rng.normal(size=6), bool(rng.random() < 0.3))
         buf.store(*t)
         stored.append(np.hstack([t[0], t[1], t[2], t[3], float(t[4])]))
-    stored = np.array(stored, dtype=ddpg.TRAIN_DTYPE)
+    return buf, np.array(stored, dtype=ddpg.TRAIN_DTYPE)
+
+
+def test_sample_refills_one_batch_per_size_with_the_drawn_rows():
+    buf, stored = random_buffer(3, 40)
     draw, reference = np.random.default_rng(9), np.random.default_rng(9)  # equal generator states
     batches = []
     for _ in range(3):
@@ -153,9 +159,21 @@ def test_sample_refills_one_batch_per_size_with_the_drawn_rows():
         columns = (batch.states, batch.actions, batch.rewards, batch.next_states, batch.dones)
         assert np.hstack(columns).tobytes() == rows.tobytes()
         batches.append(batch)
-    assert batches[1] is batches[0] and batches[2] is batches[0]  # one Batch per batch size, refilled in place
+    assert batches[1] is batches[0] and batches[2] is batches[0]  # one Batch, refilled in place while the size holds
     assert buf.sample(8, draw).states.shape == (8, 6)
     assert batches[0].states.tobytes() == rows[:, :6].tobytes()  # another size leaves this batch alone
+
+
+def test_sample_rebuilds_its_batch_when_the_size_changes():
+    buf, stored = random_buffer(4, 30)
+    draw = np.random.default_rng(11)
+    reference = copy.deepcopy(draw)
+    for size in (16, 8, 16):
+        batch = buf.sample(size, draw)
+        columns = (batch.states, batch.actions, batch.rewards, batch.next_states, batch.dones)
+        assert [c.shape for c in columns] == [(size, 6), (size, 1), (size, 1), (size, 6), (size, 1)]
+        rows = stored[reference.integers(0, len(buf), size=size)]
+        assert np.hstack(columns).tobytes() == rows.tobytes()
 
 
 # ----------------------------------------------------------------- OU noise
@@ -296,7 +314,7 @@ def allocating_action(actor, state, a_min, a_max):
 def test_alternating_actors_share_one_batch1_set_and_keep_their_bits():
     hp = DdpgHyperparams(actor_hidden=(32, 32), critic_hidden=(32, 32))
     actors = [DdpgAgent.create(hp, seed=s).actor for s in (1, 2)]
-    assert ddpg._shared_buffers(actors[0], 1) is ddpg._shared_buffers(actors[1], 1)
+    assert nn.shared_buffers(actors[0], 1) is nn.shared_buffers(actors[1], 1)
     a_min, a_max = hp.accel_min_mps2, hp.accel_max_mps2
     rng = np.random.default_rng(0)
     for _ in range(3):  # A, B, A, ...: each reads what the other left in the shared set
@@ -310,7 +328,7 @@ def test_select_action_interleaved_with_evaluate_keeps_both_bits(monkeypatch):
     agent = DdpgAgent.create(TINY, seed=1)
     frozen = DdpgAgent.create(TINY, seed=2).actor  # float32, the agent's architecture: one batch-1 set
     frozen.layers[-1].bias[:] = 3.0  # drives off, so its observations change from step to step
-    assert ddpg._shared_buffers(agent.actor, 1) is ddpg._shared_buffers(frozen, 1)
+    assert nn.shared_buffers(agent.actor, 1) is nn.shared_buffers(frozen, 1)
     template = evaluation.EvalTemplate(max_steps=20)
     a_min, a_max = template.accel_min_mps2, template.accel_max_mps2
     rng = np.random.default_rng(3)

@@ -11,11 +11,12 @@ with every background vehicle's state pin random background spawning,
 lights, turns, cyclic and oncoming routes and intersection-box collisions,
 which ``sim-run``'s ego-only ``trace.csv`` does not show; two more pin the
 evaluation corridor with the benchmark's two slow vehicles.
-The hashes hold for the numpy/OpenBLAS build named in ``BENCH_*.json``
-running its SkylakeX kernels; another BLAS kernel may round the float32
-matrix products differently, which moves the two ``round_*.ckpt`` hashes.
-So the same run is pinned a second time under ``OPENBLAS_CORETYPE=Haswell``,
-kernels that any CPU with AVX2 and FMA runs.
+The hashes hold for the numpy/OpenBLAS build named in ``BENCH_*.json``;
+another BLAS kernel may round the float32 matrix products differently, which
+moves the two ``round_*.ckpt`` hashes.  So the smoke run is pinned per
+kernel, under the SkylakeX kernels and under ``OPENBLAS_CORETYPE=Haswell``
+(kernels that any CPU with AVX2 and FMA runs), and checked against the pins
+of the kernel its manifest names.
 """
 
 import hashlib
@@ -50,6 +51,8 @@ HASWELL_SHA256 = {
     "round_1.ckpt": "4ac9bb7b4014d336e4572b06afa15e2cf96015b72ad52481e66babfc24bbb4f9",
 }
 
+GOLDEN_BY_KERNEL = {"SkylakeX": GOLDEN_SHA256, "Haswell": HASWELL_SHA256}
+
 EVAL_SHA256 = {
     "eval_summary.csv": "61d6d9f56a04057935aa87bb7942daaeff80f8563b15076eebbfa61e050169ac",
     "eval_summary.json": "53a21530d96c9bdfd06a614b11732cae59ee864826bfc157a287cf6d179d6f2d",
@@ -70,8 +73,12 @@ def smoke_run(tmp_path_factory):
 
 
 def test_smoke_run_bytes_are_golden(smoke_run):
-    got = {name: sha256(smoke_run / name) for name in GOLDEN_SHA256}
-    assert got == GOLDEN_SHA256
+    kernel = json.loads((smoke_run / "manifest.json").read_text())["blas_kernel"]
+    if kernel not in GOLDEN_BY_KERNEL:
+        pytest.fail(f"no golden hashes are pinned for the BLAS kernel {kernel!r}; pinned: {sorted(GOLDEN_BY_KERNEL)}")
+    golden = GOLDEN_BY_KERNEL[kernel]
+    got = {name: sha256(smoke_run / name) for name in golden}
+    assert got == golden
 
 
 def cpu_flags() -> set[str]:

@@ -6,6 +6,7 @@ from feddrive.sim.world import (
     CAUSE_COLLISION,
     CAUSE_DESTINATION,
     CAUSE_MAX_STEPS,
+    OBS_SCALE,
     BackgroundCountError,
     EpisodeDoneError,
     ScenarioConfig,
@@ -543,3 +544,13 @@ def test_step_determinism_with_traffic(grid_net):
         return outs
 
     assert run() == run()
+
+
+def test_obs_scale_is_read_only():
+    # an in-place edit would rescale every state the nets see without moving the config hash
+    before = OBS_SCALE.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        OBS_SCALE[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        np.multiply(OBS_SCALE, 2.0, out=OBS_SCALE)
+    assert OBS_SCALE.tobytes() == before.tobytes()
