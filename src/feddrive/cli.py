@@ -2,8 +2,9 @@
 
 Subcommands: train, eval, inspect, sim-run, export.  Every command validates
 its full configuration before writing anything; exit status 0 means the
-command's outputs were fully produced.  Log verbosity comes from the
-FEDDRIVE_LOG environment variable (debug/info/warning/error).
+command's outputs were fully produced; ``eval`` and ``sim-run`` roll out through
+``evaluation.rollout``.  Log verbosity comes from the FEDDRIVE_LOG environment
+variable (debug/info/warning/error; any other name means info).
 """
 
 from __future__ import annotations
@@ -22,10 +23,8 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, load_run_config
-from .container import ContainerError
-from .evaluation import evaluate, export_csv, export_json, policy_act, summaries_from_json
+from .evaluation import evaluate, export_csv, export_json, rollout, summaries_from_json
 from .federation import load_actor, read_round_checkpoint, round_reports_csv, run_training
-from .metrics import run_episode
 from .nn import count_params
 from .seeding import MASK64
 from .sim.world import TrafficWorld
@@ -34,8 +33,8 @@ log = logging.getLogger("feddrive")
 
 
 def _setup_logging() -> None:
-    level = os.environ.get("FEDDRIVE_LOG", "info").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.INFO), format="%(levelname)s %(message)s")
+    level = getattr(logging, os.environ.get("FEDDRIVE_LOG", "info").upper(), None)  # BASIC_FORMAT is no level
+    logging.basicConfig(level=level if type(level) is int else logging.INFO, format="%(levelname)s %(message)s")
 
 
 def _blas_kernel() -> str:
@@ -156,13 +155,12 @@ def cmd_sim_run(args: argparse.Namespace) -> int:
     if not 0 <= args.episode_seed <= MASK64:  # derive_seed reduces it mod 2**64, so -1 would alias 2**64 - 1
         raise ConfigError(f"--episode-seed must lie in [0, 2**64), got {args.episode_seed}")
     cfg = load_run_config(args.config, seed=args.seed)
-    actor = load_actor(args.checkpoint) if args.checkpoint is not None else None
+    policy = load_actor(args.checkpoint) if args.checkpoint is not None else lambda _: args.accel
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     trace_path = out_dir / "trace.csv"
 
     sc = cfg.scenario
-    act = policy_act(actor, sc.accel_min_mps2, sc.accel_max_mps2) if actor is not None else lambda _: args.accel
     world = TrafficWorld(sc)
     with open(trace_path, "w", newline="") as f:
         writer = csv.writer(f)
@@ -188,7 +186,7 @@ def cmd_sim_run(args: argparse.Namespace) -> int:
                 ]
             )
 
-        trace = run_episode(world, act, args.episode_seed, on_step=write_row)
+        trace = rollout(world, policy, args.episode_seed, sc.accel_min_mps2, sc.accel_max_mps2, on_step=write_row)
     log.info("episode ended after %d steps (%s); trace at %s", trace.steps, trace.cause, trace_path)
     return 0
 
@@ -251,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ContainerError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError and ContainerError among them
         log.error("%s", exc)
         return 2
     except Exception as exc:  # noqa: BLE001

@@ -90,6 +90,8 @@ def load_container(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
             offset, nbytes = int(entry["offset"]), int(entry["nbytes"])
         except (KeyError, TypeError, ValueError):
             raise ContainerError(f"{path}: malformed array entry {entry!r}") from None
+        if dtype.kind not in "biuf":  # feddrive writes float64 and int64 arrays only
+            raise ContainerError(f"{path}: array {name!r} has dtype {dtype.str}, not bool, int, uint or float")
         if offset < 0 or nbytes < 0:
             raise ContainerError(f"{path}: array {name!r} has a negative offset or size")
         if min(shape, default=0) < 0 or nbytes != math.prod(shape) * dtype.itemsize:

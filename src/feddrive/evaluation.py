@@ -5,7 +5,8 @@ Each requested distance is realized as a straight corridor whose destination
 node sits exactly that far from the start, so the straight-line start-to-goal
 distance equals the requested value.  The same episode seeds are reused for
 every distance and every policy, which makes comparisons between policies
-paired rather than independent.
+paired rather than independent.  Every greedy episode, ``sim-run``'s too, runs
+through ``rollout``, where a policy acts through ``greedy_policy``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .metrics import RolloutTrace, average_speed, run_episode, travel_delay
 from .nn import MlpParams
 from .seeding import derive_seed
 from .sim.network import RoadNetwork, straight_corridor
-from .sim.world import EgoObservation, ScenarioConfig, TrafficWorld, normalize_observation
+from .sim.world import EgoObservation, ScenarioConfig, StepOutcome, TrafficWorld, normalize_observation
 
 Policy = MlpParams | Callable[[np.ndarray], float]
 
@@ -89,53 +90,48 @@ def realize_scenario(template: EvalTemplate, distance_m: float) -> ScenarioConfi
     return replace(template, network=straight_corridor(distance_m, template.overrun_m, template.speed_limit_mps))
 
 
-def policy_act(policy: Policy, a_min: float, a_max: float) -> Callable[[EgoObservation], float]:
-    """The policy as ``run_episode``'s ``act``: observation in, acceleration out."""
-    if isinstance(policy, MlpParams):
-        return lambda obs: policy_action(policy, normalize_observation(obs), a_min, a_max)
-    return lambda obs: float(policy(obs.as_vector()))
+def greedy_policy(policy: Policy, a_min: float, a_max: float) -> Callable[[np.ndarray], float]:
+    """The policy as a function of the raw observation vector; a callable is returned as it is.
 
-
-def rollout(world: TrafficWorld, policy: Policy, episode_seed: int,
-            a_min: float, a_max: float) -> RolloutTrace:
-    """Greedy episode: no exploration noise, bit-reproducible per seed."""
-    return run_episode(world, policy_act(policy, a_min, a_max), episode_seed)
-
-
-def _memoized(actor: MlpParams, a_min: float, a_max: float) -> Callable[[np.ndarray], float]:
-    """``actor``'s greedy action, computed once per distinct observation.
-
-    Keyed on the raw vector's bytes, so ``-0.0`` and NaN cannot alias another
-    entry, and only a miss normalises it.
+    An actor's shape is checked once, and its actions are memoized on the vector's
+    bytes, so ``-0.0`` and NaN cannot alias another entry, and only a miss normalises it.
     """
+    if not isinstance(policy, MlpParams):
+        return policy
+    check_actor_shape(policy)
     actions: dict[bytes, float] = {}
 
     def act(vec: np.ndarray) -> float:
         key = vec.tobytes()
         action = actions.get(key)
         if action is None:
-            action = actions[key] = policy_action(actor, normalize_observation(vec), a_min, a_max)
+            action = actions[key] = policy_action(policy, normalize_observation(vec), a_min, a_max)
         return action
 
     return act
+
+
+def rollout(world: TrafficWorld, policy: Policy, episode_seed: int, a_min: float, a_max: float,
+            on_step: Callable[[EgoObservation, float, StepOutcome], None] | None = None) -> RolloutTrace:
+    """Greedy episode: no exploration noise, bit-reproducible per seed; ``on_step`` as in ``run_episode``."""
+    act = greedy_policy(policy, a_min, a_max)
+    return run_episode(world, lambda obs: float(act(obs.as_vector())), episode_seed, on_step)
 
 
 def evaluate(policy: Policy, protocol: EvalProtocol, policy_id: str = "policy") -> EvalSummary:
     """Roll out the policy over every (distance, seed) condition and aggregate.
 
     The observation holds only ego state, so every greedy episode at one
-    distance drives the same trajectory until a collision ends it.  An actor's
-    action is therefore computed once per distinct observation at a distance;
-    a callable policy, which may keep state, is called at every step.
+    distance drives the same trajectory until a collision ends it.  Each
+    distance therefore shares one ``greedy_policy`` among its episodes; a
+    callable policy, which may keep state, is called at every step.
     """
-    if isinstance(policy, MlpParams):
-        check_actor_shape(policy)
     t = protocol.template
     seeds = protocol.episode_seeds()
     rows = []
     for d_idx, distance in enumerate(protocol.distances_m):
+        act = greedy_policy(policy, t.accel_min_mps2, t.accel_max_mps2)
         world = TrafficWorld(realize_scenario(t, distance))
-        act = _memoized(policy, t.accel_min_mps2, t.accel_max_mps2) if isinstance(policy, MlpParams) else policy
         traces = [
             rollout(world, act, derive_seed(seeds[e], d_idx), t.accel_min_mps2, t.accel_max_mps2)
             for e in range(protocol.episodes)
@@ -207,35 +203,36 @@ _JSON_KINDS = {
 def summaries_from_json(path: str | Path) -> list[EvalSummary]:
     """Rebuild summaries from the JSON mirror (used by the export command).
 
-    A file that is not a list of ``export_json`` rows raises ``ConfigError``
-    naming the file and, for a row, its index and the field at fault.
+    A file that is not a list of ``export_json`` rows of finite numbers raises
+    ``ValueError`` naming the file and, for a row, its index and the field at fault.
     """
-    from .config import ConfigError  # config imports this module
-
     try:
         payload = json.loads(Path(path).read_text())
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{path}: not a JSON file: {exc}") from None
+        raise ValueError(f"{path}: not a JSON file: {exc}") from None
     if not isinstance(payload, list):
-        raise ConfigError(f"{path}: expected a list of rows, got a JSON {type(payload).__name__}")
+        raise ValueError(f"{path}: expected a list of rows, got a JSON {type(payload).__name__}")
     kinds = {"policy_id": "str", **{f.name: f.type for f in fields(DistanceResult)}}
     by_policy: dict[str, list[DistanceResult]] = {}
     for i, item in enumerate(payload):
         if not isinstance(item, dict):
-            raise ConfigError(f"{path}: row {i} is not an object")
+            raise ValueError(f"{path}: row {i} is not an object")
         missing = [name for name in kinds if name not in item]
         if missing:
-            raise ConfigError(f"{path}: row {i} lacks {', '.join(missing)}")
+            raise ValueError(f"{path}: row {i} lacks {', '.join(missing)}")
         row = {}
         for name, kind in kinds.items():
             types, wanted = _JSON_KINDS[kind]
             value = item[name]
             if type(value) not in types:
-                raise ConfigError(f"{path}: row {i}: {name} must be {wanted}, got {value!r}")
+                raise ValueError(f"{path}: row {i}: {name} must be {wanted}, got {value!r}")
             try:
-                row[name] = float(value) if type(value) is int and kind != "int" else value
+                value = float(value) if type(value) is int and kind != "int" else value
             except OverflowError:
-                raise ConfigError(f"{path}: row {i}: {name} is too large for a float") from None
+                raise ValueError(f"{path}: row {i}: {name} is too large for a float") from None
+            if type(value) is float and not math.isfinite(value):  # json reads NaN and Infinity
+                raise ValueError(f"{path}: row {i}: {name} must be finite, got {value!r}")
+            row[name] = value
         by_policy.setdefault(row.pop("policy_id"), []).append(DistanceResult(**row))
     return [EvalSummary(policy_id=pid, rows=tuple(rows)) for pid, rows in by_policy.items()]
 
@@ -248,7 +245,7 @@ __all__ = [
     "evaluate",
     "export_csv",
     "export_json",
-    "policy_act",
+    "greedy_policy",
     "realize_scenario",
     "rollout",
     "summaries_from_json",

@@ -1,6 +1,9 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from feddrive.evaluation import EvalProtocol, EvalTemplate, realize_scenario
 from feddrive.federation import FederationConfig
 from feddrive.sim.network import Edge
 from feddrive.sim.world import ScenarioConfig, SpawnSpec
-from tests.conftest import NETS
+from tests.conftest import NETS, REPO
 
 
 def write_config(tmp_path, name="run.cfg", **overrides):
@@ -105,6 +108,25 @@ def test_missing_network_file(tmp_path):
     path = write_config(tmp_path, network_file="nets/nowhere.net")
     with pytest.raises(ConfigError, match="nowhere.net"):
         load_run_config(path)
+
+
+def test_missing_config_file(tmp_path):
+    with pytest.raises(ConfigError, match="config file not found: .*nowhere.cfg"):
+        load_run_config(tmp_path / "nowhere.cfg")
+
+
+@pytest.mark.parametrize(
+    "key,value,match",
+    [
+        ("gamma", "abc", "key 'gamma': could not convert string to float: 'abc'"),
+        ("batch_size", "8.5", "key 'batch_size': invalid literal for int"),
+        ("spawn", "0 main 30", r"key 'spawn': need '<step> <route> <pos_m> <speed_mps> \[<speed_factor>\]', got"),
+        ("eval_spawn", "0 through 25 0 1 7", "key 'eval_spawn': need .*, got '0 through 25 0 1 7'"),
+    ],
+)
+def test_malformed_value_names_its_key(tmp_path, key, value, match):
+    with pytest.raises(ConfigError, match=match):
+        load_run_config(write_config(tmp_path, **{key: value}))
 
 
 def test_missing_required_key(tmp_path):
@@ -578,6 +600,17 @@ def test_cli_inspect_missing_checkpoint_exits_2(tmp_path, caplog):
     assert "checkpoint not found" in caplog.text and "no.ckpt" in caplog.text
 
 
+@pytest.mark.parametrize("name", ["basic_format", "nonsense"])
+def test_cli_log_setting_that_names_no_level_means_info(tmp_path, name):
+    # a fresh process: under pytest the root logger has handlers, so basicConfig ignores its level there
+    pythonpath = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "FEDDRIVE_LOG": name, "PYTHONPATH": pythonpath}
+    argv = [sys.executable, "-m", "feddrive.cli", "inspect", str(tmp_path / "x.ckpt")]
+    result = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr and "checkpoint not found" in result.stderr
+
+
 def test_cli_inspect_truncated(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
@@ -601,7 +634,10 @@ def test_cli_malformed_round_checkpoint_exits_2(tmp_path, caplog):
     no_arrays = tmp_path / "no_arrays.ckpt"
     header = json.dumps({"format_version": 1, "meta": {"kind": "global_round"}}).encode()
     no_arrays.write_bytes(b"FDCKPT1\n" + struct.pack("<I", len(header)) + header)
-    for ckpt, field in [(no_actor, "actor_net"), (no_arrays, "arrays")]:
+    other_kind = tmp_path / "other_kind.ckpt"
+    save_container(other_kind, arrays, {**meta, "kind": "local_round"})
+    cases = [(no_actor, "actor_net"), (no_arrays, "arrays"), (other_kind, "unknown checkpoint kind 'local_round'")]
+    for ckpt, field in cases:
         caplog.clear()
         assert main(["inspect", str(ckpt)]) == 2
         assert field in caplog.text
@@ -779,6 +815,7 @@ SUMMARY_ROW = {
     "payload,field",
     [
         ({"a": 1}, "list"),
+        ([SUMMARY_ROW, "row"], "row 1 is not an object"),
         ([{"policy_id": "p"}], "distance_m"),
         (b"not json", "Expecting value"),
         (b"\xff", "JSON"),
@@ -790,6 +827,11 @@ SUMMARY_ROW = {
         ([{**SUMMARY_ROW, "mean_travel_delay_s": "1.5"}], "mean_travel_delay_s must be a number or null"),
         ([{**SUMMARY_ROW, "distance_m": 10**400}], "distance_m is too large"),
         ([SUMMARY_ROW, {**SUMMARY_ROW, "policy_id": 3}], "row 1: policy_id must be a string"),
+        # json writes and reads these as NaN, Infinity and -Infinity
+        ([{**SUMMARY_ROW, "distance_m": float("nan")}], "row 0: distance_m must be finite, got nan"),
+        ([SUMMARY_ROW, {**SUMMARY_ROW, "mean_travel_delay_s": float("inf")}],
+         "row 1: mean_travel_delay_s must be finite, got inf"),
+        ([{**SUMMARY_ROW, "mean_avg_speed_mps": float("-inf")}], "row 0: mean_avg_speed_mps must be finite, got -inf"),
     ],
 )
 def test_cli_export_malformed_summary_exits_2(tmp_path, caplog, payload, field):
@@ -798,8 +840,10 @@ def test_cli_export_malformed_summary_exits_2(tmp_path, caplog, payload, field):
         src.write_bytes(payload)
     else:
         src.write_text(json.dumps(payload))
-    assert main(["export", "--summary", str(src), "--out", str(tmp_path / "s.csv")]) == 2
+    out = tmp_path / "s.csv"
+    assert main(["export", "--summary", str(src), "--out", str(out)]) == 2
     assert "bad_summary.json" in caplog.text and field in caplog.text
+    assert not out.exists()
 
 
 def test_cli_export_missing_summary_fails_before_writing(tmp_path, caplog):

@@ -64,6 +64,8 @@ def test_buffer_fifo_eviction():
 
 def test_buffer_empty_size():
     assert len(ReplayBuffer(capacity=4)) == 0
+    with pytest.raises(ValueError, match="capacity must be >= 1"):
+        ReplayBuffer(capacity=0)
 
 
 def test_buffer_capacity_50k():
@@ -243,7 +245,7 @@ def test_ou_rejects_bad_parameters(field, value):
         for field in ("actor_lr", "critic_lr", "accel_min_mps2", "accel_max_mps2", "ou_mu", "ou_theta", "ou_sigma", "ou_dt")
         for value in (float("nan"), float("inf"))
     ]
-    + [("ou_dt", -1.0)],  # sqrt(dt) would fail only at the first exploratory step, after a run's output exists
+    + [("ou_dt", -1.0), ("tau", 1.5)],  # sqrt(dt) would fail only at the first exploratory step, after a run's output exists
 )
 def test_hyperparams_reject_bad_values(field, value):
     with pytest.raises(ValueError):
@@ -393,6 +395,16 @@ def test_critic_update_leaves_actor_untouched():
     assert np.array_equal(nn.flatten_params(agent.actor), before)
 
 
+def test_non_finite_critic_loss_raises_and_changes_nothing():
+    agent = DdpgAgent.create(TINY, seed=2)
+    batch = random_batch(np.random.default_rng(0))
+    batch.rewards[3, 0] = np.nan  # a hand-built batch: an overflow would warn before it raised
+    before = agent_bytes(agent)
+    with pytest.raises(ValueError, match="non-finite critic loss"):
+        critic_update(agent, batch)
+    assert agent_bytes(agent) == before
+
+
 # --------------------------------------------------------------- actor side
 
 
@@ -491,6 +503,8 @@ def test_soft_update_shape_mismatch():
     tgt = nn.init_params([3, 3], ["tanh"], seed=2)
     with pytest.raises(ValueError, match="mismatch"):
         soft_update(tgt, src, 0.5)
+    with pytest.raises(ValueError, match="tau must lie in"):
+        soft_update(src, src, -0.5)
 
 
 @given(st.floats(0.001, 0.999), st.integers(1, 30))

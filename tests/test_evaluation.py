@@ -2,6 +2,9 @@ import csv
 import functools
 import math
 import operator
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +18,7 @@ from feddrive.evaluation import (
     evaluate,
     export_csv,
     export_json,
+    greedy_policy,
     realize_scenario,
     rollout,
     summaries_from_json,
@@ -22,6 +26,7 @@ from feddrive.evaluation import (
 from feddrive.ddpg import DdpgAgent, DdpgHyperparams, policy_action, train_episode
 from feddrive.metrics import RolloutTrace, average_speed, run_episode, travel_delay
 from feddrive.sim.world import CAUSE_MAX_STEPS, SpawnSpec, TrafficWorld, normalize_observation
+from tests.conftest import REPO
 
 
 def trace_of(speeds, cause="destination", dt=1.0):
@@ -43,6 +48,8 @@ def test_average_speed_examples():
     assert average_speed(trace_of([7.0] * 5)) == 7.0
     assert average_speed(trace_of([0.0, 10.0])) == 5.0
     assert average_speed(trace_of([0.0, 0.0, 0.0])) == 0.0
+    with pytest.raises(ValueError, match="at least one step"):
+        average_speed(trace_of([]))
 
 
 class TenthsWorld:
@@ -303,7 +310,7 @@ def step_log(monkeypatch):
     worlds, log = [], []
     orig = evaluation.run_episode
 
-    def run_episode(world, act, episode_seed):
+    def run_episode(world, act, episode_seed, on_step=None):
         if not worlds or worlds[-1] is not world:
             worlds.append(world)
 
@@ -311,7 +318,7 @@ def step_log(monkeypatch):
             log.append((len(worlds), obs.as_vector().tobytes()))
             return act(obs)
 
-        return orig(world, logged, episode_seed)
+        return orig(world, logged, episode_seed, on_step)
 
     monkeypatch.setattr(evaluation, "run_episode", run_episode)
     return log
@@ -347,6 +354,7 @@ def test_callable_policy_is_called_every_step(step_log):
 
     evaluate(policy, TRAFFIC)
     assert calls == len(step_log) > 0
+    assert greedy_policy(policy, A_MIN, A_MAX) is policy
 
 
 def test_back_to_back_actors_each_match_their_reference():
@@ -435,3 +443,22 @@ def test_json_mirror_roundtrip(tmp_path):
     export_json([s1, s2], path)
     back = summaries_from_json(path)
     assert back == [s1, s2]
+
+
+def test_summaries_from_json_fails_without_importing_config(tmp_path):
+    # config imports evaluation, so evaluation raises a plain ValueError rather than import it back
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"a": 1}')
+    script = "\n".join([
+        "import sys",
+        "from feddrive.evaluation import summaries_from_json",
+        "try:",
+        f"    summaries_from_json({str(bad)!r})",
+        "except ValueError as exc:",
+        "    print(type(exc).__name__, exc)",
+        "print('feddrive.config' in sys.modules)",
+    ])
+    pythonpath = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": pythonpath},
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.splitlines() == [f"ValueError {bad}: expected a list of rows, got a JSON dict", "False"]

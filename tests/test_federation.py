@@ -131,6 +131,9 @@ def test_aggregate_rejects_widened_payload():
     leaky = LeakyUpdate(agent_id=0, actor_weights=np.zeros(3), critic_weights=np.zeros(3), episodes=1)
     with pytest.raises(TypeError, match="fields"):
         aggregate([leaky])
+    for actor, critic, name in [(np.zeros((1, 3)), np.zeros(3), "actor"), (np.zeros(3), np.zeros((3, 1)), "critic")]:
+        with pytest.raises(TypeError, match=f"{name}_weights must be a flat array"):
+            aggregate([AgentUpdate(agent_id=0, actor_weights=actor, critic_weights=critic, episodes=1)])
 
 
 # ---------------------------------------------------------------- broadcast
@@ -407,3 +410,5 @@ def test_config_validation():
         FederationConfig(episodes_per_round=0, scenarios=(None,))
     with pytest.raises(ValueError):
         FederationConfig(optimizer_state="sometimes", scenarios=(None,))
+    with pytest.raises(ValueError, match="one shared scenario or one per agent"):
+        FederationConfig(agents=3, scenarios=(None, None))

@@ -58,11 +58,26 @@ def test_comments_and_blank_lines():
         ("node a 0 0\nnode b 1 0\nedge ab a b 5 20 1\nlight b 10 nan 0", "non-finite timings"),
         ("node a 0 0\nnode b 1 0\nedge ab a b 5 20 1\nlight b 10 10 nan", "non-finite timings"),
         ("node a 0 0\nnode b 1 0\nedge ab a b 5 20 1\nlight b 10 10 0\nlight b 20 5 0", "line 5: duplicate light"),
+        ("node a 0 0\nnode b 1 0\nedge ab a b 5 20", "line 3: edge needs"),
+        ("node a 0 0\nlight a 10 10", "line 2: light needs"),
+        ("node a 0 0\nnode b 1 0\nedge ab a b 5 20 1\nroute r", "line 4: route needs"),
+        ("node a 0 0\nnode b 1 0\nedge ab a b 5 20 1\nedge ab b a 5 20 1", "line 4: duplicate edge id 'ab'"),
+        ("node a 0 0\nnode b 1 0\nedge ab a b 5 20 1\nroute r ab\nroute r ab", "line 5: duplicate route name 'r'"),
+        ("node a 0 0\nnode b 1 0\nedge ab a b 5 20 one", "line 3: bad lane count 'one'"),
+        ("node b 1 0\nedge ab n9 b 5 20 1", "edge 'ab' references undefined node 'n9'"),
+        ("node a 0 0\nlight z 10 10 0", "light references undefined node 'z'"),
     ],
 )
 def test_parse_errors(bad, match):
     with pytest.raises(NetworkParseError, match=match):
         load_network(bad)
+
+
+def test_empty_route_rejected():
+    net = load_network(MINIMAL)
+    net.routes["r"] = ()  # the text format cannot say this; a network built in Python can
+    with pytest.raises(NetworkParseError, match="route 'r' is empty"):
+        net.validate()
 
 
 def test_parse_error_carries_line_number():

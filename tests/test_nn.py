@@ -545,6 +545,16 @@ def test_malformed_header_rejected(tmp_path, header):
         load_container(path)
 
 
+@pytest.mark.parametrize("header", [b"\xff\xfe{}", b"{not json"], ids=["not-utf8", "not-json"])
+def test_corrupt_header_rejected(tmp_path, header):
+    import struct
+
+    path = tmp_path / "net.ckpt"
+    path.write_bytes(b"FDCKPT1\n" + struct.pack("<I", len(header)) + header)
+    with pytest.raises(ContainerError, match=rf"{path.name}: corrupt header"):
+        load_container(path)
+
+
 def test_container_roundtrip(tmp_path):
     arrays = {"a": np.arange(6.0).reshape(2, 3), "b": np.array([1, 2, 3], dtype=np.int64)}
     meta = {"note": "hello", "n": 3}
@@ -576,8 +586,11 @@ def test_container_normalizes_layout_on_save(tmp_path):
 
 @pytest.mark.parametrize(
     "change",
-    [{"offset": -16}, {"nbytes": -8}, {"nbytes": 40}, {"shape": [3, 3]}, {"shape": [-2, -3]}],
-    ids=["negative-offset", "negative-nbytes", "short-nbytes", "long-shape", "negative-shape"],
+    [
+        {"offset": -16}, {"nbytes": -8}, {"nbytes": 40}, {"shape": [3, 3]}, {"shape": [-2, -3]},
+        {"dtype": "|O"}, {"dtype": "<U2"},  # 8-byte items, so only the kind is at fault
+    ],
+    ids=["negative-offset", "negative-nbytes", "short-nbytes", "long-shape", "negative-shape", "object", "unicode"],
 )
 def test_bad_array_entry_rejected(tmp_path, change):
     import json

@@ -10,6 +10,7 @@ from feddrive.sim.world import (
     BackgroundCountError,
     EpisodeDoneError,
     ScenarioConfig,
+    SpawnError,
     SpawnSpec,
     TrafficWorld,
     UnreachableDestinationError,
@@ -155,6 +156,14 @@ def test_unreachable_destination():
         TrafficWorld(ScenarioConfig(network=net, ego_route="main", destination_node="a"))
 
 
+def test_world_rejects_an_unknown_destination_or_spawn_route(road_scenario):
+    with pytest.raises(ValueError, match="unknown destination node 'zz'"):
+        TrafficWorld(road_scenario(destination_node="zz"))
+    stray = SpawnSpec(step=0, route="nope", pos_m=1.0, speed_mps=0.0)
+    with pytest.raises(SpawnError, match="spawn references unknown route 'nope'"):
+        TrafficWorld(road_scenario(background_spawns=(stray,)))
+
+
 def test_step_before_reset_rejected(road_scenario):
     world = TrafficWorld(road_scenario())
     with pytest.raises(EpisodeDoneError):
@@ -293,6 +302,16 @@ def test_leader_sharing_the_followers_id_still_blocks_it():
     world.background_step(t=50.0)
     assert follower.speed_mps == 5.0 - world.scenario.min_gap_m
     assert leader.tail_m - follower.pos_m == world.scenario.min_gap_m
+
+
+def test_background_slows_to_a_lower_limit_on_entering_its_edge():
+    slow_exit = LIT_ROAD.replace("edge bc b c 100 20 1", "edge bc b c 100 5 1")
+    world = make_world(slow_exit)
+    veh = add_background(world, "ab", 95.0, speed=15.0)
+    world.background_step(t=12.0)  # green: 17.6 m/s carries it 12.6 m into bc
+    assert veh.edge_id == "bc"
+    assert veh.pos_m == pytest.approx(12.6)
+    assert veh.speed_mps == 5.0
 
 
 def test_background_red_light_deceleration():
