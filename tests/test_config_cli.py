@@ -815,7 +815,6 @@ SUMMARY_ROW = {
     "payload,field",
     [
         ({"a": 1}, "list"),
-        ([SUMMARY_ROW, "row"], "row 1 is not an object"),
         ([{"policy_id": "p"}], "distance_m"),
         (b"not json", "Expecting value"),
         (b"\xff", "JSON"),
@@ -832,6 +831,7 @@ SUMMARY_ROW = {
         ([SUMMARY_ROW, {**SUMMARY_ROW, "mean_travel_delay_s": float("inf")}],
          "row 1: mean_travel_delay_s must be finite, got inf"),
         ([{**SUMMARY_ROW, "mean_avg_speed_mps": float("-inf")}], "row 0: mean_avg_speed_mps must be finite, got -inf"),
+        ([SUMMARY_ROW, "row"], "row 1 is not an object"),
     ],
 )
 def test_cli_export_malformed_summary_exits_2(tmp_path, caplog, payload, field):
