@@ -192,6 +192,8 @@ def cmd_sim_run(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
+    if not Path(args.out).parent.is_dir():  # export writes one file and creates no directory
+        raise ConfigError(f"--out {args.out}: no directory {Path(args.out).parent}")
     summaries = []
     for src in map(Path, args.summary):
         if not src.is_file():

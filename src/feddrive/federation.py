@@ -10,8 +10,9 @@ id from ``run_training``), as ``nn``'s serial rule for the process's shared
 scratch requires.  Agents train in ``ddpg.TRAIN_DTYPE``; updates, the
 global model, aggregation and checkpoints are float64, and ``broadcast``
 rounds the global weights into the agents' dtype.  This module alone knows the
-round checkpoint's format: ``save_round_checkpoint`` writes it, and
-``read_round_checkpoint`` and ``load_actor`` read it back, checked.
+round checkpoint's format, each net's record of sizes and activations included:
+``save_round_checkpoint`` writes it, ``read_round_checkpoint`` checks it once,
+every float finite, and ``load_actor`` wraps the actor on the checked vector.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .container import ContainerError, load_container, save_container
 from .ddpg import DdpgAgent, DdpgHyperparams, check_actor_shape, soft_update, train_episode
-from .nn import MlpParams, cast_params, check_architecture, count_params, mlp_from_parts, mlp_meta
+from .nn import MlpParams, cast_params, check_architecture, count_params
 from .seeding import check_master_seed, derive_seed
 from .sim.world import ScenarioConfig, TrafficWorld
 
@@ -140,6 +141,8 @@ def aggregate(updates: list[AgentUpdate]) -> tuple[np.ndarray, np.ndarray]:
     """
     if not updates:
         raise ValueError("cannot aggregate an empty update list")
+    for u in updates:
+        _validate_update(u)
     ordered = sorted(updates, key=lambda u: u.agent_id)
     actor_len = ordered[0].actor_weights.shape[0]
     critic_len = ordered[0].critic_weights.shape[0]
@@ -152,7 +155,6 @@ def aggregate(updates: list[AgentUpdate]) -> tuple[np.ndarray, np.ndarray]:
     actor_dev = np.zeros(actor_len)
     critic_dev = np.zeros(critic_len)
     for u in ordered:
-        _validate_update(u)
         if u.actor_weights.shape[0] != actor_len or u.critic_weights.shape[0] != critic_len:
             raise ValueError(f"agent {u.agent_id}: weight vector length mismatch")
         actor_dev += u.episodes * (u.actor_weights - actor_base)
@@ -245,8 +247,8 @@ def save_round_checkpoint(
     meta = {
         "kind": "global_round",
         "round_idx": round_idx,
-        "actor_net": mlp_meta(global_model.actor),
-        "critic_net": mlp_meta(global_model.critic),
+        "actor_net": _net_record(global_model.actor),
+        "critic_net": _net_record(global_model.critic),
         "agent_ids": [u.agent_id for u in ordered],
         "config_hash": config_hash,
     }
@@ -258,6 +260,10 @@ def save_round_checkpoint(
     }
     (out_dir / f"round_{round_idx}.manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
+
+
+def _net_record(params: MlpParams) -> dict:
+    return {"layer_sizes": list(params.layer_sizes), "activations": list(params.activations)}
 
 
 def read_round_checkpoint(path: str | Path) -> tuple[dict, dict]:
@@ -286,6 +292,11 @@ def read_round_checkpoint(path: str | Path) -> tuple[dict, dict]:
     actor_params, count = arrays["actor_params"], count_params(meta["actor_net"]["layer_sizes"])
     if actor_params.shape != (count,):
         raise ContainerError(f"{path}: actor_params has shape {actor_params.shape}, but actor_net needs ({count},)")
+    if actor_params.dtype != np.float64:
+        raise ContainerError(f"{path}: actor_params has dtype {actor_params.dtype}, not float64")
+    for name, array in arrays.items():
+        if array.dtype.kind == "f" and not np.isfinite(array).all():
+            raise ContainerError(f"{path}: {name} holds a non-finite value")
     return arrays, meta
 
 
@@ -296,7 +307,8 @@ def _is_list_of(value, kind: type) -> bool:
 def load_actor(path: str | Path) -> MlpParams:
     """Actor weights from a global-round checkpoint, checked to map a state to an action."""
     arrays, meta = read_round_checkpoint(path)
-    actor = mlp_from_parts(meta["actor_net"], arrays["actor_params"])
+    net = meta["actor_net"]
+    actor = MlpParams.wrap(arrays["actor_params"], net["layer_sizes"], net["activations"])
     try:
         check_actor_shape(actor)
     except ValueError as exc:

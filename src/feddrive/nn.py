@@ -4,8 +4,8 @@ A network's parameters are one contiguous vector, ``MlpParams.flat``, and its
 ``layers`` are weight/bias views into it.  That vector's dtype is the net's
 dtype: ``forward`` casts its input to it, and gradients, Adam moments and
 copies are made in it.  Nets built from layers (``init_params``,
-``MlpParams(layers=...)``, ``mlp_from_parts``) are float64; ``cast_params``
-gives a copy in another dtype.
+``MlpParams(layers=...)``) are float64; ``cast_params`` gives a copy in
+another dtype.  ``federation`` writes and reads a net's checkpoint record.
 
 The layer arithmetic exists once, in ``forward_into`` and ``backward_into``,
 and the arrays of one pass live in one container, a ``LayerBuffers`` made
@@ -362,17 +362,3 @@ def _wrap_copy(vector: np.ndarray, layer_sizes, activations, dtype) -> MlpParams
         raise ValueError(f"expected vector of length {count}, got shape {vector.shape}")
     return MlpParams.wrap(vector, layer_sizes, activations)
 
-
-# ------------------------------------------------------- checkpoint metadata
-
-
-def mlp_meta(params: MlpParams) -> dict:
-    return {"layer_sizes": list(params.layer_sizes), "activations": list(params.activations)}
-
-
-def mlp_from_parts(meta: dict, flat: np.ndarray) -> MlpParams:
-    """A net holding a copy of ``flat``, checked against the stored architecture."""
-    sizes = [int(s) for s in meta["layer_sizes"]]
-    acts = [str(a) for a in meta["activations"]]
-    check_architecture(sizes, acts)
-    return _wrap_copy(flat, sizes, acts, np.float64)

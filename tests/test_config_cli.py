@@ -569,7 +569,8 @@ def test_cli_eval_architecture_mismatch(tmp_path):
     bad = tmp_path / "bad.ckpt"
     actor = nn.init_params([5, 4, 1], ["relu", "tanh"], seed=0)
     arrays = {"actor_params": actor.flat, "agent_episodes": np.zeros(1, dtype=np.int64)}
-    meta = {"kind": "global_round", "actor_net": nn.mlp_meta(actor), "critic_net": nn.mlp_meta(actor), "round_idx": 0}
+    net = {"layer_sizes": [5, 4, 1], "activations": ["relu", "tanh"]}
+    meta = {"kind": "global_round", "actor_net": net, "critic_net": net, "round_idx": 0}
     save_container(bad, arrays, meta)
     assert main(["eval", "--config", str(cfg), "--checkpoint", str(bad), "--out", str(tmp_path / "e")]) != 0
 
@@ -654,7 +655,8 @@ def test_cli_actor_of_wrong_shape_fails_before_writing(tmp_path, caplog):
     bad = tmp_path / "bad.ckpt"
     actor = nn.init_params([5, 4, 1], ["relu", "tanh"], seed=0)
     arrays = {"actor_params": actor.flat, "agent_episodes": np.ones(1, dtype=np.int64)}
-    meta = {"kind": "global_round", "actor_net": nn.mlp_meta(actor), "critic_net": nn.mlp_meta(actor), "round_idx": 0}
+    net = {"layer_sizes": [5, 4, 1], "activations": ["relu", "tanh"]}
+    meta = {"kind": "global_round", "actor_net": net, "critic_net": net, "round_idx": 0}
     save_container(bad, arrays, meta)
     for command in (["eval", "--config", str(cfg)], ["sim-run", "--config", str(cfg)]):
         caplog.clear()
@@ -703,8 +705,29 @@ def test_cli_round_checkpoint_net_meta_is_checked(tmp_path, caplog, net, fault):
         (lambda arrays, meta: meta["critic_net"].update(layer_sizes=[7, 8, -3, 1]), "critic_net: layer sizes must be >= 1"),
         (lambda arrays, meta: meta["actor_net"].update(activations=["gelu", "relu", "tanh"]), "activation 'gelu'"),
         (lambda arrays, meta: arrays.update(actor_params=arrays["actor_params"][:-1]), "actor_params has shape (136,)"),
+        (lambda arrays, meta: arrays["actor_params"].__setitem__(5, np.nan), "actor_params holds a non-finite value"),
+        (lambda arrays, meta: arrays["actor_params"].__setitem__(5, np.inf), "actor_params holds a non-finite value"),
+        (lambda arrays, meta: arrays["critic_params"].__setitem__(0, np.nan), "critic_params holds a non-finite value"),
+        (
+            lambda arrays, meta: meta["actor_net"].update(activations=["relu", "tanh"]),
+            "actor_net: need 3 activations for 4 sizes, got 2",
+        ),
+        (
+            lambda arrays, meta: arrays.update(actor_params=arrays["actor_params"].astype(np.float32)),
+            "actor_params has dtype float32, not float64",
+        ),
     ],
-    ids=["one-layer-size", "size-below-1", "unknown-activation", "actor-vector-short"],
+    ids=[
+        "one-layer-size",
+        "size-below-1",
+        "unknown-activation",
+        "actor-vector-short",
+        "actor-nan",
+        "actor-inf",
+        "critic-nan",
+        "activation-count",
+        "actor-float32",
+    ],
 )
 def test_cli_round_checkpoint_architecture_is_checked(tmp_path, caplog, fault, message):
     from feddrive.container import load_container, save_container
@@ -717,10 +740,11 @@ def test_cli_round_checkpoint_architecture_is_checked(tmp_path, caplog, fault, m
     save_container(ckpt, arrays, meta)
     caplog.clear()
     assert main(["inspect", str(ckpt)]) == 2
-    assert message in caplog.text
-    out = tmp_path / "eval"
-    assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt), "--out", str(out)]) == 2
-    assert not out.exists()
+    assert message in caplog.text and "bad_architecture.ckpt" in caplog.text
+    for command in ("eval", "sim-run"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--checkpoint", str(ckpt), "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 def test_cli_sim_run_timeout_rows(tmp_path):
@@ -854,6 +878,17 @@ def test_cli_export_missing_summary_fails_before_writing(tmp_path, caplog):
     assert "gone.json" in caplog.text and not dst.exists()
 
 
+def test_cli_export_out_in_a_missing_directory_exits_2(tmp_path, caplog):
+    src = tmp_path / "s.json"
+    src.write_text(json.dumps([SUMMARY_ROW]))
+    dst = tmp_path / "no" / "such" / "s.csv"
+    assert main(["export", "--summary", str(src), "--out", str(dst)]) == 2
+    assert "--out" in caplog.text and not (tmp_path / "no").exists()
+    caplog.clear()  # the --out check comes before any summary is read
+    assert main(["export", "--summary", str(tmp_path / "gone.json"), "--out", str(dst)]) == 2
+    assert "--out" in caplog.text and "gone.json" not in caplog.text
+
+
 def test_cli_export_takes_typed_json_numbers(tmp_path):
     # a JSON integer is a number; null is "no arrival" for the delay
     src = tmp_path / "s.json"
@@ -863,3 +898,33 @@ def test_cli_export_takes_typed_json_numbers(tmp_path):
     with open(dst, newline="") as f:
         rows = list(csv.DictReader(f))
     assert [(r["distance_m"], r["mean_travel_delay_s"]) for r in rows] == [("10.0", "3.0"), ("10.0", "")]
+
+
+def test_cli_failing_agent_exits_1_naming_where(tmp_path, caplog, monkeypatch):
+    from feddrive import federation
+
+    calls = []
+
+    def train_episode(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            return real(*args)
+        exc = RuntimeError("boom")
+        exc.step_idx = 7
+        raise exc
+
+    real = federation.train_episode
+    monkeypatch.setattr(federation, "train_episode", train_episode)
+    cfg = write_config(tmp_path)
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "failed: agent 0 failed in round 0, episode 1, step 7: boom" in caplog.text
+
+
+def test_blas_kernel_is_unknown_when_the_library_cannot_load(monkeypatch):
+    from feddrive import cli
+
+    def refuse(_name):
+        raise OSError("cannot load")
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", refuse)
+    assert cli._blas_kernel() == "unknown"

@@ -131,9 +131,24 @@ def test_aggregate_rejects_widened_payload():
     leaky = LeakyUpdate(agent_id=0, actor_weights=np.zeros(3), critic_weights=np.zeros(3), episodes=1)
     with pytest.raises(TypeError, match="fields"):
         aggregate([leaky])
-    for actor, critic, name in [(np.zeros((1, 3)), np.zeros(3), "actor"), (np.zeros(3), np.zeros((3, 1)), "critic")]:
+    for actor, critic, name in [
+        (np.zeros((1, 3)), np.zeros(3), "actor"),
+        (np.zeros(3), np.zeros((3, 1)), "critic"),
+        ([0.0, 0.0, 0.0], np.zeros(2), "actor"),
+        (np.zeros(3), [0.0, 0.0], "critic"),
+    ]:
         with pytest.raises(TypeError, match=f"{name}_weights must be a flat array"):
             aggregate([AgentUpdate(agent_id=0, actor_weights=actor, critic_weights=critic, episodes=1)])
+
+
+def test_load_actor_wraps_the_saved_actor(tmp_path):
+    gm = init_global_model(TINY, master_seed=3)
+    path = federation.save_round_checkpoint(tmp_path, gm, [], round_idx=0, config_hash="")
+    actor = federation.load_actor(path)
+    assert (actor.layer_sizes, actor.activations) == (gm.actor.layer_sizes, gm.actor.activations)
+    assert actor.flat.dtype == np.float64 and actor.flat.tobytes() == gm.actor.flat.tobytes()
+    x = np.ones((2, actor.in_dim))
+    assert np.array_equal(nn.forward(actor, x)[0], nn.forward(gm.actor, x)[0])
 
 
 # ---------------------------------------------------------------- broadcast

@@ -51,32 +51,6 @@ def test_init_validation(sizes, acts):
         nn.init_params(sizes, acts, seed=0)
 
 
-def test_mlp_from_parts_copies_the_stored_vector():
-    p = small_net()
-    stored = p.flat.copy()
-    q = nn.mlp_from_parts(nn.mlp_meta(p), stored)
-    assert q.layer_sizes == p.layer_sizes and q.activations == p.activations
-    assert np.array_equal(q.flat, p.flat) and not np.shares_memory(q.flat, stored)
-    x = np.ones((2, p.in_dim))
-    assert np.array_equal(nn.forward(q, x)[0], nn.forward(p, x)[0])
-
-
-@pytest.mark.parametrize(
-    "meta,extra,match",
-    [
-        ({"layer_sizes": [6], "activations": []}, 0, "at least 2"),
-        ({"layer_sizes": [6, 4], "activations": ["relu", "tanh"]}, 0, "activations"),
-        ({"layer_sizes": [6, 4], "activations": ["softplus"]}, 0, "unknown activation"),
-        ({"layer_sizes": [6, 0, 1], "activations": ["relu", "tanh"]}, 0, ">= 1"),
-        ({"layer_sizes": [6, 4], "activations": ["tanh"]}, 1, "length"),
-    ],
-)
-def test_mlp_from_parts_rejects_a_bad_checkpoint(meta, extra, match):
-    count = sum(a * b + b for a, b in zip(meta["layer_sizes"], meta["layer_sizes"][1:]))
-    with pytest.raises(ValueError, match=match):
-        nn.mlp_from_parts(meta, np.zeros(count + extra))
-
-
 # ------------------------------------------------------------------ forward
 
 
@@ -487,7 +461,8 @@ def test_adam_step_updates_buffers_in_place():
 
 
 def save_net(path, params):
-    save_container(path, {"params": params.flat}, {"net": nn.mlp_meta(params)})
+    net = {"layer_sizes": list(params.layer_sizes), "activations": list(params.activations)}
+    save_container(path, {"params": params.flat}, {"net": net})
 
 
 def test_checkpoint_bytes_deterministic(tmp_path):
