@@ -192,15 +192,18 @@ def cmd_sim_run(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    if not Path(args.out).parent.is_dir():  # export writes one file and creates no directory
-        raise ConfigError(f"--out {args.out}: no directory {Path(args.out).parent}")
+    out = Path(args.out)  # export writes one file and creates no directory
+    if out.is_dir():
+        raise ConfigError(f"--out {out}: is a directory, not a file")
+    if not out.parent.is_dir():
+        raise ConfigError(f"--out {out}: no directory {out.parent}")
     summaries = []
     for src in map(Path, args.summary):
         if not src.is_file():
             raise ConfigError(f"summary file not found: {src}")
         summaries += summaries_from_json(src)
-    export_csv(summaries, args.out)
-    log.info("wrote %s", args.out)
+    export_csv(summaries, out)
+    log.info("wrote %s", out)
     return 0
 
 

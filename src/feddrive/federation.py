@@ -274,26 +274,31 @@ def read_round_checkpoint(path: str | Path) -> tuple[dict, dict]:
     if meta.get("kind") != "global_round":
         raise ContainerError(f"{path}: unknown checkpoint kind {meta.get('kind')!r}")
     missing = [k for k in ("actor_net", "critic_net", "round_idx") if k not in meta]
-    missing += [k for k in ("actor_params", "agent_episodes") if k not in arrays]
+    missing += [k for k in ("actor_params", "critic_params", "agent_episodes") if k not in arrays]
     if missing:
         raise ContainerError(f"{path}: round checkpoint lacks {', '.join(missing)}")
-    for key in ("actor_net", "critic_net"):
-        net = meta[key]
+    for name in ("actor", "critic"):
+        net = meta[f"{name}_net"]
         if not (
             isinstance(net, dict)
             and _is_list_of(net.get("layer_sizes"), int)
             and _is_list_of(net.get("activations"), str)
         ):
-            raise ContainerError(f"{path}: {key} needs a list of int layer_sizes and a list of str activations")
+            raise ContainerError(f"{path}: {name}_net needs a list of int layer_sizes and a list of str activations")
         try:
             check_architecture(net["layer_sizes"], net["activations"])
         except ValueError as exc:
-            raise ContainerError(f"{path}: {key}: {exc}") from None
-    actor_params, count = arrays["actor_params"], count_params(meta["actor_net"]["layer_sizes"])
-    if actor_params.shape != (count,):
-        raise ContainerError(f"{path}: actor_params has shape {actor_params.shape}, but actor_net needs ({count},)")
-    if actor_params.dtype != np.float64:
-        raise ContainerError(f"{path}: actor_params has dtype {actor_params.dtype}, not float64")
+            raise ContainerError(f"{path}: {name}_net: {exc}") from None
+        params, count = arrays[f"{name}_params"], count_params(net["layer_sizes"])
+        if params.shape != (count,):
+            raise ContainerError(f"{path}: {name}_params has shape {params.shape}, but {name}_net needs ({count},)")
+        if params.dtype != np.float64:
+            raise ContainerError(f"{path}: {name}_params has dtype {params.dtype}, not float64")
+    episodes = arrays["agent_episodes"]
+    if episodes.ndim != 1 or episodes.dtype.kind not in "iu":
+        raise ContainerError(
+            f"{path}: agent_episodes must be a 1-D integer array, got {episodes.dtype} of shape {episodes.shape}"
+        )
     for name, array in arrays.items():
         if array.dtype.kind == "f" and not np.isfinite(array).all():
             raise ContainerError(f"{path}: {name} holds a non-finite value")

@@ -9,10 +9,17 @@ create an overlap.  All background decisions are computed from a snapshot of
 positions taken before anyone moves, so the update is order-independent.
 
 Traffic is single file, as the ego commands only its longitudinal
-acceleration: every vehicle follows the one ahead of it on its edge, and two
-vehicles on one edge collide when their bodies overlap.  An episode ends at
-the first collision, on arrival within the destination tolerance, or when the
-step budget is exhausted.
+acceleration: every vehicle follows the one ahead of it on its path.  One
+overlap test compares two bodies on one edge, or across the end of an edge
+that runs straight on (same heading) into the other; the ego collides when
+its body overlaps another's there, or when it shares an intersection box with
+a crossing vehicle.  An episode ends at the first collision, on arrival within
+the destination tolerance, or when the step budget is exhausted.
+
+Random background vehicles are placed exactly, with no retries, from one
+per-edge table (``EdgeSlots``) that also bounds ``background_count``, so
+every count the world accepts places at every reset.  A scripted spawn that
+would come within ``min_gap_m`` of another vehicle waits a step.
 
 The world checks its scenario and reads the network's geometry once, when it
 is built; editing the network or replacing ``scenario`` afterwards is not
@@ -28,6 +35,7 @@ all read these names.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -195,6 +203,20 @@ class EdgeInfo(NamedTuple):
     heading: float  # RoadNetwork.heading
 
 
+class EdgeSlots(NamedTuple):
+    """Where random background vehicles can stand on one route edge.
+
+    Fronts on the edge stand ``vehicle_length_m + min_gap_m`` (a spacing) apart and ``min_gap_m`` clear of
+    the ego at reset; vehicles either side of a straight edge boundary are not spaced against each other.
+    """
+
+    edge_id: str
+    lo: float  # lowest front, m
+    hi: float  # highest front, m
+    places: int  # fronts that fit from lo to hi, one spacing apart
+    through: list[tuple[tuple[str, ...], int]]  # (route, index) of each pass of a route over the edge
+
+
 def distance_to_destination(pos: tuple[float, float], dest: tuple[float, float]) -> float:
     """Euclidean distance between two planar points."""
     return math.hypot(pos[0] - dest[0], pos[1] - dest[1])
@@ -244,15 +266,6 @@ class TrafficWorld:
                     f"spawn at {spawn.pos_m} m on route {spawn.route!r} lies past the route's end "
                     f"({route_length} m long)"
                 )
-        # vehicles on one edge stand at least a length plus the gap apart, front to front; the ego takes one place
-        spacing = sc.vehicle_length_m + sc.min_gap_m
-        route_edges = set().union(*net.routes.values())
-        places = sum(math.floor(net.edges[eid].length_m / spacing) + 1 for eid in route_edges) - 1
-        if sc.background_count > places:
-            raise BackgroundCountError(
-                f"background_count {sc.background_count} exceeds the {places} vehicles that fit beside the ego "
-                f"on the routes' edges at {spacing} m front to front"
-            )
         # everything step, background and spawn code read of the network
         self._dest_xy = (dest.x, dest.y)
         self._node_xy = [(node.x, node.y) for node in net.nodes.values()]
@@ -264,9 +277,37 @@ class TrafficWorld:
             self._edges[eid] = EdgeInfo(e.length_m, e.speed_limit_mps, light, line, net.heading(eid))
         # on a network whose edges all run one way (a straight corridor) no path crosses another
         self._headings_differ = len({edge.heading for edge in self._edges.values()}) > 1
-        # per route: whether it is cyclic, and (in name order, for random spawns) its length
         self._route_cyclic = {route: net.route_is_cyclic(route) for route in net.routes.values()}
-        self._spawn_routes = [(net.routes[name], net.route_length_m(name)) for name in sorted(net.routes)]
+        # _shift[a][b] puts a position on edge a into edge b's coordinates, for the pairs where bodies can
+        # overlap: the same edge, and two edges where one runs straight on (same heading) into the other
+        self._shift = {eid: {eid: 0.0} for eid in net.edges}
+        for a, ea in net.edges.items():
+            for b, eb in net.edges.items():
+                if b != a and ea.to_node == eb.from_node and self._edges[a].heading == self._edges[b].heading:
+                    self._shift[a][b] = -ea.length_m
+                    self._shift[b][a] = ea.length_m
+        # per route edge in id order, with its routes in name order; the ego's body at reset is (-length, 0]
+        # on its first edge
+        self._spacing = spacing = sc.vehicle_length_m + sc.min_gap_m
+        ego_edge = net.routes[sc.ego_route][0]
+        routes = [net.routes[name] for name in sorted(net.routes)]
+        self._slots = []
+        for eid in sorted(set().union(*routes)):
+            lo, hi = 0.0, net.edges[eid].length_m
+            shift = self._shift[eid].get(ego_edge)
+            if shift is not None and shift >= 0.0:  # the ego's first edge, or one it runs straight on into
+                lo = max(lo, spacing - shift)  # a spacing ahead of the ego's front
+            elif shift is not None:  # an edge that runs straight on into the ego's first edge
+                hi = -spacing - shift  # a spacing behind the ego's front
+            places = math.floor((hi - lo) / spacing) + 1 if hi >= lo else 0
+            through = [(route, idx) for route in routes for idx, e in enumerate(route) if e == eid]
+            self._slots.append(EdgeSlots(eid, lo, hi, places, through))
+        self._places = places = sum(slot.places for slot in self._slots)
+        if sc.background_count > places:
+            raise BackgroundCountError(
+                f"background_count {sc.background_count} exceeds the {places} vehicles that fit beside the ego "
+                f"on the routes' edges at {spacing} m front to front"
+            )
 
     # ------------------------------------------------------------------ reset
 
@@ -289,50 +330,63 @@ class TrafficWorld:
         return self._observe()
 
     def _spawn_random_background(self, count: int, seed: int) -> None:
-        rng = np.random.Generator(np.random.PCG64(seed))
-        routes = self._spawn_routes
-        low, high = self.scenario.bg_speed_factor_min, self.scenario.bg_speed_factor_max
-        for _ in range(count):
-            for _attempt in range(100):
-                route, route_length = routes[int(rng.integers(len(routes)))]
-                # three successive random() draws, in one call
-                u_pos, u_factor, u_speed = rng.random(3).tolist()
-                edge_id, pos, idx = self._route_point(route, route_length * u_pos)
+        """Place ``count`` vehicles at once from the slot table; no draw is ever rejected.
+
+        Each vehicle takes one of the places left, so an edge is picked in proportion to its free
+        places.  An edge's k fronts are k sorted uniforms spread over its free length, each pushed
+        up one spacing per vehicle behind it: uniform over the layouts of k fronts that keep the spacing.
+        """
+        sc = self.scenario
+        # the first count draws pick places; then per edge, in id order, its k fronts, and per vehicle
+        # its route, speed factor and speed
+        u = np.random.Generator(np.random.PCG64(seed)).random(5 * count).tolist()
+        left = [slot.places for slot in self._slots]
+        taken = [0] * len(left)
+        free = self._places
+        for r in u[:count]:
+            place, i = int(r * free), 0  # the place-th free place, counting edge by edge
+            while place >= left[i]:
+                place -= left[i]
+                i += 1
+            left[i] -= 1
+            taken[i] += 1
+            free -= 1
+        spacing = self._spacing
+        low, high = sc.bg_speed_factor_min, sc.bg_speed_factor_max
+        at = count
+        for (eid, lo, hi, _, through), k in zip(self._slots, taken):
+            if not k:
+                continue
+            span = hi - lo - (k - 1) * spacing
+            limit = self._edges[eid].speed_limit_mps
+            fronts = sorted(u[at : at + k])
+            at += k
+            for j, u_front in enumerate(fronts):
+                u_route, u_factor, u_speed = u[at : at + 3]
+                at += 3
+                route, idx = through[int(u_route * len(through))]
                 # uniform(low, high) draws as Generator.uniform does: low + (high - low) * random()
                 factor = low + (high - low) * u_factor
-                speed = self._edges[edge_id].speed_limit_mps * factor * u_speed
-                if self._place_background(route, edge_id, pos, idx, speed, factor):
-                    break
-            else:
-                raise ValueError(
-                    f"could not place {count} background vehicles without overlap; "
-                    "reduce background_count or enlarge the network"
-                )
+                pos = lo + u_front * span + j * spacing
+                self._add_background(route, eid, pos, idx, limit * factor * u_speed, factor)
 
-    def _place_background(
+    def _add_background(
         self, route: tuple[str, ...], edge_id: str, pos: float, idx: int, speed: float, factor: float
-    ) -> bool:
-        """Add a background vehicle unless it comes within ``min_gap_m`` of another on its edge; True if added."""
+    ) -> None:
         length = self.scenario.vehicle_length_m
-        gap = self.scenario.min_gap_m
-        tail = pos - length
-        for other in (self.ego, *self.background):
-            if other.edge_id == edge_id and pos + gap > other.tail_m and other.pos_m + gap > tail:
-                return False
         self.background.append(
             VehicleState(f"bg{self._next_bg_id}", edge_id, pos, speed, 0.0, length, route, idx, factor)
         )
         self._next_bg_id += 1
-        return True
 
     def _route_point(self, route: tuple[str, ...], pos_on_route: float) -> tuple[str, float, int]:
         remaining = pos_on_route
-        for idx, eid in enumerate(route):
+        for idx, eid in enumerate(route[:-1]):
             length = self._edges[eid].length_m
-            if remaining <= length or idx == len(route) - 1:
-                return eid, min(remaining, length), idx
+            if remaining <= length:
+                return eid, remaining, idx
             remaining -= length
-        raise AssertionError("unreachable")
+        return route[-1], min(remaining, self._edges[route[-1]].length_m), len(route) - 1
 
     # ------------------------------------------------------------------- step
 
@@ -420,8 +474,11 @@ class TrafficWorld:
                 continue
             route = self.net.routes[spawn.route]
             edge_id, pos, idx = self._route_point(route, spawn.pos_m)
-            if not self._place_background(route, edge_id, pos, idx, spawn.speed_mps, spawn.speed_factor):
+            others = (self.ego, *self.background)
+            if self._overlaps(edge_id, pos, self.scenario.vehicle_length_m, others, self.scenario.min_gap_m):
                 kept.append(replace(spawn, step=spawn.step + 1))  # deferred to the next step rather than dropped
+            else:
+                self._add_background(route, edge_id, pos, idx, spawn.speed_mps, spawn.speed_factor)
         self._pending_spawns = kept
 
     # ------------------------------------------------------- background logic
@@ -519,13 +576,27 @@ class TrafficWorld:
 
     # -------------------------------------------------------------- collision
 
-    def collision_check(self) -> bool:
-        """True when the ego overlaps another vehicle or shares an intersection box."""
-        ego = self.ego
-        for other in self.background:
-            if other.edge_id == ego.edge_id:
-                if ego.pos_m > other.tail_m and other.pos_m > ego.tail_m:
+    def _overlaps(
+        self, edge_id: str, pos: float, length: float, others: Iterable[VehicleState], margin: float
+    ) -> bool:
+        """Whether a body ``(pos - length, pos]`` on ``edge_id`` comes within ``margin`` of any of ``others``.
+
+        Bodies are compared on one edge, or across the end of an edge that runs straight on into the other.
+        """
+        shifts = self._shift[edge_id]
+        for other in others:
+            shift = shifts.get(other.edge_id)
+            if shift is not None:
+                front = pos + shift  # in the other's coordinates
+                if front + margin > other.pos_m - other.length_m and other.pos_m + margin > front - length:
                     return True
+        return False
+
+    def collision_check(self) -> bool:
+        """True when the ego overlaps another vehicle or shares an intersection box with a crossing one."""
+        ego = self.ego
+        if self._overlaps(ego.edge_id, ego.pos_m, ego.length_m, self.background, 0.0):
+            return True
         if not self._headings_differ:  # every ``cross`` below would be sin(0) = 0
             return False
         ego_edge = self._edges[ego.edge_id]
@@ -536,11 +607,9 @@ class TrafficWorld:
             if math.hypot(ex - nx, ey - ny) > box:
                 continue
             for other in self.background:
-                if other.edge_id == ego.edge_id:
-                    continue
                 other_edge = self._edges[other.edge_id]
                 cross = math.sin(other_edge.heading - ego_heading)
-                if abs(cross) < 1e-9:  # parallel or oncoming traffic is not crossing
+                if abs(cross) < 1e-9:  # the same edge, parallel or oncoming traffic is not crossing
                     continue
                 ox, oy = _point(other_edge, other.pos_m)
                 if math.hypot(ox - nx, oy - ny) <= box:

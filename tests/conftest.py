@@ -38,3 +38,14 @@ def road_scenario(single_road_net):
         return ScenarioConfig(**kwargs)
 
     return make
+
+
+def pytest_collection_modifyitems(items):
+    """Refuse an ``xfail`` mark that does not name its exception with ``raises=``.
+
+    Without it a strict xfail also passes when the test fails for another
+    reason, such as a broken set-up, and then pins nothing.
+    """
+    unnamed = [item.nodeid for item in items for mark in item.iter_markers("xfail") if "raises" not in mark.kwargs]
+    if unnamed:
+        raise pytest.UsageError(f"an xfail mark must name its exception with raises=: {', '.join(unnamed)}")

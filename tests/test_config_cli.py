@@ -568,8 +568,8 @@ def test_cli_eval_architecture_mismatch(tmp_path):
     cfg = write_config(tmp_path)
     bad = tmp_path / "bad.ckpt"
     actor = nn.init_params([5, 4, 1], ["relu", "tanh"], seed=0)
-    arrays = {"actor_params": actor.flat, "agent_episodes": np.zeros(1, dtype=np.int64)}
-    net = {"layer_sizes": [5, 4, 1], "activations": ["relu", "tanh"]}
+    arrays = {"actor_params": actor.flat, "critic_params": actor.flat, "agent_episodes": np.zeros(1, dtype=np.int64)}
+    net = {"layer_sizes": [5, 4, 1], "activations": ["relu", "tanh"]}  # a well-formed record for both nets
     meta = {"kind": "global_round", "actor_net": net, "critic_net": net, "round_idx": 0}
     save_container(bad, arrays, meta)
     assert main(["eval", "--config", str(cfg), "--checkpoint", str(bad), "--out", str(tmp_path / "e")]) != 0
@@ -654,8 +654,8 @@ def test_cli_actor_of_wrong_shape_fails_before_writing(tmp_path, caplog):
     cfg = write_config(tmp_path)
     bad = tmp_path / "bad.ckpt"
     actor = nn.init_params([5, 4, 1], ["relu", "tanh"], seed=0)
-    arrays = {"actor_params": actor.flat, "agent_episodes": np.ones(1, dtype=np.int64)}
-    net = {"layer_sizes": [5, 4, 1], "activations": ["relu", "tanh"]}
+    arrays = {"actor_params": actor.flat, "critic_params": actor.flat, "agent_episodes": np.ones(1, dtype=np.int64)}
+    net = {"layer_sizes": [5, 4, 1], "activations": ["relu", "tanh"]}  # a well-formed record for both nets
     meta = {"kind": "global_round", "actor_net": net, "critic_net": net, "round_idx": 0}
     save_container(bad, arrays, meta)
     for command in (["eval", "--config", str(cfg)], ["sim-run", "--config", str(cfg)]):
@@ -716,6 +716,23 @@ def test_cli_round_checkpoint_net_meta_is_checked(tmp_path, caplog, net, fault):
             lambda arrays, meta: arrays.update(actor_params=arrays["actor_params"].astype(np.float32)),
             "actor_params has dtype float32, not float64",
         ),
+        (
+            lambda arrays, meta: arrays.update(critic_params=arrays["critic_params"][:-3]),
+            "critic_params has shape (142,), but critic_net needs (145,)",
+        ),
+        (
+            lambda arrays, meta: arrays.update(critic_params=arrays["critic_params"].astype(np.float32)),
+            "critic_params has dtype float32, not float64",
+        ),
+        (lambda arrays, meta: arrays.pop("critic_params"), "round checkpoint lacks critic_params"),
+        (
+            lambda arrays, meta: arrays.update(agent_episodes=np.array([2.5])),
+            "agent_episodes must be a 1-D integer array, got float64 of shape (1,)",
+        ),
+        (
+            lambda arrays, meta: arrays.update(agent_episodes=arrays["agent_episodes"].reshape(1, 1)),
+            "agent_episodes must be a 1-D integer array, got int64 of shape (1, 1)",
+        ),
     ],
     ids=[
         "one-layer-size",
@@ -727,6 +744,11 @@ def test_cli_round_checkpoint_net_meta_is_checked(tmp_path, caplog, net, fault):
         "critic-nan",
         "activation-count",
         "actor-float32",
+        "critic-vector-short",
+        "critic-float32",
+        "critic-missing",
+        "episodes-float",
+        "episodes-2d",
     ],
 )
 def test_cli_round_checkpoint_architecture_is_checked(tmp_path, caplog, fault, message):
@@ -887,6 +909,14 @@ def test_cli_export_out_in_a_missing_directory_exits_2(tmp_path, caplog):
     caplog.clear()  # the --out check comes before any summary is read
     assert main(["export", "--summary", str(tmp_path / "gone.json"), "--out", str(dst)]) == 2
     assert "--out" in caplog.text and "gone.json" not in caplog.text
+    # an --out that names an existing directory
+    adir = tmp_path / "adir"
+    adir.mkdir()
+    for summary in (src, tmp_path / "gone.json"):
+        caplog.clear()
+        assert main(["export", "--summary", str(summary), "--out", str(adir)]) == 2
+        assert f"--out {adir}: is a directory" in caplog.text and "gone.json" not in caplog.text
+    assert list(adir.iterdir()) == []
 
 
 def test_cli_export_takes_typed_json_numbers(tmp_path):

@@ -288,7 +288,7 @@ TRAFFIC = EvalProtocol(
     episodes=6,
     distances_m=(52.0, 107.0),
     template=EvalTemplate(max_steps=60, background_count=2, bg_speed_factor_min=0.4,
-                          bg_speed_factor_max=0.7, master_seed=2),
+                          bg_speed_factor_max=0.7, master_seed=0),
 )
 A_MIN, A_MAX = TRAFFIC.template.accel_min_mps2, TRAFFIC.template.accel_max_mps2
 

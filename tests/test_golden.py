@@ -146,14 +146,15 @@ def eval_corridor(distance_m: float):
     "config, actions, episode_seeds, digest",
     [
         # random background on the lit grid: turns, cyclic, oncoming and
-        # despawning routes, queues at the red light; each episode ends in an
-        # intersection-box collision at the lit corner after 19 steps
+        # despawning routes, queues at the red light; intersection-box
+        # collisions, at the lit corner after 19 steps, and after 13 steps at
+        # n00 with a vehicle that follows the ego down e_w
         (
             "network_file = {nets}/grid2x2.net\nego_route = to_light\ndestination_node = n10\n"
             "max_steps = 120\nbackground_count = 5\nmaster_seed = 11\n",
             SCHEDULE,
             (0, 1, 2),
-            "0c870c743e7cfc0202f44a69e4ed87bd2f60fd7240f7ba5b06ed26e2cb5d3fda",
+            "e27a35816329255bb94d723d04f1e95386bc106910ac1965f97db32521d5fe82",
         ),
         # a vehicle spawned at step 1 on the crossing road meets the ego in
         # the intersection box: collision after 7 steps
@@ -164,33 +165,35 @@ def eval_corridor(distance_m: float):
             (0,),
             "2303d9cf1b8fcbf392503df4a66dc3ce2e2cecd71ee625469a363ede9521326b",
         ),
-        # the desk scenario's two slow random vehicles: two arrivals and one
-        # collision near the road's end, 56 steps each
+        # the desk scenario's two slow random vehicles: three arrivals after
+        # 56 steps; in the first the ego passes a slower vehicle between two
+        # steps (the overlap test sees positions after a step only), in the
+        # third both vehicles leave the road
         (
             "network_file = {nets}/long_road.net\nego_route = main\ndestination_node = b\n"
             "max_steps = 80\nbackground_count = 2\nbg_speed_factor_min = 0.4\n"
             "bg_speed_factor_max = 0.7\nmaster_seed = 7\n",
             SCHEDULE,
             (0, 1, 2),
-            "ea9bf615ec1088a9315016f0576ae6dfc36569a47cf0010ec2937d3725a5c7e7",
+            "b0ee1772c2d7a0ab3982d51b921bd35cf4abc065a0df209b3f85e46ddb9b580f",
         ),
-        # the 10 m evaluation corridor: random placements rejected for
-        # overlap (2 and 10 of them), a vehicle leaving by ``tail`` and then
-        # a step with no traffic; both episodes arrive after 2 steps
+        # the 10 m evaluation corridor, whose ``main`` has one place: every
+        # vehicle placed on ``tail``, one leaving by it; both episodes arrive
+        # after 2 steps
         (
             eval_corridor(10.0),
             SCHEDULE,
             (0, 2),
-            "31739c87f83f9654a9d597b97114b554b3c51525e2860dd73cd33f5197e23be8",
+            "b8952c7b3a529a8087c3ea974542011e8992b1fe66e6764f7ff8337803a11657",
         ),
-        # the 207 m evaluation corridor: an arrival after 19 steps, the last 8
-        # with no traffic left, and a collision after 19 steps once a vehicle
+        # the 207 m evaluation corridor: two arrivals after 19 steps, the
+        # first with no traffic left after step 6, the second once a vehicle
         # has left by ``tail``
         (
             eval_corridor(207.0),
             SCHEDULE,
             (0, 1),
-            "7ee674afa256c2bb293d89841a9f844ba85348f6f71221d61e7a82fb422a22c5",
+            "1838e65376480ba138003074373a9d28399ce2e5289915986bd05b111797ef05",
         ),
     ],
     ids=["grid-traffic", "cross-collision", "long-road-traffic", "eval-corridor-10m", "eval-corridor-207m"],

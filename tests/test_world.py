@@ -1,7 +1,10 @@
+from dataclasses import replace
+from itertools import pairwise
+
 import numpy as np
 import pytest
 
-from feddrive.sim.network import load_network, straight_corridor
+from feddrive.sim.network import RoadNetwork, load_network, straight_corridor
 from feddrive.sim.world import (
     CAUSE_COLLISION,
     CAUSE_DESTINATION,
@@ -30,8 +33,10 @@ route main ab bc
 """
 
 
-def make_world(net_text, **overrides):
-    kwargs = dict(network=load_network(net_text), ego_route="main", destination_node="c", master_seed=0)
+def make_world(net, **overrides):
+    """A world on network-map text or a built network, reset with episode seed 0."""
+    network = net if isinstance(net, RoadNetwork) else load_network(net)
+    kwargs = dict(network=network, ego_route="main", destination_node="c", master_seed=0)
     kwargs.update(overrides)
     world = TrafficWorld(ScenarioConfig(**kwargs))
     world.reset(0)
@@ -170,12 +175,21 @@ def test_step_before_reset_rejected(road_scenario):
         world.step(0.0)
 
 
-def test_step_after_a_failed_reset_rejected(road_scenario):
+def test_step_after_a_failed_reset_rejected(road_scenario, monkeypatch):
     world = TrafficWorld(road_scenario(background_count=35))
     world.reset(0)
     world.step(0.0)
-    with pytest.raises(ValueError, match="could not place 35 background vehicles"):
+    add = world._add_background
+
+    def fail_on_the_third(*args):
+        if len(world.background) == 2:
+            raise RuntimeError("placement failed")
+        add(*args)
+
+    monkeypatch.setattr(world, "_add_background", fail_on_the_third)
+    with pytest.raises(RuntimeError, match="placement failed"):
         world.reset(10)  # gives up part-way through placing the background
+    assert len(world.background) == 2
     with pytest.raises(EpisodeDoneError):  # not a step on a half-placed episode
         world.step(0.0)
 
@@ -382,6 +396,50 @@ def test_background_count_is_bounded_by_the_routes_edges():
         TrafficWorld(ScenarioConfig(**kwargs, background_count=28))
 
 
+# the ego's first edge is bc, and ab runs straight on into it
+FEEDER_ROAD = LIT_ROAD.replace("route main ab bc", "route main bc\nroute through ab bc")
+
+
+@pytest.mark.parametrize(
+    "where, bound",
+    [
+        ("single-road", 53),  # 400 m at 7.5 m holds 54 fronts, the ego takes one place
+        ("grid", 111),  # eight 100 m edges of 14 places, less the ego's
+        ("corridor-5m", 7),  # main is shorter than a spacing: tail's fronts start 2.5 m in
+        ("corridor-10m", 8),  # main holds the ego alone, tail 50 m
+        ("corridor-207m", 34),
+        ("feeder", 26),  # two 100 m edges of 14 places, less one for the ego on bc and one at ab's end
+    ],
+)
+def test_every_count_up_to_the_bound_places_first_time(grid_net, single_road_net, where, bound):
+    network, ego_route, destination = {
+        "single-road": (single_road_net, "main", "b"),
+        "grid": (grid_net, "loop", "n00"),
+        "corridor-5m": (straight_corridor(5.0), "ego", "dest"),
+        "corridor-10m": (straight_corridor(10.0), "ego", "dest"),
+        "corridor-207m": (straight_corridor(207.0), "ego", "dest"),
+        "feeder": (load_network(FEEDER_ROAD), "main", "c"),
+    }[where]
+    sc = ScenarioConfig(network=network, ego_route=ego_route, destination_node=destination)
+    with pytest.raises(BackgroundCountError, match=f"exceeds the {bound} vehicles"):
+        TrafficWorld(replace(sc, background_count=bound + 1))
+    spacing = sc.vehicle_length_m + sc.min_gap_m
+    for count in range(bound + 1):
+        world = TrafficWorld(replace(sc, background_count=count))
+        for seed in range(100):
+            world.reset(seed)
+            assert len(world.background) == count
+            ego = world.ego
+            assert not world._overlaps(ego.edge_id, ego.pos_m, ego.length_m, world.background, sc.min_gap_m)
+            fronts = {}
+            for v in world.background:
+                assert 0.0 <= v.pos_m <= network.edges[v.edge_id].length_m
+                assert v.route[v.route_idx] == v.edge_id
+                fronts.setdefault(v.edge_id, []).append(v.pos_m)
+            for on_edge in fronts.values():
+                assert all(b - a >= spacing - 1e-9 for a, b in pairwise(sorted(on_edge)))
+
+
 @pytest.mark.parametrize("value", [-5.0, float("nan"), float("inf")])
 @pytest.mark.parametrize("name", ["step", "pos_m", "speed_mps", "speed_factor"])
 def test_spawn_numbers_must_be_non_negative_and_finite(name, value):
@@ -413,12 +471,35 @@ def test_collision_requires_overlap():
     assert world.collision_check() is False
 
 
-@pytest.mark.xfail(strict=True, reason="collision_check compares positions only on a shared edge (ROADMAP item 9a)")
 def test_ego_overlap_across_a_collinear_edge_boundary_collides():
     world = make_world(straight_corridor(107.0), ego_route="ego", destination_node="dest")
     world.ego.pos_m = 104.0  # ego body (99, 104] on main
-    add_background(world, "tail", 1.0, route=("main", "tail"))  # leader body (103, 108] in main's coordinates
+    leader = add_background(world, "tail", 1.0, route=("main", "tail"))  # body (103, 108] in main's coordinates
     assert world.collision_check() is True  # the same overlap within one edge collides
+    world.ego.pos_m = 102.0  # ego body (97, 102], 1 m short of the leader's tail
+    assert world.collision_check() is False
+    leader.pos_m = 0.0  # body (102, 107]: touching is not overlapping
+    assert world.collision_check() is False
+
+
+def test_ego_tail_overlap_across_a_collinear_edge_boundary_collides():
+    world = make_world(LIT_ROAD)
+    world.ego.edge_id, world.ego.route_idx, world.ego.pos_m = "bc", 1, 2.0  # body (97, 102] in ab's coordinates
+    follower = add_background(world, "ab", 99.0)  # body (94, 99]
+    assert world.collision_check() is True
+    follower.pos_m = 96.0  # body (91, 96], 1 m behind the ego's tail
+    assert world.collision_check() is False
+
+
+def test_scripted_spawn_keeps_the_gap_across_a_collinear_edge_boundary():
+    blocker = SpawnSpec(step=0, route="main", pos_m=98.0, speed_factor=0.0)  # body (93, 98] on ab
+    near = SpawnSpec(step=1, route="main", pos_m=104.0, speed_factor=0.0)  # bc at 4: 1 m past the blocker
+    far = SpawnSpec(step=1, route="main", pos_m=106.0, speed_factor=0.0)  # bc at 6: 3 m past it
+    world = make_world(LIT_ROAD, background_spawns=(blocker, near, far))
+    for _ in range(4):
+        world.step(0.0)
+    # near stays deferred: within min_gap_m (2.5) of the blocker behind it, and overlapping far ahead of it
+    assert [(v.edge_id, v.pos_m) for v in world.background] == [("ab", 98.0), ("bc", 6.0)]
 
 
 def test_collision_at_intersection_crossing(cross_net):
