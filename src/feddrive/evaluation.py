@@ -203,8 +203,11 @@ _JSON_KINDS = {
 def summaries_from_json(path: str | Path) -> list[EvalSummary]:
     """Rebuild summaries from the JSON mirror (used by the export command).
 
-    A file that is not a list of ``export_json`` rows of finite numbers raises
-    ``ValueError`` naming the file and, for a row, its index and the field at fault.
+    A file that is not a list of ``export_json`` rows of finite numbers, or
+    whose row breaks what ``evaluate`` guarantees (counts >= 0 that sum to
+    ``episodes`` >= 1, ``success_rate`` equal to ``successes / episodes``, and
+    a null delay exactly when nothing succeeded), raises ``ValueError`` naming
+    the file and, for a row, its index and the field at fault.
     """
     try:
         payload = json.loads(Path(path).read_text())
@@ -233,6 +236,23 @@ def summaries_from_json(path: str | Path) -> list[EvalSummary]:
             if type(value) is float and not math.isfinite(value):  # json reads NaN and Infinity
                 raise ValueError(f"{path}: row {i}: {name} must be finite, got {value!r}")
             row[name] = value
+        episodes, successes = row["episodes"], row["successes"]
+        counts = (row["collisions"], row["timeouts"], successes)
+        if episodes < 1 or min(counts) < 0 or sum(counts) != episodes:
+            raise ValueError(
+                f"{path}: row {i}: collisions, timeouts and successes must be >= 0 and sum to episodes >= 1, "
+                f"got {counts} of {episodes}"
+            )
+        if row["success_rate"] != successes / episodes:
+            raise ValueError(
+                f"{path}: row {i}: success_rate must be successes / episodes = {successes / episodes!r}, "
+                f"got {row['success_rate']!r}"
+            )
+        if (row["mean_travel_delay_s"] is None) != (successes == 0):
+            raise ValueError(
+                f"{path}: row {i}: mean_travel_delay_s must be null exactly when successes is 0, "
+                f"got {row['mean_travel_delay_s']!r} with {successes} successes"
+            )
         by_policy.setdefault(row.pop("policy_id"), []).append(DistanceResult(**row))
     return [EvalSummary(policy_id=pid, rows=tuple(rows)) for pid, rows in by_policy.items()]
 

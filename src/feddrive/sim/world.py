@@ -1,25 +1,32 @@
 """Discrete-time traffic world: one controlled ego vehicle plus scripted traffic.
 
-The ego is driven purely by a longitudinal acceleration command.  Background
-vehicles follow a gap-limited safe-speed rule: each step a vehicle may not
-move faster than would keep at least ``min_gap_m`` to its leader's tail at
-the end of the step, assuming the leader does not move.  Because leaders
-never move backwards this is conservative, and background vehicles can never
-create an overlap.  All background decisions are computed from a snapshot of
-positions taken before anyone moves, so the update is order-independent.
+The ego is driven purely by a longitudinal acceleration command, and moves
+first.  Background vehicles then follow a gap-limited safe-speed rule: each
+step a vehicle may not move faster than would keep at least ``min_gap_m`` to
+its leader's tail at the end of the step, assuming the leader does not move.
+Because leaders never move backwards this is conservative: a background
+vehicle never runs into one ahead of it on its route, though it sees nothing
+past its route's end.  All background decisions are computed from one
+snapshot of positions, taken after the ego's move and before any background
+vehicle's, so they keep their gap to the ego's new tail and the update is
+order-independent.
 
 Traffic is single file, as the ego commands only its longitudinal
-acceleration: every vehicle follows the one ahead of it on its path.  One
-overlap test compares two bodies on one edge, or across the end of an edge
-that runs straight on (same heading) into the other; the ego collides when
-its body overlaps another's there, or when it shares an intersection box with
-a crossing vehicle.  An episode ends at the first collision, on arrival within
-the destination tolerance, or when the step budget is exhausted.
+acceleration: every vehicle follows the one ahead of it on its path.  Which
+vehicles can touch is one relation, built from the routes when the world is
+built.  Bodies touch along a path on one edge, or on two edges that follow one
+another on a route; there the ego collides when its body overlaps another's
+after a step, or when it drove through one over the step.  Edges that share a
+node and no route cross there; the ego collides when it shares that node's
+intersection box with a vehicle on a crossing edge.  An episode ends at the
+first collision, on arrival within the destination tolerance, or when the step
+budget is exhausted.
 
 Random background vehicles are placed exactly, with no retries, from one
-per-edge table (``EdgeSlots``) that also bounds ``background_count``, so
-every count the world accepts places at every reset.  A scripted spawn that
-would come within ``min_gap_m`` of another vehicle waits a step.
+per-edge table (``EdgeSlots``) read from that relation, which also bounds
+``background_count``, so every count the world accepts places at every reset.
+A scripted spawn that would come within ``min_gap_m`` of another vehicle waits
+a step.
 
 The world checks its scenario and reads the network's geometry once, when it
 is built; editing the network or replacing ``scenario`` afterwards is not
@@ -206,8 +213,8 @@ class EdgeInfo(NamedTuple):
 class EdgeSlots(NamedTuple):
     """Where random background vehicles can stand on one route edge.
 
-    Fronts on the edge stand ``vehicle_length_m + min_gap_m`` (a spacing) apart and ``min_gap_m`` clear of
-    the ego at reset; vehicles either side of a straight edge boundary are not spaced against each other.
+    Fronts on the edge stand ``vehicle_length_m + min_gap_m`` (a spacing) apart, and so do fronts either
+    side of the end of an edge that a route follows on, and the ego's front at reset.
     """
 
     edge_id: str
@@ -268,37 +275,43 @@ class TrafficWorld:
                 )
         # everything step, background and spawn code read of the network
         self._dest_xy = (dest.x, dest.y)
-        self._node_xy = [(node.x, node.y) for node in net.nodes.values()]
         self._edges = {}
         for eid, e in net.edges.items():
             a, b = net.nodes[e.from_node], net.nodes[e.to_node]
             line = (a.x, a.y, b.x - a.x, b.y - a.y)
             light = net.lights.get(e.to_node)
             self._edges[eid] = EdgeInfo(e.length_m, e.speed_limit_mps, light, line, net.heading(eid))
-        # on a network whose edges all run one way (a straight corridor) no path crosses another
-        self._headings_differ = len({edge.heading for edge in self._edges.values()}) > 1
         self._route_cyclic = {route: net.route_is_cyclic(route) for route in net.routes.values()}
-        # _shift[a][b] puts a position on edge a into edge b's coordinates, for the pairs where bodies can
-        # overlap: the same edge, and two edges where one runs straight on (same heading) into the other
+        # _shift[a][b] puts a position on edge a into edge b's coordinates where bodies can touch along a path:
+        # on one edge, and on two edges that follow one another on a route (a cyclic one's last, then its first);
+        # two edges that follow each other both ways keep the link of the last route read
         self._shift = {eid: {eid: 0.0} for eid in net.edges}
+        for route in net.routes.values():
+            for a, b in zip(route, route[1:] + route[:1] if self._route_cyclic[route] else route[1:]):
+                if a != b:
+                    self._shift[a][b] = -net.edges[a].length_m
+                    self._shift[b][a] = net.edges[a].length_m
+        # _crossers[a][b] is the x, y of the node where edges a and b cross: they share one end and no route
+        # links them.  An edge and its reverse share both ends, as do two edges that join the same two nodes
+        # in the same direction; neither pair crosses
+        self._crossers = {a: {} for a in net.edges}
         for a, ea in net.edges.items():
             for b, eb in net.edges.items():
-                if b != a and ea.to_node == eb.from_node and self._edges[a].heading == self._edges[b].heading:
-                    self._shift[a][b] = -ea.length_m
-                    self._shift[b][a] = ea.length_m
-        # per route edge in id order, with its routes in name order; the ego's body at reset is (-length, 0]
-        # on its first edge
+                shared = {ea.from_node, ea.to_node} & {eb.from_node, eb.to_node}
+                if len(shared) == 1 and b not in self._shift[a]:
+                    node = net.nodes[shared.pop()]
+                    self._crossers[a][b] = (node.x, node.y)
+        # per route edge in id order, with its routes in name order.  The ego's body at reset is (-length, 0] on
+        # its first edge: fronts start a spacing in there and on every edge a route enters from another, and end a
+        # spacing short of the end of an edge that leads into the ego's first edge
         self._spacing = spacing = sc.vehicle_length_m + sc.min_gap_m
         ego_edge = net.routes[sc.ego_route][0]
         routes = [net.routes[name] for name in sorted(net.routes)]
         self._slots = []
         for eid in sorted(set().union(*routes)):
-            lo, hi = 0.0, net.edges[eid].length_m
-            shift = self._shift[eid].get(ego_edge)
-            if shift is not None and shift >= 0.0:  # the ego's first edge, or one it runs straight on into
-                lo = max(lo, spacing - shift)  # a spacing ahead of the ego's front
-            elif shift is not None:  # an edge that runs straight on into the ego's first edge
-                hi = -spacing - shift  # a spacing behind the ego's front
+            shifts = self._shift[eid]
+            lo = spacing if eid == ego_edge or any(shift > 0.0 for shift in shifts.values()) else 0.0
+            hi = net.edges[eid].length_m - (spacing if shifts.get(ego_edge, 0.0) < 0.0 else 0.0)
             places = math.floor((hi - lo) / spacing) + 1 if hi >= lo else 0
             through = [(route, idx) for route in routes for idx, e in enumerate(route) if e == eid]
             self._slots.append(EdgeSlots(eid, lo, hi, places, through))
@@ -411,15 +424,13 @@ class TrafficWorld:
         ego = self.ego
         prev_speed = ego.speed_mps
         new_speed = max(0.0, prev_speed + accel * dt)
+        ego_from = (ego.edge_id, ego.pos_m)
         self._advance_ego(new_speed * dt)
         ego.speed_mps = new_speed
         ego.accel_mps2 = (new_speed - prev_speed) / dt
 
-        if self.background:  # with no traffic left there is nothing to move or hit
-            self.background_step(t_start)
-            collided = self.collision_check()
-        else:
-            collided = False
+        # with no traffic left there is nothing to move or hit
+        collided = bool(self.background) and (self.background_step(t_start, ego_from) or self.collision_check())
         observation = self._observe()
         reached = (not collided) and observation.dest_distance <= sc.destination_tolerance_m
         braking = ego.accel_mps2 < BRAKING_ACCEL_MPS2
@@ -483,21 +494,30 @@ class TrafficWorld:
 
     # ------------------------------------------------------- background logic
 
-    def background_step(self, t: float) -> None:
+    def background_step(self, t: float, ego_from: tuple[str, float]) -> bool:
         """Advance every background vehicle one step; vehicles leaving the network are dropped.
 
-        Decisions use a pre-move snapshot of all vehicles, so the result does
-        not depend on update order.
+        Decisions use a snapshot of all vehicles taken after the ego's move and
+        before any background vehicle's, so the result does not depend on update
+        order.  ``ego_from`` is the ego's edge and front before its move; returns
+        whether the ego drove through a vehicle that stays on the network: from
+        at or behind its tail before the step to at or ahead of its front after.
         """
         sc = self.scenario
         dt = sc.step_length_s
+        ego = self.ego
         # value snapshot: later updates must not change earlier vehicles' gaps;
         # each entry keeps its vehicle, so a vehicle skips itself by identity
-        snapshot = [(v, v.edge_id, v.pos_m, v.pos_m - v.length_m) for v in (self.ego, *self.background)]
+        snapshot = [(v, v.edge_id, v.pos_m, v.pos_m - v.length_m) for v in (ego, *self.background)]
+        shifts_from = self._shift[ego_from[0]]
+        shifts_to = self._shift[ego.edge_id]
+        ego_tail = ego.pos_m - ego.length_m
+        passed = False
 
         survivors: list[VehicleState] = []
         for veh in self.background:
-            edge = self._edges[veh.edge_id]
+            edge_id, tail = veh.edge_id, veh.pos_m - veh.length_m
+            edge = self._edges[edge_id]
             candidate = min(
                 veh.speed_mps + sc.bg_accel_mps2 * dt,
                 edge.speed_limit_mps * veh.speed_factor,
@@ -514,7 +534,11 @@ class TrafficWorld:
             veh.speed_mps = new_speed
             if self._advance_background(veh, new_speed * dt):
                 survivors.append(veh)
+                before, after = shifts_from.get(edge_id), shifts_to.get(veh.edge_id)
+                if before is not None and after is not None:
+                    passed = passed or (ego_from[1] + before <= tail and ego_tail + after >= veh.pos_m)
         self.background = survivors
+        return passed
 
     def _advance_background(self, veh: VehicleState, displacement: float) -> bool:
         """Move a background vehicle; returns False when it leaves the network."""
@@ -581,7 +605,7 @@ class TrafficWorld:
     ) -> bool:
         """Whether a body ``(pos - length, pos]`` on ``edge_id`` comes within ``margin`` of any of ``others``.
 
-        Bodies are compared on one edge, or across the end of an edge that runs straight on into the other.
+        Bodies are compared on one edge, or across the end of an edge that a route follows on with the other.
         """
         shifts = self._shift[edge_id]
         for other in others:
@@ -597,22 +621,15 @@ class TrafficWorld:
         ego = self.ego
         if self._overlaps(ego.edge_id, ego.pos_m, ego.length_m, self.background, 0.0):
             return True
-        if not self._headings_differ:  # every ``cross`` below would be sin(0) = 0
-            return False
-        ego_edge = self._edges[ego.edge_id]
-        ex, ey = _point(ego_edge, ego.pos_m)
-        ego_heading = ego_edge.heading
+        crossers = self._crossers[ego.edge_id]
         box = self.scenario.intersection_box_m
-        for nx, ny in self._node_xy:
-            if math.hypot(ex - nx, ey - ny) > box:
-                continue
-            for other in self.background:
-                other_edge = self._edges[other.edge_id]
-                cross = math.sin(other_edge.heading - ego_heading)
-                if abs(cross) < 1e-9:  # the same edge, parallel or oncoming traffic is not crossing
-                    continue
-                ox, oy = _point(other_edge, other.pos_m)
-                if math.hypot(ox - nx, oy - ny) <= box:
+        for other in self.background:
+            node = crossers.get(other.edge_id)
+            if node is not None:
+                nx, ny = node
+                ex, ey = _point(self._edges[ego.edge_id], ego.pos_m)
+                ox, oy = _point(self._edges[other.edge_id], other.pos_m)
+                if math.hypot(ex - nx, ey - ny) <= box and math.hypot(ox - nx, oy - ny) <= box:
                     return True
         return False
 

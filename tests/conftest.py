@@ -1,3 +1,4 @@
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -38,6 +39,23 @@ def road_scenario(single_road_net):
         return ScenarioConfig(**kwargs)
 
     return make
+
+
+def assert_background_apart_and_bounded(world):
+    """No two background bodies overlap, and every speed is within its edge's limit.
+
+    Bodies are compared on one edge and across every pair of edges the world links
+    along a route (``_shift``), so an overlap across an edge boundary fails too.
+    """
+    for v in world.background:
+        assert 0.0 <= v.speed_mps <= world.net.edges[v.edge_id].speed_limit_mps, f"{v.vehicle_id} at {v.speed_mps}"
+    for a, b in combinations(world.background, 2):
+        shift = world._shift[a.edge_id].get(b.edge_id)
+        if shift is not None:
+            front = a.pos_m + shift  # a's front in b's coordinates
+            assert front <= b.tail_m or front - a.length_m >= b.pos_m, (
+                f"{a.vehicle_id} at {a.pos_m} on {a.edge_id} overlaps {b.vehicle_id} at {b.pos_m} on {b.edge_id}"
+            )
 
 
 def pytest_collection_modifyitems(items):

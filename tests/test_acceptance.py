@@ -28,7 +28,7 @@ from feddrive.evaluation import EvalProtocol, EvalTemplate, evaluate, export_csv
 from feddrive.federation import AgentUpdate, FederationConfig, aggregate, run_training
 from feddrive.sim.reward import REWARD_CASES, EventFlags, compute_reward
 from feddrive.sim.world import ScenarioConfig, TrafficWorld
-from tests.conftest import CONFIGS
+from tests.conftest import CONFIGS, assert_background_apart_and_bounded
 
 
 def report(criterion: int, text: str) -> None:
@@ -237,18 +237,6 @@ def test_criterion_5_ou_statistics():
 # --------------------------------------------------------------- criterion 6
 
 
-def _bg_disjoint_and_bounded(world):
-    by_edge = {}
-    for v in world.background:
-        limit = world.net.edges[v.edge_id].speed_limit_mps
-        assert 0.0 <= v.speed_mps <= limit
-        by_edge.setdefault(v.edge_id, []).append(v)
-    for vehicles in by_edge.values():
-        vehicles.sort(key=lambda v: v.pos_m)
-        for a, b in zip(vehicles, vehicles[1:]):
-            assert b.tail_m >= a.pos_m, f"overlap between {a.vehicle_id} and {b.vehicle_id}"
-
-
 def test_criterion_6_sim_determinism_and_safety(grid_net):
     scenario = ScenarioConfig(
         network=grid_net,
@@ -268,7 +256,7 @@ def test_criterion_6_sim_determinism_and_safety(grid_net):
         while not world.done:
             out = world.step(rng.uniform(-4.5, 2.6))
             if check:
-                _bg_disjoint_and_bounded(world)
+                assert_background_apart_and_bounded(world)
             outcomes.append(
                 (tuple(out.observation.as_vector()), out.reward, out.done, out.cause, out.flags)
             )

@@ -851,7 +851,7 @@ SUMMARY_ROW = {
     "collisions": 0,
     "timeouts": 0,
     "successes": 20,
-    "mean_travel_delay_s": None,
+    "mean_travel_delay_s": 1.5,
     "mean_avg_speed_mps": 5.0,
     "success_rate": 1.0,
 }
@@ -878,6 +878,15 @@ SUMMARY_ROW = {
          "row 1: mean_travel_delay_s must be finite, got inf"),
         ([{**SUMMARY_ROW, "mean_avg_speed_mps": float("-inf")}], "row 0: mean_avg_speed_mps must be finite, got -inf"),
         ([SUMMARY_ROW, "row"], "row 1 is not an object"),
+        # rows that evaluate cannot write
+        ([{**SUMMARY_ROW, "episodes": 2, "timeouts": -1, "successes": 7, "success_rate": 9.5,
+           "mean_travel_delay_s": None}], "row 0: collisions, timeouts and successes must be >= 0"),
+        ([{**SUMMARY_ROW, "timeouts": -1, "successes": 21}], "got (0, -1, 21) of 20"),
+        ([SUMMARY_ROW, {**SUMMARY_ROW, "successes": 19}], "row 1: collisions, timeouts and successes"),
+        ([{**SUMMARY_ROW, "episodes": 0, "successes": 0, "mean_travel_delay_s": None}], "sum to episodes >= 1"),
+        ([{**SUMMARY_ROW, "success_rate": 0.5}], "success_rate must be successes / episodes = 1.0, got 0.5"),
+        ([{**SUMMARY_ROW, "mean_travel_delay_s": None}], "mean_travel_delay_s must be null exactly when"),
+        ([{**SUMMARY_ROW, "timeouts": 20, "successes": 0, "success_rate": 0.0}], "got 1.5 with 0 successes"),
     ],
 )
 def test_cli_export_malformed_summary_exits_2(tmp_path, caplog, payload, field):
@@ -922,7 +931,8 @@ def test_cli_export_out_in_a_missing_directory_exits_2(tmp_path, caplog):
 def test_cli_export_takes_typed_json_numbers(tmp_path):
     # a JSON integer is a number; null is "no arrival" for the delay
     src = tmp_path / "s.json"
-    src.write_text(json.dumps([{**SUMMARY_ROW, "distance_m": 10, "mean_travel_delay_s": 3}, SUMMARY_ROW]))
+    no_arrival = {**SUMMARY_ROW, "timeouts": 20, "successes": 0, "mean_travel_delay_s": None, "success_rate": 0}
+    src.write_text(json.dumps([{**SUMMARY_ROW, "distance_m": 10, "mean_travel_delay_s": 3}, no_arrival]))
     dst = tmp_path / "s.csv"
     assert main(["export", "--summary", str(src), "--out", str(dst)]) == 0
     with open(dst, newline="") as f:

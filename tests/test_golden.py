@@ -146,15 +146,16 @@ def eval_corridor(distance_m: float):
     "config, actions, episode_seeds, digest",
     [
         # random background on the lit grid: turns, cyclic, oncoming and
-        # despawning routes, queues at the red light; intersection-box
-        # collisions, at the lit corner after 19 steps, and after 13 steps at
-        # n00 with a vehicle that follows the ego down e_w
+        # despawning routes, queues at the red light; vehicles that follow
+        # the ego round n00 onto e_s, 2.5 m behind its tail, are no crossing;
+        # intersection-box collisions at the lit corner after 19 steps in
+        # episodes 0 and 2, and an arrival after 19 steps in episode 1
         (
             "network_file = {nets}/grid2x2.net\nego_route = to_light\ndestination_node = n10\n"
             "max_steps = 120\nbackground_count = 5\nmaster_seed = 11\n",
             SCHEDULE,
             (0, 1, 2),
-            "e27a35816329255bb94d723d04f1e95386bc106910ac1965f97db32521d5fe82",
+            "0f775a798fdbd28b94be5e034b19186fc17db8c9108cccc91e2b754210eff10b",
         ),
         # a vehicle spawned at step 1 on the crossing road meets the ego in
         # the intersection box: collision after 7 steps
@@ -165,26 +166,26 @@ def eval_corridor(distance_m: float):
             (0,),
             "2303d9cf1b8fcbf392503df4a66dc3ce2e2cecd71ee625469a363ede9521326b",
         ),
-        # the desk scenario's two slow random vehicles: three arrivals after
-        # 56 steps; in the first the ego passes a slower vehicle between two
-        # steps (the overlap test sees positions after a step only), in the
-        # third both vehicles leave the road
+        # the desk scenario's two slow random vehicles: in the first two
+        # episodes the ego drives through a slower vehicle between two steps,
+        # a collision after 31 and 30 steps; the third arrives after 56 steps,
+        # once both vehicles have left the road
         (
             "network_file = {nets}/long_road.net\nego_route = main\ndestination_node = b\n"
             "max_steps = 80\nbackground_count = 2\nbg_speed_factor_min = 0.4\n"
             "bg_speed_factor_max = 0.7\nmaster_seed = 7\n",
             SCHEDULE,
             (0, 1, 2),
-            "b0ee1772c2d7a0ab3982d51b921bd35cf4abc065a0df209b3f85e46ddb9b580f",
+            "4517c47360b86a0ce33677bbe307f307bcab68535d33281aa0b7d3fc0122d3e6",
         ),
         # the 10 m evaluation corridor, whose ``main`` has one place: every
-        # vehicle placed on ``tail``, one leaving by it; both episodes arrive
-        # after 2 steps
+        # vehicle placed on ``tail``, at least a spacing past its start, one
+        # leaving by it in each episode; both episodes arrive after 2 steps
         (
             eval_corridor(10.0),
             SCHEDULE,
             (0, 2),
-            "b8952c7b3a529a8087c3ea974542011e8992b1fe66e6764f7ff8337803a11657",
+            "e7777cf7b041a4bc3dacab9ec5ffa68aeb4fb06b226e68629a21c0dfdb002f64",
         ),
         # the 207 m evaluation corridor: two arrivals after 19 steps, the
         # first with no traffic left after step 6, the second once a vehicle
@@ -227,4 +228,5 @@ def test_world_trace_is_golden(tmp_path, config, actions, episode_seeds, digest)
 
         trace = run_episode(world, act, seed, on_step=record)
         lines.append(f"end {seed} {trace.steps} {trace.cause} {world.distance_traveled_m!r}")
-    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+    ends = "\n".join(line for line in lines if line.startswith("end "))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest, f"episode ends:\n{ends}"

@@ -9,6 +9,7 @@ from feddrive.sim.world import (
     CAUSE_COLLISION,
     CAUSE_DESTINATION,
     CAUSE_MAX_STEPS,
+    CAUSE_NONE,
     OBS_SCALE,
     BackgroundCountError,
     EpisodeDoneError,
@@ -20,6 +21,7 @@ from feddrive.sim.world import (
     VehicleState,
     distance_to_destination,
 )
+from tests.conftest import assert_background_apart_and_bounded
 
 # straight road with a light at the midpoint node, red during [0, 10)
 LIT_ROAD = """
@@ -60,6 +62,11 @@ def add_background(world, edge_id, pos, speed=0.0, factor=1.0, route=("ab", "bc"
         )
     )
     return world.background[-1]
+
+
+def background_step(world, t):
+    """Move the background one step at time ``t``, with the ego standing where it is."""
+    return world.background_step(t, (world.ego.edge_id, world.ego.pos_m))
 
 
 # ----------------------------------------------------------------- distance
@@ -301,7 +308,7 @@ def test_background_stopped_leader_one_metre():
     world.ego.pos_m = 90.0  # ego far from the pair
     follower = add_background(world, "ab", 10.0, speed=4.0)
     leader = add_background(world, "ab", 16.0, speed=0.0, factor=0.0)  # tail at 11, gap 1 m
-    world.background_step(t=50.0)  # green phase, light not a factor
+    background_step(world, 50.0)  # green phase, light not a factor
     assert follower.speed_mps == 0.0
     assert leader.tail_m - follower.pos_m == pytest.approx(1.0)
 
@@ -313,7 +320,7 @@ def test_leader_sharing_the_followers_id_still_blocks_it():
     follower = add_background(world, "ab", 10.0, speed=4.0)
     leader = add_background(world, "ab", 20.0, speed=0.0, factor=0.0)  # tail at 15, gap 5 m
     leader.vehicle_id = follower.vehicle_id
-    world.background_step(t=50.0)
+    background_step(world, 50.0)
     assert follower.speed_mps == 5.0 - world.scenario.min_gap_m
     assert leader.tail_m - follower.pos_m == world.scenario.min_gap_m
 
@@ -322,7 +329,7 @@ def test_background_slows_to_a_lower_limit_on_entering_its_edge():
     slow_exit = LIT_ROAD.replace("edge bc b c 100 20 1", "edge bc b c 100 5 1")
     world = make_world(slow_exit)
     veh = add_background(world, "ab", 95.0, speed=15.0)
-    world.background_step(t=12.0)  # green: 17.6 m/s carries it 12.6 m into bc
+    background_step(world, 12.0)  # green: 17.6 m/s carries it 12.6 m into bc
     assert veh.edge_id == "bc"
     assert veh.pos_m == pytest.approx(12.6)
     assert veh.speed_mps == 5.0
@@ -332,23 +339,23 @@ def test_background_red_light_deceleration():
     # 2 m from a red stop line at speed 5: candidate = min(5+2.6, 20, 2/1) = 2
     world = make_world(LIT_ROAD)
     veh = add_background(world, "ab", 98.0, speed=5.0)
-    world.background_step(t=0.0)  # red during [0, 10)
+    background_step(world, 0.0)  # red during [0, 10)
     assert veh.speed_mps == 2.0
-    world.background_step(t=1.0)
+    background_step(world, 1.0)
     assert veh.pos_m <= 100.0
 
 
 def test_background_crosses_on_green():
     world = make_world(LIT_ROAD)
     veh = add_background(world, "ab", 98.0, speed=5.0)
-    world.background_step(t=12.0)  # green phase
+    background_step(world, 12.0)  # green phase
     assert veh.edge_id == "bc"
 
 
 def test_background_despawns_at_route_end():
     world = make_world(LIT_ROAD)
     add_background(world, "bc", 99.0, speed=15.0)
-    world.background_step(t=50.0)
+    background_step(world, 50.0)
     assert world.background == []
 
 
@@ -359,7 +366,7 @@ def test_background_wraps_cyclic_route(grid_net):
     world.ego.pos_m = 50.0  # keep the ego clear of the wrap point
     route = grid_net.routes["loop"]
     add_background(world, "e_w", 99.0, speed=10.0, route=route)
-    world.background_step(t=50.0)
+    background_step(world, 50.0)
     (veh,) = world.background
     assert veh.edge_id == "e_s"  # wrapped to the first route edge
 
@@ -389,11 +396,12 @@ def test_spawn_past_its_route_end_is_rejected(road_scenario):
 
 
 def test_background_count_is_bounded_by_the_routes_edges():
-    # at 7.5 m front to front each 100 m edge holds 14; bc, on both routes, counts once; the ego takes one place
+    # at 7.5 m front to front a 100 m edge holds 14, and 13 a spacing in: ab past the ego's front, bc past the
+    # end of ab, which main enters it from; bc, on both routes, counts once
     kwargs = dict(network=load_network(LIT_ROAD + "route tail bc\n"), ego_route="main", destination_node="c")
-    TrafficWorld(ScenarioConfig(**kwargs, background_count=27))
-    with pytest.raises(BackgroundCountError, match=r"background_count 28 exceeds the 27 vehicles .* at 7\.5 m"):
-        TrafficWorld(ScenarioConfig(**kwargs, background_count=28))
+    TrafficWorld(ScenarioConfig(**kwargs, background_count=26))
+    with pytest.raises(BackgroundCountError, match=r"background_count 27 exceeds the 26 vehicles .* at 7\.5 m"):
+        TrafficWorld(ScenarioConfig(**kwargs, background_count=27))
 
 
 # the ego's first edge is bc, and ab runs straight on into it
@@ -404,10 +412,10 @@ FEEDER_ROAD = LIT_ROAD.replace("route main ab bc", "route main bc\nroute through
     "where, bound",
     [
         ("single-road", 53),  # 400 m at 7.5 m holds 54 fronts, the ego takes one place
-        ("grid", 111),  # eight 100 m edges of 14 places, less the ego's
-        ("corridor-5m", 7),  # main is shorter than a spacing: tail's fronts start 2.5 m in
-        ("corridor-10m", 8),  # main holds the ego alone, tail 50 m
-        ("corridor-207m", 34),
+        ("grid", 103),  # eight 100 m edges, each entered from another: 13 places, and 12 on e_w, into the ego's
+        ("corridor-5m", 6),  # main is shorter than a spacing; tail, entered from main, holds 6
+        ("corridor-10m", 7),  # one place on main past the ego's front, 6 on tail
+        ("corridor-207m", 33),
         ("feeder", 26),  # two 100 m edges of 14 places, less one for the ego on bc and one at ab's end
     ],
 )
@@ -438,6 +446,7 @@ def test_every_count_up_to_the_bound_places_first_time(grid_net, single_road_net
                 fronts.setdefault(v.edge_id, []).append(v.pos_m)
             for on_edge in fronts.values():
                 assert all(b - a >= spacing - 1e-9 for a, b in pairwise(sorted(on_edge)))
+            assert_background_apart_and_bounded(world)
 
 
 @pytest.mark.parametrize("value", [-5.0, float("nan"), float("inf")])
@@ -532,6 +541,74 @@ def test_oncoming_traffic_not_crossing(grid_net):
     assert world.collision_check() is False
 
 
+def test_vehicle_following_the_ego_round_a_corner_is_not_crossing(grid_net):
+    # loop runs e_w into e_s at n00: a vehicle behind the ego on that path is compared along it, not by the box
+    sc = ScenarioConfig(network=grid_net, ego_route="loop", destination_node="n00", master_seed=0)
+    world = TrafficWorld(sc)
+    world.reset(0)
+    world.ego.pos_m = 4.4  # at (4.4, 0), inside the 5 m box of n00; its tail 0.6 m back on e_w
+    follower = add_background(world, "e_w", 96.9, route=grid_net.routes["loop"])  # at (0, 3.1), 2.5 m behind
+    assert world.collision_check() is False
+    world.ego.pos_m = 0.9  # its tail now 1 m behind the follower's front
+    assert world.collision_check() is True
+    world.ego.pos_m = 4.4
+    world.background.remove(follower)
+    add_background(world, "e_w_r", 4.0, route=grid_net.routes["loop_cw"])  # leaving n00 northwards, at (0, 4)
+    assert world.collision_check() is True
+    # loop_cw is cyclic: its last edge, e_s_r, runs into its first, e_w_r, at n00, so those two do not cross
+    assert world._shift["e_s_r"]["e_w_r"] == -100.0 and "e_w_r" not in world._crossers["e_s_r"]
+
+
+def test_crossers_are_edges_that_share_one_end_and_no_route(cross_net):
+    world = TrafficWorld(ScenarioConfig(network=cross_net, ego_route="we", destination_node="e"))
+    assert world._crossers == {
+        "we1": {"sn1": (0.0, 0.0), "sn2": (0.0, 0.0)},
+        "we2": {"sn1": (0.0, 0.0), "sn2": (0.0, 0.0)},
+        "sn1": {"we1": (0.0, 0.0), "we2": (0.0, 0.0)},
+        "sn2": {"we1": (0.0, 0.0), "we2": (0.0, 0.0)},
+    }
+    assert world._shift["we1"] == {"we1": 0.0, "we2": -50.0}
+    assert world._shift["we2"] == {"we2": 0.0, "we1": 50.0}
+
+
+def test_single_edge_cyclic_route_links_its_edge_to_itself_only():
+    ring = "node a 0 0\nedge ring a a 100 20 1\nroute main ring\n"
+    world = make_world(ring, destination_node="a")
+    assert (world._shift, world._crossers) == ({"ring": {"ring": 0.0}}, {"ring": {}})
+    assert world._places == 13  # fronts from a spacing past the ego's to the end of the edge
+    world.ego.pos_m = 12.0  # body (7, 12]
+    vehicle = add_background(world, "ring", 10.0, route=("ring",))  # body (5, 10]
+    assert world.collision_check() is True
+    vehicle.pos_m = 19.5  # body (14.5, 19.5]
+    assert world.collision_check() is False
+
+
+def test_two_edges_joining_the_same_nodes_one_way_never_cross():
+    parallel = "node a 0 0\nnode c 100 0\nedge p a c 100 20 1\nedge q a c 100 20 1\nroute main p\nroute side q\n"
+    world = make_world(parallel)
+    assert (world._shift, world._crossers) == ({"p": {"p": 0.0}, "q": {"q": 0.0}}, {"p": {}, "q": {}})
+    world.ego.pos_m = 98.0
+    add_background(world, "q", 98.0, route=("q",))  # beside the ego, at the same node's box
+    assert world.collision_check() is False
+
+
+def test_ego_driving_through_a_vehicle_between_two_steps_collides():
+    world = make_world(LIT_ROAD)
+    world.ego.pos_m, world.ego.speed_mps = 15.0, 20.0  # body (10, 15]; one step takes it to (30, 35]
+    add_background(world, "ab", 30.0, factor=0.0)  # body (25, 30]: touching after the step
+    assert world.step(0.0).cause == CAUSE_COLLISION
+    world = make_world(LIT_ROAD)
+    world.ego.pos_m, world.ego.speed_mps = 95.0, 20.0  # body (90, 95] on ab; one step takes it to (10, 15] on bc
+    add_background(world, "bc", 5.0, factor=0.0)  # body (0, 5] on bc
+    assert world.step(0.0).cause == CAUSE_COLLISION
+    world = make_world(LIT_ROAD)
+    world.ego.pos_m, world.ego.speed_mps = 95.0, 20.0
+    parked = add_background(world, "bc", 20.0, factor=0.0)  # body (15, 20]: the ego stops short of it
+    assert world.step(0.0).cause == CAUSE_NONE
+    world.ego.pos_m = parked.pos_m + 5.0  # body (20, 25] on bc, ahead of the vehicle, and drives away
+    assert world.step(0.0).cause == CAUSE_NONE
+
+
 def test_collision_terminates_episode():
     spawn = SpawnSpec(step=0, route="main", pos_m=30.0, speed_mps=0.0, speed_factor=0.0)
     world = make_world(LIT_ROAD, background_spawns=(spawn,))
@@ -585,18 +662,6 @@ def test_free_movement_reward(road_scenario):
 # --------------------------------------------------------------- invariants
 
 
-def bg_intervals_disjoint(world):
-    by_edge = {}
-    for v in world.background:
-        by_edge.setdefault(v.edge_id, []).append(v)
-    for vehicles in by_edge.values():
-        vehicles.sort(key=lambda v: v.pos_m)
-        for a, b in zip(vehicles, vehicles[1:]):
-            if b.tail_m < a.pos_m:
-                return False
-    return True
-
-
 def test_background_invariants_random_run(grid_net):
     sc = ScenarioConfig(
         network=grid_net,
@@ -614,10 +679,7 @@ def test_background_invariants_random_run(grid_net):
         if world.done:
             break
         world.step(rng.uniform(-4.5, 2.6))
-        assert bg_intervals_disjoint(world)
-        for v in world.background:
-            limit = grid_net.edges[v.edge_id].speed_limit_mps
-            assert 0.0 <= v.speed_mps <= limit
+        assert_background_apart_and_bounded(world)
 
 
 def test_step_determinism_with_traffic(grid_net):
