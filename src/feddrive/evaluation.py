@@ -6,7 +6,9 @@ node sits exactly that far from the start, so the straight-line start-to-goal
 distance equals the requested value.  The same episode seeds are reused for
 every distance and every policy, which makes comparisons between policies
 paired rather than independent.  Every greedy episode, ``sim-run``'s too, runs
-through ``rollout``, where a policy acts through ``greedy_policy``.
+through ``rollout``, where a policy acts through ``greedy_policy`` on each
+step's ``EgoObservation`` itself; no step builds an array unless an actor meets
+an observation it has not seen.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import struct
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
@@ -25,9 +28,13 @@ from .metrics import RolloutTrace, average_speed, run_episode, travel_delay
 from .nn import MlpParams
 from .seeding import derive_seed
 from .sim.network import RoadNetwork, straight_corridor
-from .sim.world import EgoObservation, ScenarioConfig, StepOutcome, TrafficWorld, normalize_observation
+from .sim.world import STATE_DIM, EgoObservation, ScenarioConfig, StepOutcome, TrafficWorld, normalize_observation
 
-Policy = MlpParams | Callable[[np.ndarray], float]
+# an actor, or a function of the raw observation (it may keep state: it is called at every step)
+Policy = MlpParams | Callable[[EgoObservation], float]
+
+# an observation's components as native float64, the bytes of ``np.array(obs, np.float64)``
+_OBS_BYTES = struct.Struct(f"{STATE_DIM}d").pack
 
 
 @dataclass(frozen=True)
@@ -90,22 +97,23 @@ def realize_scenario(template: EvalTemplate, distance_m: float) -> ScenarioConfi
     return replace(template, network=straight_corridor(distance_m, template.overrun_m, template.speed_limit_mps))
 
 
-def greedy_policy(policy: Policy, a_min: float, a_max: float) -> Callable[[np.ndarray], float]:
-    """The policy as a function of the raw observation vector; a callable is returned as it is.
+def greedy_policy(policy: Policy, a_min: float, a_max: float) -> Callable[[EgoObservation], float]:
+    """The policy as a function of the raw ``EgoObservation``; a callable is returned as it is.
 
-    An actor's shape is checked once, and its actions are memoized on the vector's
-    bytes, so ``-0.0`` and NaN cannot alias another entry, and only a miss normalises it.
+    An actor's shape is checked once, and its actions are memoized on the
+    observation's packed float64 bytes, the bytes of ``np.array(obs,
+    np.float64)``, so ``-0.0`` and NaN cannot alias another entry; only a miss
+    normalises it and calls ``policy_action``.
     """
     if not isinstance(policy, MlpParams):
         return policy
     check_actor_shape(policy)
     actions: dict[bytes, float] = {}
 
-    def act(vec: np.ndarray) -> float:
-        key = vec.tobytes()
-        action = actions.get(key)
+    def act(obs: EgoObservation) -> float:
+        action = actions.get(key := _OBS_BYTES(*obs))
         if action is None:
-            action = actions[key] = policy_action(policy, normalize_observation(vec), a_min, a_max)
+            action = actions[key] = policy_action(policy, normalize_observation(obs), a_min, a_max)
         return action
 
     return act
@@ -113,9 +121,11 @@ def greedy_policy(policy: Policy, a_min: float, a_max: float) -> Callable[[np.nd
 
 def rollout(world: TrafficWorld, policy: Policy, episode_seed: int, a_min: float, a_max: float,
             on_step: Callable[[EgoObservation, float, StepOutcome], None] | None = None) -> RolloutTrace:
-    """Greedy episode: no exploration noise, bit-reproducible per seed; ``on_step`` as in ``run_episode``."""
-    act = greedy_policy(policy, a_min, a_max)
-    return run_episode(world, lambda obs: float(act(obs.as_vector())), episode_seed, on_step)
+    """Greedy episode: no exploration noise, bit-reproducible per seed; ``on_step`` as in ``run_episode``.
+
+    The policy acts through ``greedy_policy`` on each step's ``EgoObservation``.
+    """
+    return run_episode(world, greedy_policy(policy, a_min, a_max), episode_seed, on_step)
 
 
 def evaluate(policy: Policy, protocol: EvalProtocol, policy_id: str = "policy") -> EvalSummary:

@@ -142,7 +142,7 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
 
 
-@dataclass
+@dataclass(slots=True)  # slot reads and writes are cheaper than instance-dict ones in every step
 class VehicleState:
     vehicle_id: str
     edge_id: str
@@ -188,7 +188,7 @@ STATE_DIM = len(EgoObservation._fields)
 
 
 def normalize_observation(obs: EgoObservation | np.ndarray) -> np.ndarray:
-    """The float64 state vector of an observation, or of its ``as_vector``."""
+    """The float64 state vector of an observation, or of any sequence of its raw components in field order."""
     return np.array(obs, dtype=np.float64) / OBS_SCALE
 
 

@@ -68,4 +68,6 @@ def test_tracer_install_and_restore_round_trip(bench):
         tracer.restore()
     assert (ddpg.forward, ddpg.ReplayBuffer.sample, fed.run_round, fed.train_episode, ev.rollout) == before
     names = {tracer.names[i] for i in tracer.spans()["name"]}
-    assert {"ddpg.replay_sample", "ddpg.replay_store", "evaluation.rollout", "sim.step"} <= names
+    # a memo that stopped calling the module-global policy_action would leave that layer metric at zero
+    assert {"ddpg.replay_sample", "ddpg.replay_store", "evaluation.policy_action", "evaluation.rollout",
+            "sim.step"} <= names

@@ -25,7 +25,7 @@ from feddrive.evaluation import (
 )
 from feddrive.ddpg import DdpgAgent, DdpgHyperparams, policy_action, train_episode
 from feddrive.metrics import RolloutTrace, average_speed, run_episode, travel_delay
-from feddrive.sim.world import CAUSE_MAX_STEPS, SpawnSpec, TrafficWorld, normalize_observation
+from feddrive.sim.world import CAUSE_MAX_STEPS, EgoObservation, SpawnSpec, TrafficWorld, normalize_observation
 from tests.conftest import REPO
 
 
@@ -301,7 +301,7 @@ def cruising_actor(seed, accel_mps2=1.5):
 
 
 def unmemoized(actor):
-    return lambda vec: policy_action(actor, normalize_observation(vec), A_MIN, A_MAX)
+    return lambda obs: policy_action(actor, normalize_observation(obs), A_MIN, A_MAX)
 
 
 @pytest.fixture
@@ -347,7 +347,7 @@ def test_actor_memo_matches_unmemoized_evaluation(monkeypatch, step_log):
 def test_callable_policy_is_called_every_step(step_log):
     calls = 0
 
-    def policy(vec):
+    def policy(obs):
         nonlocal calls
         calls += 1
         return 1.5
@@ -355,6 +355,45 @@ def test_callable_policy_is_called_every_step(step_log):
     evaluate(policy, TRAFFIC)
     assert calls == len(step_log) > 0
     assert greedy_policy(policy, A_MIN, A_MAX) is policy
+
+
+def test_memo_keys_on_the_observations_float64_bytes(monkeypatch):
+    """A zero's sign and a NaN each get their own entry, keyed on ``np.array(obs)``'s bytes."""
+    states = []
+    monkeypatch.setattr(evaluation, "policy_action", lambda actor, state, a_min, a_max: states.append(state) or 1.0)
+    act = greedy_policy(cruising_actor(seed=5), A_MIN, A_MAX)
+    base = EgoObservation(0.0, 0.0, 0.0, 0.0, 0.0, 100.0)
+    distinct = [base, base._replace(pos_y=-0.0), base._replace(heading=float("nan"))]
+    for obs in [*distinct, base, base._replace(pos_y=-0.0), base._replace(heading=float("nan"))]:
+        assert act(obs) == 1.0  # the second NaN is another float object with the same bits
+    assert len(states) == len(distinct)
+    for state, obs in zip(states, distinct):
+        assert state.tobytes() == normalize_observation(obs).tobytes()
+    (memo,) = [c.cell_contents for c in act.__closure__ if isinstance(c.cell_contents, dict)]
+    assert list(memo) == [np.array(obs, np.float64).tobytes() for obs in distinct]
+
+
+def test_policy_callable_receives_the_observation():
+    seen = []
+
+    def policy(obs):
+        seen.append(type(obs))
+        return 1.5
+
+    rollout(TrafficWorld(realize_scenario(TRAFFIC.template, 52.0)), policy, 0, A_MIN, A_MAX)
+    evaluate(policy, TRAFFIC)
+    assert seen and set(seen) == {EgoObservation}
+
+
+def test_actor_evaluation_builds_no_observation_vector(monkeypatch):
+    actor = cruising_actor(seed=5)
+    reference = evaluate(unmemoized(actor), TRAFFIC)
+
+    def no_vector(obs):
+        raise AssertionError("greedy evaluation built an observation vector")
+
+    monkeypatch.setattr(EgoObservation, "as_vector", no_vector)
+    assert evaluate(actor, TRAFFIC) == reference
 
 
 def test_back_to_back_actors_each_match_their_reference():
