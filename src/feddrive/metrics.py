@@ -15,7 +15,7 @@ from .sim.world import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RolloutTrace:
     """The one per-episode record; from ``run_episode`` it has at least one step and exactly one outcome."""
 

@@ -4,7 +4,9 @@ The cases overlap, so evaluation order matters and is frozen here: terminal
 events first, then the combined traffic conditions, then free movement, then
 bare nonzero speed, then the default.  ``compute_reward`` returns the value
 of the first case whose predicate holds; ``REWARD_BY_FLAGS`` holds that value
-for every consistent flag combination, computed once from the table.
+for every consistent flag combination, computed once from the table, and
+``FLAGS_AND_REWARD`` gives the simulator step both its flags record and that
+value from one lookup on the plain flag tuple.
 
 Note the nonzero-speed case (+0.04) is listed for completeness of the case
 table but is shadowed by the earlier cases for every consistent flag
@@ -62,6 +64,12 @@ REWARD_BY_FLAGS: dict[EventFlags, float] = {
     flags: next(value for _name, predicate, value in REWARD_CASES if predicate(flags))
     for flags in itertools.starmap(EventFlags, itertools.product((False, True), repeat=5))
     if not (flags.collided and flags.reached_destination)
+}
+
+
+# the step's one lookup: the plain tuple of its five flags -> (its EventFlags, its reward), from REWARD_BY_FLAGS
+FLAGS_AND_REWARD: dict[tuple[bool, ...], tuple[EventFlags, float]] = {
+    tuple(flags): (flags, reward) for flags, reward in REWARD_BY_FLAGS.items()
 }
 
 

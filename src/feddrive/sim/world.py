@@ -50,7 +50,7 @@ import numpy as np
 
 from ..seeding import check_master_seed, derive_seed
 from .network import RoadNetwork, TrafficLight
-from .reward import REWARD_BY_FLAGS, EventFlags
+from .reward import FLAGS_AND_REWARD, EventFlags
 
 CAUSE_NONE = "none"
 CAUSE_COLLISION = "collision"
@@ -161,7 +161,14 @@ class VehicleState:
 
 # The per-step records (these two and reward.EventFlags) are named tuples:
 # immutable, and cheaper to build than frozen dataclasses, with the same
-# fields, order and repr.
+# fields, order and repr.  The step builds its EgoObservation and StepOutcome
+# with the tuple constructor, ``_record(Cls, (field, ...))``, in field order:
+# the same object as ``Cls(field, ...)`` at well under half the cost of the
+# generated ``__new__``.  It takes its EventFlags and reward together from
+# ``reward.FLAGS_AND_REWARD``, so it builds no flags record either.
+_record = tuple.__new__
+
+
 class EgoObservation(NamedTuple):
     """What the ego sees each step, in raw units; ``normalize_observation`` makes it the policy's state."""
 
@@ -222,6 +229,8 @@ class EdgeSlots(NamedTuple):
     hi: float  # highest front, m
     places: int  # fronts that fit from lo to hi, one spacing apart
     through: list[tuple[tuple[str, ...], int]]  # (route, index) of each pass of a route over the edge
+    passes: int  # len(through)
+    speed_limit_mps: float
 
 
 def distance_to_destination(pos: tuple[float, float], dest: tuple[float, float]) -> float:
@@ -237,9 +246,8 @@ def _point(edge: EdgeInfo, pos_m: float) -> tuple[float, float]:
 
 
 def _distance_to_red_light(edge: EdgeInfo, pos_m: float, t: float) -> float | None:
-    """Distance from ``pos_m`` on ``edge`` to the stop line of a red light at its end."""
-    light = edge.light
-    if light is None or light.is_green(t):
+    """Distance from ``pos_m`` on ``edge`` to the stop line of the light at its end, or None while it is green."""
+    if edge.light.is_green(t):
         return None
     return edge.length_m - pos_m
 
@@ -314,7 +322,7 @@ class TrafficWorld:
             hi = net.edges[eid].length_m - (spacing if shifts.get(ego_edge, 0.0) < 0.0 else 0.0)
             places = math.floor((hi - lo) / spacing) + 1 if hi >= lo else 0
             through = [(route, idx) for route in routes for idx, e in enumerate(route) if e == eid]
-            self._slots.append(EdgeSlots(eid, lo, hi, places, through))
+            self._slots.append(EdgeSlots(eid, lo, hi, places, through, len(through), net.edges[eid].speed_limit_mps))
         self._places = places = sum(slot.places for slot in self._slots)
         if sc.background_count > places:
             raise BackgroundCountError(
@@ -367,17 +375,16 @@ class TrafficWorld:
         spacing = self._spacing
         low, high = sc.bg_speed_factor_min, sc.bg_speed_factor_max
         at = count
-        for (eid, lo, hi, _, through), k in zip(self._slots, taken):
+        for (eid, lo, hi, _, through, passes, limit), k in zip(self._slots, taken):
             if not k:
                 continue
             span = hi - lo - (k - 1) * spacing
-            limit = self._edges[eid].speed_limit_mps
-            fronts = sorted(u[at : at + k])
+            fronts = sorted(u[at : at + k]) if k > 1 else u[at : at + 1]
             at += k
             for j, u_front in enumerate(fronts):
                 u_route, u_factor, u_speed = u[at : at + 3]
                 at += 3
-                route, idx = through[int(u_route * len(through))]
+                route, idx = through[int(u_route * passes)]
                 # uniform(low, high) draws as Generator.uniform does: low + (high - low) * random()
                 factor = low + (high - low) * u_factor
                 pos = lo + u_front * span + j * spacing
@@ -434,11 +441,11 @@ class TrafficWorld:
         observation = self._observe()
         reached = (not collided) and observation.dest_distance <= sc.destination_tolerance_m
         braking = ego.accel_mps2 < BRAKING_ACCEL_MPS2
-        waiting = self._ego_waiting_at_light(t_start)
+        # only an edge with a light at its end can hold the ego waiting at one
+        waiting = self._edges[ego.edge_id].light is not None and self._ego_waiting_at_light(t_start)
         moving = new_speed != 0.0
-        # positional arguments in field order: binding keywords costs more, every step
-        flags = EventFlags(collided, reached, braking, waiting, moving)
-        reward = REWARD_BY_FLAGS[flags]  # compute_reward, for flags that are consistent by construction
+        # compute_reward's value, for flags that are consistent by construction
+        flags, reward = FLAGS_AND_REWARD[collided, reached, braking, waiting, moving]
 
         self.steps += 1
         if collided:
@@ -451,7 +458,7 @@ class TrafficWorld:
             cause = CAUSE_NONE
         self.cause = cause
         self.done = done = cause != CAUSE_NONE
-        return StepOutcome(observation, reward, done, cause, flags)
+        return _record(StepOutcome, (observation, reward, done, cause, flags))
 
     def _advance_ego(self, displacement: float) -> None:
         """Move the ego along its route, clamping at the end of the last edge."""
@@ -526,23 +533,27 @@ class TrafficWorld:
             gap = self._gap_to_leader(veh, snapshot)
             if gap is not None:
                 candidate = min(candidate, max(0.0, (gap - sc.min_gap_m) / dt))
-            stop_dist = _distance_to_red_light(edge, veh.pos_m, t)
-            if stop_dist is not None:
-                candidate = min(candidate, max(0.0, stop_dist / dt))
+            if edge.light is not None:  # the red-light rule, only where there is a light
+                stop_dist = _distance_to_red_light(edge, veh.pos_m, t)
+                if stop_dist is not None:
+                    candidate = min(candidate, max(0.0, stop_dist / dt))
             new_speed = max(0.0, candidate)
 
             veh.speed_mps = new_speed
-            if self._advance_background(veh, new_speed * dt):
-                survivors.append(veh)
-                before, after = shifts_from.get(edge_id), shifts_to.get(veh.edge_id)
-                if before is not None and after is not None:
-                    passed = passed or (ego_from[1] + before <= tail and ego_tail + after >= veh.pos_m)
+            pos = veh.pos_m + new_speed * dt
+            if pos <= edge.length_m:
+                veh.pos_m = pos  # still on its edge
+            elif not self._advance_background(veh, pos):
+                continue
+            survivors.append(veh)
+            before, after = shifts_from.get(edge_id), shifts_to.get(veh.edge_id)
+            if before is not None and after is not None:
+                passed = passed or (ego_from[1] + before <= tail and ego_tail + after >= veh.pos_m)
         self.background = survivors
         return passed
 
-    def _advance_background(self, veh: VehicleState, displacement: float) -> bool:
-        """Move a background vehicle; returns False when it leaves the network."""
-        pos = veh.pos_m + displacement
+    def _advance_background(self, veh: VehicleState, pos: float) -> bool:
+        """Carry a background vehicle to ``pos``, past its edge's end, along its route; False if it leaves."""
         edge = self._edges[veh.edge_id]
         while pos > edge.length_m:
             pos -= edge.length_m
@@ -622,6 +633,8 @@ class TrafficWorld:
         if self._overlaps(ego.edge_id, ego.pos_m, ego.length_m, self.background, 0.0):
             return True
         crossers = self._crossers[ego.edge_id]
+        if not crossers:
+            return False
         box = self.scenario.intersection_box_m
         for other in self.background:
             node = crossers.get(other.edge_id)
@@ -636,6 +649,7 @@ class TrafficWorld:
     # ------------------------------------------------------------ observation
 
     def _ego_waiting_at_light(self, t: float) -> bool:
+        """Whether the ego waits at the red light at the end of its edge, which has one."""
         if self.ego.speed_mps >= WAITING_SPEED_MPS:
             return False
         stop_dist = _distance_to_red_light(self._edges[self.ego.edge_id], self.ego.pos_m, t)
@@ -648,7 +662,7 @@ class TrafficWorld:
         dest_x, dest_y = self._dest_xy
         heading = edge.heading
         dest_distance = math.hypot(x - dest_x, y - dest_y)  # distance_to_destination
-        return EgoObservation(x, y, ego.speed_mps, heading, ego.accel_mps2, dest_distance)
+        return _record(EgoObservation, (x, y, ego.speed_mps, heading, ego.accel_mps2, dest_distance))
 
     @property
     def time_s(self) -> float:

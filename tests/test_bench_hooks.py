@@ -68,6 +68,7 @@ def test_tracer_install_and_restore_round_trip(bench):
         tracer.restore()
     assert (ddpg.forward, ddpg.ReplayBuffer.sample, fed.run_round, fed.train_episode, ev.rollout) == before
     names = {tracer.names[i] for i in tracer.spans()["name"]}
-    # a memo that stopped calling the module-global policy_action would leave that layer metric at zero
+    # a memo that stopped calling the module-global policy_action, or an episode that reset its world other than
+    # through TrafficWorld.reset, would leave that layer metric at zero
     assert {"ddpg.replay_sample", "ddpg.replay_store", "evaluation.policy_action", "evaluation.rollout",
-            "sim.step"} <= names
+            "sim.reset", "sim.step"} <= names

@@ -1,21 +1,28 @@
 from dataclasses import replace
-from itertools import pairwise
+from itertools import pairwise, product
 
 import numpy as np
 import pytest
 
+from feddrive.evaluation import EvalTemplate, realize_scenario
 from feddrive.sim.network import RoadNetwork, load_network, straight_corridor
+from feddrive.sim.reward import FLAGS_AND_REWARD, EventFlags, compute_reward
 from feddrive.sim.world import (
+    BRAKING_ACCEL_MPS2,
     CAUSE_COLLISION,
     CAUSE_DESTINATION,
     CAUSE_MAX_STEPS,
     CAUSE_NONE,
     OBS_SCALE,
+    WAITING_LIGHT_RANGE_M,
+    WAITING_SPEED_MPS,
     BackgroundCountError,
+    EgoObservation,
     EpisodeDoneError,
     ScenarioConfig,
     SpawnError,
     SpawnSpec,
+    StepOutcome,
     TrafficWorld,
     UnreachableDestinationError,
     VehicleState,
@@ -67,6 +74,25 @@ def add_background(world, edge_id, pos, speed=0.0, factor=1.0, route=("ab", "bc"
 def background_step(world, t):
     """Move the background one step at time ``t``, with the ego standing where it is."""
     return world.background_step(t, (world.ego.edge_id, world.ego.pos_m))
+
+
+def random_actions(episode_seed, steps, low=-4.5):
+    """The random-action stream of the grid sweeps: uniform over [low, 2.6], by default the ego's whole range."""
+    return np.random.default_rng(episode_seed).uniform(low, 2.6, size=steps).tolist()
+
+
+def grid_loop_world(grid_net, count, master_seed):
+    return TrafficWorld(
+        ScenarioConfig(
+            network=grid_net,
+            ego_route="loop",
+            destination_node="n00",
+            destination_tolerance_m=1.0,
+            background_count=count,
+            max_steps=400,
+            master_seed=master_seed,
+        )
+    )
 
 
 # ----------------------------------------------------------------- distance
@@ -137,6 +163,74 @@ def test_reset_deterministic(road_scenario):
             v2.speed_mps,
             v2.speed_factor,
         )
+
+
+def expected_observation(world):
+    """The ego's observation, worked out here from the network and the ego's state."""
+    ego, net = world.ego, world.net
+    edge = net.edges[ego.edge_id]
+    a, b = net.nodes[edge.from_node], net.nodes[edge.to_node]
+    f = ego.pos_m / edge.length_m
+    x, y = a.x + f * (b.x - a.x), a.y + f * (b.y - a.y)
+    dest = net.nodes[world.scenario.destination_node]
+    dest_distance = distance_to_destination((x, y), (dest.x, dest.y))
+    return EgoObservation(x, y, ego.speed_mps, net.heading(ego.edge_id), ego.accel_mps2, dest_distance)
+
+
+def expected_flags(world):
+    """The last step's events, worked out here from the world after it."""
+    ego, net = world.ego, world.net
+    edge = net.edges[ego.edge_id]
+    light = net.lights.get(edge.to_node)
+    t_start = (world.steps - 1) * world.scenario.step_length_s
+    waiting = (
+        ego.speed_mps < WAITING_SPEED_MPS
+        and light is not None
+        and not light.is_green(t_start)
+        and edge.length_m - ego.pos_m <= WAITING_LIGHT_RANGE_M
+    )
+    return EventFlags(
+        world.cause == CAUSE_COLLISION,
+        world.cause == CAUSE_DESTINATION,
+        ego.accel_mps2 < BRAKING_ACCEL_MPS2,
+        waiting,
+        ego.speed_mps != 0.0,
+    )
+
+
+def test_step_table_holds_each_consistent_flag_combination_with_its_reward():
+    combos = [bits for bits in product((False, True), repeat=5) if not (bits[0] and bits[1])]
+    assert len(combos) == 24 and set(FLAGS_AND_REWARD) == set(combos)
+    for bits in combos:
+        flags, reward = FLAGS_AND_REWARD[bits]
+        assert type(flags) is EventFlags
+        assert (flags, reward) == (EventFlags(*bits), compute_reward(EventFlags(*bits)))
+
+
+@pytest.mark.parametrize("where", ["eval_corridor", "grid"])
+def test_step_records_have_their_class_and_fields_in_traffic(where, grid_net):
+    if where == "grid":
+        world, low = grid_loop_world(grid_net, 6, master_seed=17), -4.5
+    else:  # an ego that never brakes meets the corridor's slow traffic
+        template = EvalTemplate(background_count=2, bg_speed_factor_min=0.4, bg_speed_factor_max=0.7, max_steps=60)
+        world, low = TrafficWorld(realize_scenario(template, 207.0)), 0.0
+    causes = set()
+    for seed in range(12):
+        obs = world.reset(seed)
+        assert type(obs) is EgoObservation and obs == expected_observation(world)
+        for action in random_actions(seed, world.scenario.max_steps, low):
+            out = world.step(action)
+            for record, cls in ((out, StepOutcome), (out.observation, EgoObservation), (out.flags, EventFlags)):
+                assert type(record) is cls
+                assert record == cls(**record._asdict())
+            assert out.observation == expected_observation(world)
+            assert out.flags == expected_flags(world)
+            assert out == (out.observation, compute_reward(out.flags), world.done, world.cause, out.flags)
+            assert type(out.reward) is float and type(out.done) is bool
+            if out.done:
+                break
+        causes.add(world.cause)
+    assert CAUSE_COLLISION in causes and len(causes) > 1  # the terminal records are built too
 
 
 def test_step_records_print_their_fields():
@@ -663,22 +757,29 @@ def test_free_movement_reward(road_scenario):
 
 
 def test_background_invariants_random_run(grid_net):
-    sc = ScenarioConfig(
-        network=grid_net,
-        ego_route="loop",
-        destination_node="n00",
-        destination_tolerance_m=1.0,
-        background_count=6,
-        max_steps=400,
-        master_seed=17,
-    )
-    world = TrafficWorld(sc)
+    world = grid_loop_world(grid_net, 6, master_seed=17)
     rng = np.random.default_rng(3)
     world.reset(1)
     for _ in range(400):
         if world.done:
             break
         world.step(rng.uniform(-4.5, 2.6))
+        assert_background_apart_and_bounded(world)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="a vehicle whose route ends at a node seeks its leader only along its own route, not on a linked edge",
+)
+def test_background_stays_apart_where_a_route_ends_at_another_routes_edge(grid_net):
+    # the first failure of the grid sweep: counts 4, 10, 20 and 40, master seeds 0-5, episode seeds 0-19, each
+    # driven by random_actions; at step 69 bg16 at 98.56 m on e_s (route to_light, which ends at n10) overlaps
+    # bg17 at 2.04 m on e_e
+    world = grid_loop_world(grid_net, 20, master_seed=4)
+    world.reset(13)
+    for action in random_actions(13, 69):
+        world.step(action)
         assert_background_apart_and_bounded(world)
 
 
